@@ -9,13 +9,18 @@ Context pattern syntax, kept deliberately small so rule files stay
 auditable: a sequence of literal characters and [...] character classes.
 '#' marks the word boundary and may only anchor the outer end (start of a
 left context, end of a right context).
+
+transliterate converts each distinct prepared word once per Ruleset and
+reuses the normalized segments (the memo holds successes only); any error
+reruns the whole text on the uncached path, so error types, messages and
+offsets are exactly those of a single pass.
 """
 
 import re
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import DataError, ParseError, UnmatchedGraphemeError
+from .errors import DataError, ParseError, PhonosimError, UnmatchedGraphemeError
 from .ipa import NormalizationPolicy, PhonemeSequence, normalize, tokenize_ipa
 
 MODES = ("error", "skip", "passthrough")
@@ -102,7 +107,8 @@ class Ruleset:
 
     case_fold folds both input text and rule graphemes/contexts;
     punctuation_strip removes punctuation, symbols and digits before
-    matching (whitespace stays and separates words).
+    matching (whitespace stays and separates words). The rules never
+    change; the only mutable state is transliterate's word memo.
     """
 
     def __init__(self, language_code, rules, case_fold=True, punctuation_strip=True):
@@ -135,6 +141,11 @@ class Ruleset:
         # longest grapheme first, then higher priority, then file order
         compiled.sort(key=lambda item: (-len(item[0]), -item[3].priority, item[4]))
         self._compiled = tuple(compiled)
+        by_first = {}
+        for entry in self._compiled:
+            by_first.setdefault(entry[0][0], []).append(entry)
+        self._by_first = {c: tuple(entries) for c, entries in by_first.items()}
+        self._memo = (None, None, {})
 
     def prepare(self, text):
         t = unicodedata.normalize("NFC", text)
@@ -147,7 +158,8 @@ class Ruleset:
         return t
 
     def match_at(self, word, i):
-        for g, left, right, rule, _ in self._compiled:
+        # a rule whose grapheme does not start with word[i] cannot match at i
+        for g, left, right, rule, _ in self._by_first.get(word[i:i + 1], ()):
             if not word.startswith(g, i):
                 continue
             if left is not None and not _match_left(left, word, i):
@@ -156,6 +168,48 @@ class Ruleset:
                 continue
             return rule, len(g)
         return None, 0
+
+    def _word_memo(self, policy, mode):
+        """Prepared word -> tuple of normalized segments, for one policy and mode.
+
+        The slot holds the policy object itself rather than its id(), which
+        Python reuses once an object is freed; another policy or mode
+        replaces the memo.
+        """
+        held_policy, held_mode, memo = self._memo
+        if held_policy is not policy or held_mode != mode:
+            memo = {}
+            self._memo = (policy, mode, memo)
+        return memo
+
+
+def _word_ipa(rs, word, base, mode):
+    """IPA string for one prepared word; unmatched offsets count from base."""
+    parts = []
+    i = 0
+    while i < len(word):
+        rule, glen = rs.match_at(word, i)
+        if rule is None:
+            if mode == "error":
+                raise UnmatchedGraphemeError(word[i], base + i)
+            if mode == "passthrough":
+                parts.append(word[i])
+            i += 1
+        else:
+            parts.append(rule.phoneme_output)
+            i += glen
+    return "".join(parts)
+
+
+def _transliterate_prepared(prepared, rs, policy, mode):
+    """The uncached path: the whole prepared text in one pass.
+
+    Every error transliterate raises comes from here, so an unmatched
+    grapheme in a later word still beats a tokenize error in an earlier one.
+    """
+    word_outputs = [_word_ipa(rs, m.group(), m.start(), mode)
+                    for m in re.finditer(r"\S+", prepared)]
+    return normalize(tokenize_ipa(" ".join(word_outputs)), policy)
 
 
 def transliterate(text, rs: Ruleset, policy: NormalizationPolicy,
@@ -169,25 +223,21 @@ def transliterate(text, rs: Ruleset, policy: NormalizationPolicy,
     if mode not in MODES:
         raise DataError(f"unknown G2P mode {mode!r}; expected one of {MODES}")
     prepared = rs.prepare(text)
-    word_outputs = []
-    for m in re.finditer(r"\S+", prepared):
-        word = m.group()
-        base = m.start()
-        parts = []
-        i = 0
-        while i < len(word):
-            rule, glen = rs.match_at(word, i)
-            if rule is None:
-                if mode == "error":
-                    raise UnmatchedGraphemeError(word[i], base + i)
-                if mode == "passthrough":
-                    parts.append(word[i])
-                i += 1
-            else:
-                parts.append(rule.phoneme_output)
-                i += glen
-        word_outputs.append("".join(parts))
-    return normalize(tokenize_ipa(" ".join(word_outputs)), policy)
+    memo = rs._word_memo(policy, mode)
+    out = []
+    try:
+        for word in prepared.split():
+            segments = memo.get(word)
+            if segments is None:
+                # exact per word: tokenize_ipa resets at whitespace, NFC never
+                # composes across U+0020, normalize maps one segment at a time
+                segments = tuple(normalize(
+                    tokenize_ipa(_word_ipa(rs, word, 0, mode)), policy))
+                memo[word] = segments
+            out += segments
+    except PhonosimError:
+        return _transliterate_prepared(prepared, rs, policy, mode)
+    return out
 
 
 def load_ruleset(path) -> Ruleset:

@@ -26,7 +26,7 @@ from .density import (KDEParams, extract_contours, rasterize,
                       write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
 from .g2p import load_ruleset, transliterate
-from .ipa import default_policy, load_policy
+from .ipa import _parse_bool, default_policy, load_policy
 from .pca import pca_project, write_coords_csv
 from .registry import Registry, load_registry
 from .render import render_svg
@@ -56,7 +56,6 @@ class PipelineConfig:
     contour_level: float = 0.1
     relative_level: bool = False
     resolution: int = 512
-    g2p_mode: str = "error"
 
     def __post_init__(self):
         for name in ("corpus_dir", "rules_dir", "registry_path", "output_dir"):
@@ -98,10 +97,10 @@ def load_config(path, overrides=None) -> PipelineConfig:
         raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}", path)
     if overrides:
         section.update({k: v for k, v in overrides.items() if v is not None})
-    return config_from_mapping(section, base=Path(path).parent)
+    return config_from_mapping(section, base=Path(path).parent, path=path)
 
 
-def config_from_mapping(section, base=Path(".")) -> PipelineConfig:
+def config_from_mapping(section, base=Path("."), path=None) -> PipelineConfig:
     def path_of(key):
         value = section.get(key)
         if value is None:
@@ -111,7 +110,7 @@ def config_from_mapping(section, base=Path(".")) -> PipelineConfig:
 
     relative = section.get("relative", "false")
     if isinstance(relative, str):
-        relative = relative.strip().lower() in ("1", "true", "yes", "on")
+        relative = _parse_bool(relative, path, None)
     policy = section.get("policy")
     return PipelineConfig(
         corpus_dir=path_of("corpus_dir"),
@@ -190,8 +189,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             seqs = []
             for line_no, (audio, text) in enumerate(utterances, 1):
                 try:
-                    seqs.append((audio, transliterate(text, rs, policy,
-                                                      mode=cfg.g2p_mode)))
+                    seqs.append((audio, transliterate(text, rs, policy)))
                 except PhonosimError as e:
                     raise DataError(f"{code}: utterance {line_no}: {e}") from e
             converted[code] = seqs

@@ -6,6 +6,7 @@ the threshold is not low-resource.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .errors import DataError, ParseError
@@ -36,6 +37,8 @@ class Registry:
             if rec.code in seen:
                 raise DataError(f"duplicate language code {rec.code!r}")
             seen.add(rec.code)
+            if not math.isfinite(rec.recording_hours):
+                raise DataError(f"non-finite recording hours for {rec.code!r}")
             if rec.recording_hours < 0:
                 raise DataError(f"negative recording hours for {rec.code!r}")
         self._records = tuple(records)
@@ -117,6 +120,8 @@ def load_registry(path,
             hours = float(hours_text)
         except ValueError:
             raise ParseError(f"bad hours value {hours_text!r}", path, line_no) from None
+        if not math.isfinite(hours):
+            raise ParseError(f"non-finite hours for {code!r}", path, line_no)
         if hours < 0:
             raise ParseError(f"negative hours for {code!r}", path, line_no)
         records.append(LanguageRecord(code, name, family, branch or None, hours))

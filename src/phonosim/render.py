@@ -5,6 +5,8 @@ polylines in the same color, and a small legend. Geometry uses a single
 uniform scale so distances stay honest.
 """
 
+from html import escape
+
 from .formats import fmt_float
 
 PALETTE = (
@@ -73,7 +75,7 @@ def render_svg(points, contour_sets, path, width=800, height=800, margin=60):
         out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="{color}"/>')
         out.append(
             f'<text x="{fmt_float(float(sx(x)) + 6)}" y="{sy(y)}" '
-            f'font-size="11" font-family="sans-serif">{code}</text>')
+            f'font-size="11" font-family="sans-serif">{escape(code, quote=False)}</text>')
     for i, family in enumerate(sorted(colors)):
         y = margin + 16 * i
         out.append(
@@ -81,7 +83,7 @@ def render_svg(points, contour_sets, path, width=800, height=800, margin=60):
             f'fill="{colors[family]}"/>')
         out.append(
             f'<text x="{margin + 14}" y="{y}" font-size="12" '
-            f'font-family="sans-serif">{family}</text>')
+            f'font-family="sans-serif">{escape(family, quote=False)}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(out) + "\n")

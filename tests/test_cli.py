@@ -226,6 +226,49 @@ class TestPipelineCommand:
         ]) == 0
         assert (out_dir / "manifest.tsv").is_file()
 
+    def test_nan_hours_exit_2(self, toy_dir, tmp_path, capsys):
+        registry = tmp_path / "registry.csv"
+        registry.write_text(
+            (toy_dir / "registry.csv").read_text(encoding="utf-8")
+            .replace("aab,Betan,Alphaic,East,20", "aab,Betan,Alphaic,East,nan"),
+            encoding="utf-8")
+        assert cli.main([
+            "pipeline",
+            "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--registry", str(registry),
+            "--target", "aaa",
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "[registry]" in err and ":3:" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_relative_config_value_parsed_strictly(self, toy_dir, tmp_path, capsys):
+        def config(name, relative):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(
+                "[pipeline]\n"
+                f"corpus_dir = {toy_dir / 'corpus'}\n"
+                f"rules_dir = {toy_dir / 'rules'}\n"
+                f"registry = {toy_dir / 'registry.csv'}\n"
+                "target = aaa\n"
+                f"relative = {relative}\n"
+                f"out = {name}\n",
+                encoding="utf-8")
+            return str(path)
+
+        typo = config("typo", "tru")
+        assert cli.main(["pipeline", "--config", typo]) == 2
+        assert f"{typo}: expected a boolean, got 'tru'" in capsys.readouterr().err
+        # the flag overrides the file's value and turns the option on
+        assert cli.main(["pipeline", "--config", typo, "--relative"]) == 0
+        assert cli.main(["pipeline", "--config", config("on", "Yes")]) == 0
+        assert cli.main(["pipeline", "--config", config("off", "false")]) == 0
+        contours = {name: (tmp_path / name / "contours.json").read_bytes()
+                    for name in ("typo", "on", "off")}
+        assert contours["typo"] == contours["on"] != contours["off"]
+
     def test_missing_required_flags(self, capsys):
         assert cli.main(["pipeline", "--target", "aaa"]) == 2
 

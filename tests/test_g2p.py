@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phonosim.errors import DataError, ParseError, UnmatchedGraphemeError
-from phonosim.g2p import G2PRule, Ruleset, load_ruleset, transliterate
+from phonosim import g2p
+from phonosim.errors import (DataError, ParseError, PhonosimError, TokenizeError,
+                             UnmatchedGraphemeError)
+from phonosim.g2p import MODES, G2PRule, Ruleset, load_ruleset, transliterate
 from phonosim.ipa import NormalizationPolicy, default_policy
 
-from genutil import random_ruleset, random_text_for
+from genutil import random_policy, random_ruleset, random_text_for
 
 PLAIN = NormalizationPolicy(merge_pairs={})
 
@@ -243,3 +247,146 @@ class TestProperties:
         for code, converted in seqs.items():
             for seq in converted:
                 assert set(seq) <= known
+
+
+def uncached(text, rs, policy, mode):
+    """The whole-text path transliterate falls back to; the test oracle."""
+    return g2p._transliterate_prepared(rs.prepare(text), rs, policy, mode)
+
+
+def outcome(fn, text, rs, policy, mode):
+    try:
+        return fn(text, rs, policy, mode)
+    except PhonosimError as e:
+        return type(e), str(e), getattr(e, "offset", None)
+
+
+COMBINING_TILDE = "\u0303"
+
+
+def ruleset_with_traps(rng):
+    """A random ruleset plus 'x', whose output is a bare combining mark: a
+    word starting with 'x' fails to tokenize. 'q' never matches."""
+    base = random_ruleset(rng)
+    return Ruleset("toy", base.rules + (G2PRule("x", COMBINING_TILDE),))
+
+
+def repeating_texts(rs, rng, n_texts=8):
+    """Texts drawn from a small vocabulary so words repeat across texts."""
+    vocab = []
+    for _ in range(rng.randint(2, 6)):
+        word = random_text_for(rs, rng, max_tokens=4)
+        if rng.random() < 0.2:
+            word = word.upper()
+        if rng.random() < 0.2:
+            at = rng.randrange(len(word) + 1)
+            word = word[:at] + rng.choice("qx") + word[at:]
+        vocab.append(word)
+    return ["".join(rng.choice(vocab) + rng.choice((" ", " ", "  ", "\t", ", "))
+                    for _ in range(rng.randrange(7)))
+            for _ in range(n_texts)]
+
+
+def linear_match_at(rs, word, i):
+    for g, left, right, rule, _ in rs._compiled:
+        if not word.startswith(g, i):
+            continue
+        if left is not None and not g2p._match_left(left, word, i):
+            continue
+        if right is not None and not g2p._match_right(right, word, i + len(g)):
+            continue
+        return rule, len(g)
+    return None, 0
+
+
+class TestWordMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_uncached_path_text_by_text(self, seed):
+        rng = random.Random(seed)
+        rs = ruleset_with_traps(rng)
+        texts = repeating_texts(rs, rng)
+        for mode in MODES:
+            for text in texts:
+                assert (outcome(transliterate, text, rs, PLAIN, mode)
+                        == outcome(uncached, text, rs, PLAIN, mode)), (mode, text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_switching_policy_or_mode_uses_its_own_result(self, seed):
+        rng = random.Random(seed)
+        rs = ruleset_with_traps(rng)
+        policies = [random_policy(rng) for _ in range(2)]
+        texts = repeating_texts(rs, rng)
+        for text in texts * 2:
+            policy = rng.choice(policies)
+            mode = rng.choice(MODES)
+            assert (outcome(transliterate, text, rs, policy, mode)
+                    == outcome(uncached, text, rs, policy, mode)), (mode, text)
+
+    def test_unmatched_grapheme_error_is_unchanged(self):
+        rs = make_ruleset(("a", "a"), ("b", "b"))
+        transliterate("ab ab", rs, PLAIN)  # warm the memo
+        with pytest.raises(UnmatchedGraphemeError) as exc:
+            transliterate("ab  ab bqa", rs, PLAIN)
+        assert (exc.value.grapheme, exc.value.offset) == ("q", 8)
+        assert str(exc.value) == str(outcome(uncached, "ab  ab bqa", rs, PLAIN,
+                                             "error")[1])
+
+    def test_tokenize_error_is_unchanged(self):
+        rs = make_ruleset(("a", "a"), ("x", COMBINING_TILDE))
+        assert transliterate("ax a", rs, PLAIN) == ["ã", "a"]
+        with pytest.raises(TokenizeError) as exc:
+            transliterate("a xa", rs, PLAIN)
+        # the offset counts in the whole joined IPA text, not in the word
+        assert exc.value.offset == 2
+        assert "xa" not in rs._memo[2]  # failures are never stored
+
+    def test_later_unmatched_grapheme_beats_earlier_tokenize_error(self):
+        rs = make_ruleset(("a", "a"), ("x", COMBINING_TILDE))
+        with pytest.raises(UnmatchedGraphemeError) as exc:
+            transliterate("xa a aqa", rs, PLAIN)
+        assert exc.value.offset == 6
+        with pytest.raises(TokenizeError):
+            transliterate("xa a aqa", rs, PLAIN, mode="skip")
+
+    def test_policy_and_mode_switches_on_one_ruleset(self):
+        rs = make_ruleset(("s", "s"), ("a", "a"))
+        assert transliterate("sa sa", rs, PLAIN) == ["s", "a", "s", "a"]
+        for target in ("ʃ", "z") * 4:
+            policy = NormalizationPolicy(merge_pairs={"s": target})
+            result = transliterate("sa sa", rs, policy)
+            # a freed policy's id() goes to the next one, which must not get
+            # the previous policy's memo
+            del policy
+            assert result == [target, "a", target, "a"]
+        assert transliterate("sqa", rs, PLAIN, mode="skip") == ["s", "a"]
+        assert transliterate("sqa", rs, PLAIN, mode="passthrough") == ["s", "q", "a"]
+        assert transliterate("sqa", rs, PLAIN, mode="skip") == ["s", "a"]
+        with pytest.raises(UnmatchedGraphemeError):
+            transliterate("sqa", rs, PLAIN)
+
+    def test_result_is_a_fresh_list(self):
+        rs = make_ruleset(("a", "a"))
+        for _ in range(3):
+            result = transliterate("a", rs, PLAIN)
+            assert result == ["a"]
+            result.append("mutated")
+
+
+class TestRuleIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_match_at_agrees_with_linear_scan(self, seed):
+        rng = random.Random(seed)
+        rs = random_ruleset(rng)
+        contexts = [G2PRule(r.grapheme, "c" + r.phoneme_output,
+                            rng.choice((None, "#", "[ab]", "c")),
+                            rng.choice((None, "#", "[de]", "f")), rng.randrange(3))
+                    for r in rng.sample(rs.rules, rng.randint(1, len(rs.rules)))]
+        contexts = [r for r in contexts if r.left_context or r.right_context]
+        rs = Ruleset("toy", rs.rules + tuple(contexts))
+        for _ in range(5):
+            word = rs.prepare(random_text_for(rs, rng) + rng.choice(("", "q", "A")))
+            for i in range(len(word) + 1):
+                assert rs.match_at(word, i) == linear_match_at(rs, word, i), (word, i)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -92,6 +93,19 @@ class TestRun:
         payload = json.loads((out / "contours.json").read_text(encoding="utf-8"))
         for obj in payload:
             assert obj["polylines"]  # half of peak always intersects
+
+    def test_svg_escapes_family_names(self, toy_dir, tmp_path):
+        registry = tmp_path / "registry.csv"
+        registry.write_text(
+            (toy_dir / "registry.csv").read_text(encoding="utf-8")
+            .replace("Alphaic", "X & <x>"),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        run_pipeline(toy_config(toy_dir, out, registry_path=registry))
+        root = ET.parse(out / "contours.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "X & <x>" in texts
+        assert {"aaa", "aab", "aba", "abb"} <= set(texts)
 
 
 class TestFailures:

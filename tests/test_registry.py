@@ -119,6 +119,16 @@ class TestLoadErrors:
         with pytest.raises(ParseError):
             load_registry(p)
 
+    @pytest.mark.parametrize("hours", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_hours_name_the_line(self, tmp_path, hours):
+        p = tmp_path / "reg.csv"
+        p.write_text(f"code,name,family,branch,hours\nxx,X,F,,1\nyy,Y,F,,{hours}\n",
+                     encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_registry(p)
+        assert exc.value.line == 3
+        assert "yy" in str(exc.value)
+
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "reg.csv"
         p.write_text("code,name,family,branch,hours\nxx,X,F,1\n",
@@ -146,6 +156,11 @@ class TestRegistryObject:
                    LanguageRecord("a", "A2", "F", None, 2.0)]
         with pytest.raises(DataError):
             Registry(records)
+
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
+    def test_non_finite_hours_in_memory(self, hours):
+        with pytest.raises(DataError):
+            Registry([LanguageRecord("a", "A", "F", None, hours)])
 
     def test_low_resource_codes_sorted(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
