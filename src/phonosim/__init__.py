@@ -25,7 +25,7 @@ from .selection import (PhonemeInventory, SelectionResult, Strategy,
                         TrainingManifest, build_inventory, emit_manifest,
                         select_strategy, select_top_k)
 from .stats import (PhonemeDistribution, SimilarityMatrix, Vocabulary,
-                    build_vocabulary, cosine_similarity, count_phonemes,
+                    build_vocabulary, cosine_similarity,
                     family_mean_similarities, similarity_matrix,
                     to_distribution)
 from .typology import FeatureMatrix, impute, load_feature_matrix, project_typology
@@ -45,7 +45,7 @@ __all__ = [
     "PhonemeInventory", "SelectionResult", "Strategy", "TrainingManifest",
     "build_inventory", "emit_manifest", "select_strategy", "select_top_k",
     "PhonemeDistribution", "SimilarityMatrix", "Vocabulary",
-    "build_vocabulary", "cosine_similarity", "count_phonemes",
+    "build_vocabulary", "cosine_similarity",
     "family_mean_similarities", "similarity_matrix", "to_distribution",
     "FeatureMatrix", "impute", "load_feature_matrix", "project_typology",
     "__version__",

@@ -16,13 +16,13 @@ from .g2p import MODES, load_ruleset, transliterate
 from .ipa import default_policy, load_policy, normalize, tokenize_ipa
 from .pca import pca_project, read_coords_csv, write_coords_csv
 from .per import corpus_per
-from .pipeline import (PipelineConfig, compute_family_contours, load_config,
-                       read_corpus_tsv, run_pipeline)
-from .registry import load_registry
+from .pipeline import (compute_family_contours, config_from_mapping,
+                       convert_corpora, load_config, phoneme_distributions,
+                       run_pipeline)
+from .registry import code_problem, load_registry
 from .render import render_svg
 from .selection import Strategy, select_strategy, selection_report
-from .stats import (build_vocabulary, count_phonemes, read_matrix_csv,
-                    similarity_matrix, to_distribution,
+from .stats import (read_matrix_csv, similarity_matrix,
                     write_distributions_csv, write_matrix_csv)
 from .typology import impute, load_feature_matrix, project_typology
 
@@ -76,36 +76,22 @@ def _scan_corpus_languages(corpus_dir):
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise DataError(f"corpus directory {corpus_dir} does not exist")
-    codes = sorted(p.stem for p in corpus_dir.glob("*.tsv"))
-    if not codes:
+    paths = sorted(corpus_dir.glob("*.tsv"))
+    if not paths:
         raise DataError(f"no .tsv corpus files in {corpus_dir}")
-    return codes
+    for path in paths:
+        problem = code_problem(path.stem)
+        if problem:
+            raise DataError(f"{path}: {problem}")
+    return [path.stem for path in paths]
 
 
 def _cmd_sim_matrix(args):
     policy = _policy_from(args)
-    rules_dir = Path(args.rules_dir)
     codes = _scan_corpus_languages(args.corpus_dir)
-    count_maps = {}
-    for code in codes:
-        rules_path = rules_dir / f"{code}.rules"
-        if not rules_path.is_file():
-            raise DataError(f"missing rules file for language {code!r} "
-                            f"(expected {rules_path})")
-        rs = load_ruleset(rules_path)
-        utterances = read_corpus_tsv(Path(args.corpus_dir) / f"{code}.tsv")
-        counts = count_phonemes((text for _, text in utterances), rs, policy,
+    converted = convert_corpora(codes, args.corpus_dir, args.rules_dir, policy,
                                 mode=args.mode)
-        if not counts:
-            print(f"warning: language {code!r} has an empty corpus; excluded",
-                  file=sys.stderr)
-            continue
-        count_maps[code] = counts
-    if len(count_maps) < 2:
-        raise DataError("need at least 2 languages with nonempty corpora")
-    vocab = build_vocabulary(count_maps.values())
-    dists = [to_distribution(count_maps[code], vocab, language_code=code)
-             for code in sorted(count_maps)]
+    vocab, dists = phoneme_distributions(converted)
     matrix = similarity_matrix(dists)
     write_matrix_csv(matrix, args.out)
     if args.distributions:
@@ -131,9 +117,7 @@ def _cmd_contours(args):
         resolution=args.resolution, robust=args.robust_bandwidth)
     out = Path(args.out)
     if out.suffix.lower() == ".svg":
-        points = [(code, float(x), float(y), reg.get(code).family)
-                  for code, (x, y) in zip(codes, coords)]
-        render_svg(points, contour_sets, out)
+        render_svg(codes, coords, reg, contour_sets, out)
     elif out.suffix.lower() == ".json":
         write_contours_json(contour_sets, out)
     else:
@@ -197,7 +181,7 @@ def _cmd_pipeline(args):
         # (whose own paths resolve against its directory) is in play
         return None if value is None else str(Path(value).absolute())
 
-    overrides = {
+    flags = {
         "corpus_dir": absolute(args.corpus_dir),
         "rules_dir": absolute(args.rules_dir),
         "registry": absolute(args.registry),
@@ -210,23 +194,17 @@ def _cmd_pipeline(args):
         "resolution": args.resolution,
         "out": absolute(args.out),
     }
+    overrides = {k: v for k, v in flags.items() if v is not None}
     if args.config:
         cfg = load_config(args.config, overrides)
     else:
         missing = [k for k in ("corpus_dir", "rules_dir", "registry", "target", "out")
-                   if overrides.get(k) is None]
+                   if k not in overrides]
         if missing:
             raise DataError(
                 "without --config these flags are required: "
                 + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
-        cfg = PipelineConfig(
-            corpus_dir=args.corpus_dir, rules_dir=args.rules_dir,
-            registry_path=args.registry, output_dir=args.out,
-            target=args.target, strategy=args.strategy or "corpus_sim",
-            policy_path=args.policy, k=args.k if args.k is not None else 3,
-            contour_level=args.level if args.level is not None else 0.1,
-            relative_level=args.relative,
-            resolution=args.resolution if args.resolution is not None else 512)
+        cfg = config_from_mapping(overrides)
     artifacts = run_pipeline(cfg)
     for name in sorted(artifacts):
         print(f"wrote {artifacts[name]}")

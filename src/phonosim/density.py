@@ -211,8 +211,8 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
     grid maximum is below the level the result is empty and flagged.
     """
     level = float(level)
-    if level <= 0:
-        raise DataError("contour level must be positive")
+    if not (math.isfinite(level) and level > 0):
+        raise DataError("contour level must be finite and positive")
     v = grid.values
     if float(v.max()) < level:
         warnings.warn(

@@ -13,6 +13,7 @@ file aborts the G2P stage naming the language.
 """
 
 import configparser
+import math
 import os
 import tempfile
 import warnings
@@ -43,6 +44,15 @@ ARTIFACT_NAMES = (
 )
 
 
+def _number(kind, name, value):
+    try:
+        return kind(value)
+    except ValueError:
+        raise DataError(f"setting {name!r} must be "
+                        f"{'an integer' if kind is int else 'a number'}, "
+                        f"got {value!r}") from None
+
+
 @dataclass
 class PipelineConfig:
     corpus_dir: Path
@@ -62,13 +72,14 @@ class PipelineConfig:
             setattr(self, name, Path(getattr(self, name)))
         if self.policy_path is not None:
             self.policy_path = Path(self.policy_path)
-        self.k = int(self.k)
-        self.resolution = int(self.resolution)
-        self.contour_level = float(self.contour_level)
+        self.k = _number(int, "k", self.k)
+        self.resolution = _number(int, "resolution", self.resolution)
+        self.contour_level = _number(float, "level", self.contour_level)
         if self.k < 1:
             raise DataError("k must be at least 1")
-        if self.contour_level <= 0:
-            raise DataError("contour level must be positive")
+        if not (math.isfinite(self.contour_level) and self.contour_level > 0):
+            raise DataError("setting 'level' must be finite and positive, "
+                            f"got {self.contour_level!r}")
         if self.resolution < 16:
             raise DataError("resolution must be at least 16")
         try:
@@ -84,7 +95,7 @@ _CONFIG_KEYS = {
 
 
 def load_config(path, overrides=None) -> PipelineConfig:
-    """Read a `[pipeline]` INI section; overrides (from flags) win."""
+    """Read a `[pipeline]` INI section; overrides (setting -> value) win."""
     parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path, encoding="utf-8")
     if not read:
@@ -95,12 +106,16 @@ def load_config(path, overrides=None) -> PipelineConfig:
     unknown = set(section) - _CONFIG_KEYS
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}", path)
-    if overrides:
-        section.update({k: v for k, v in overrides.items() if v is not None})
+    section.update(overrides or {})
     return config_from_mapping(section, base=Path(path).parent, path=path)
 
 
 def config_from_mapping(section, base=Path("."), path=None) -> PipelineConfig:
+    """PipelineConfig from a mapping of `[pipeline]` keys to values.
+
+    Relative paths resolve against base; absent optional settings keep
+    the PipelineConfig defaults.
+    """
     def path_of(key):
         value = section.get(key)
         if value is None:
@@ -108,24 +123,17 @@ def config_from_mapping(section, base=Path("."), path=None) -> PipelineConfig:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
-    relative = section.get("relative", "false")
-    if isinstance(relative, str):
-        relative = _parse_bool(relative, path, None)
-    policy = section.get("policy")
+    optional = {"strategy": "strategy", "k": "k", "level": "contour_level",
+                "resolution": "resolution"}
     return PipelineConfig(
         corpus_dir=path_of("corpus_dir"),
         rules_dir=path_of("rules_dir"),
         registry_path=path_of("registry"),
         output_dir=path_of("out"),
         target=section.get("target") or "",
-        strategy=section.get("strategy", "corpus_sim"),
-        policy_path=(Path(policy) if Path(policy).is_absolute() else base / policy)
-        if policy else None,
-        k=section.get("k", 3),
-        contour_level=section.get("level", 0.1),
-        relative_level=relative,
-        resolution=section.get("resolution", 512),
-    )
+        policy_path=path_of("policy") if section.get("policy") else None,
+        relative_level=_parse_bool(section.get("relative", "false"), path, None),
+        **{field: section[key] for key, field in optional.items() if key in section})
 
 
 def read_corpus_tsv(path):
@@ -141,6 +149,46 @@ def read_corpus_tsv(path):
             audio, _, text = line.partition("\t")
             utterances.append((audio.strip(), text))
     return utterances
+
+
+def convert_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
+    """Code -> [(audio_path, phonemes)] from `<corpus_dir>/<code>.tsv` and
+    `<rules_dir>/<code>.rules`; G2P errors name the language and utterance."""
+    converted = {}
+    for code in codes:
+        rules_path = Path(rules_dir) / f"{code}.rules"
+        if not rules_path.is_file():
+            raise DataError(f"missing rules file for language {code!r} "
+                            f"(expected {rules_path})")
+        rs = load_ruleset(rules_path)
+        utterances = read_corpus_tsv(Path(corpus_dir) / f"{code}.tsv")
+        seqs = []
+        for n, (audio, text) in enumerate(utterances, 1):
+            try:
+                seqs.append((audio, transliterate(text, rs, policy, mode=mode)))
+            except PhonosimError as e:
+                raise DataError(f"{code}: utterance {n}: {e}") from e
+        converted[code] = seqs
+    return converted
+
+
+def phoneme_distributions(converted):
+    """(vocabulary, distributions) in `converted` order. Languages without
+    phonemes are dropped with a warning; fewer than 2 left is an error."""
+    counts = {}
+    for code, seqs in converted.items():
+        c = Counter()
+        for _, seq in seqs:
+            c.update(seq)
+        if not c:
+            warnings.warn(f"language {code!r} has an empty corpus; excluded")
+            continue
+        counts[code] = c
+    if len(counts) < 2:
+        raise DataError("need at least 2 languages with nonempty corpora")
+    vocab = build_vocabulary(counts.values())
+    return vocab, [to_distribution(c, vocab, language_code=code)
+                   for code, c in counts.items()]
 
 
 @contextmanager
@@ -177,22 +225,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if cfg.target not in langs:
             raise DataError(f"no corpus file for target language {cfg.target!r}")
 
-    converted = {}
     with _stage("g2p"):
-        for code in langs:
-            rules_path = cfg.rules_dir / f"{code}.rules"
-            if not rules_path.is_file():
-                raise DataError(f"missing rules file for language {code!r} "
-                                f"(expected {rules_path})")
-            rs = load_ruleset(rules_path)
-            utterances = read_corpus_tsv(cfg.corpus_dir / f"{code}.tsv")
-            seqs = []
-            for line_no, (audio, text) in enumerate(utterances, 1):
-                try:
-                    seqs.append((audio, transliterate(text, rs, policy)))
-                except PhonosimError as e:
-                    raise DataError(f"{code}: utterance {line_no}: {e}") from e
-            converted[code] = seqs
+        converted = convert_corpora(langs, cfg.corpus_dir, cfg.rules_dir, policy)
 
     # temp dir next to the output so os.replace stays on one filesystem
     cfg.output_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -202,23 +236,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         tmp_dir = Path(tmp.name)
 
         with _stage("distributions"):
-            counts = {}
-            for code in langs:
-                c = Counter()
-                for _, seq in converted[code]:
-                    c.update(seq)
-                if not c:
-                    warnings.warn(f"language {code!r} has an empty corpus; excluded")
-                    continue
-                counts[code] = c
-            if cfg.target not in counts:
+            if not any(seq for _, seq in converted[cfg.target]):
                 raise DataError(f"target {cfg.target!r} corpus produced no phonemes")
-            if len(counts) < 2:
-                raise DataError("need at least 2 languages with nonempty corpora")
-            analyzed = [c for c in langs if c in counts]
-            vocab = build_vocabulary(counts[c] for c in analyzed)
-            dists = [to_distribution(counts[c], vocab, language_code=c)
-                     for c in analyzed]
+            vocab, dists = phoneme_distributions(converted)
             write_distributions_csv(dists, vocab, tmp_dir / "distributions.csv")
 
         with _stage("similarity"):
@@ -243,15 +263,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 level=cfg.contour_level, relative=cfg.relative_level,
                 resolution=cfg.resolution)
             write_contours_json(contour_sets, tmp_dir / "contours.json")
-            points = [(code, float(x), float(y), reg.get(code).family)
-                      for code, (x, y) in zip(proj.codes, proj.coords)]
-            render_svg(points, contour_sets, tmp_dir / "contours.svg")
+            render_svg(proj.codes, proj.coords, reg, contour_sets,
+                       tmp_dir / "contours.svg")
 
         with _stage("selection"):
             # selection operates over the analyzed languages only: the
             # manifest needs a corpus for every chosen source
             sub_registry = Registry(
-                [reg.get(c) for c in analyzed],
+                [reg.get(c) for c in matrix.codes],
                 low_resource_threshold_hours=reg.low_resource_threshold_hours)
             sel = select_strategy(cfg.target, cfg.strategy, sub_registry,
                                   matrix=matrix, k=cfg.k)

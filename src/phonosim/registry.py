@@ -15,6 +15,20 @@ REGISTRY_HEADER = ("code", "name", "family", "branch", "hours")
 DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS = 15.0
 
 
+def code_problem(code):
+    """Why `code` cannot name a language, or None when it can.
+
+    Codes become unquoted CSV cells and file stems, so they must be
+    nonempty and free of commas, double quotes and whitespace.
+    """
+    if not code:
+        return "empty language code"
+    if any(ch in ',"' or ch.isspace() for ch in code):
+        return (f"language code {code!r} contains a comma, a double quote "
+                "or whitespace")
+    return None
+
+
 @dataclass(frozen=True)
 class LanguageRecord:
     code: str
@@ -32,8 +46,9 @@ class Registry:
         records = sorted(languages, key=lambda r: r.code)
         seen = set()
         for rec in records:
-            if not rec.code:
-                raise DataError("language code must be nonempty")
+            problem = code_problem(rec.code)
+            if problem:
+                raise DataError(problem)
             if rec.code in seen:
                 raise DataError(f"duplicate language code {rec.code!r}")
             seen.add(rec.code)
@@ -109,8 +124,9 @@ def load_registry(path,
                 f"expected {len(REGISTRY_HEADER)} fields, got {len(row)}",
                 path, line_no)
         code, name, family, branch, hours_text = (cell.strip() for cell in row)
-        if not code:
-            raise ParseError("empty language code", path, line_no)
+        problem = code_problem(code)
+        if problem:
+            raise ParseError(problem, path, line_no)
         if code in first_line:
             raise ParseError(
                 f"duplicate language code {code!r} (first seen on line {first_line[code]})",

@@ -21,12 +21,14 @@ def family_colors(families):
             for i, fam in enumerate(sorted(set(families)))}
 
 
-def render_svg(points, contour_sets, path, width=800, height=800, margin=60):
+def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
+               margin=60):
     """Write an SVG overlay of labeled points and contour polylines.
 
-    points: iterable of (code, x, y, family).
+    One point per code at its coords, colored by its registry family.
     """
-    points = list(points)
+    points = [(code, float(x), float(y), reg.get(code).family)
+              for code, (x, y) in zip(codes, coords)]
     xs = [p[1] for p in points]
     ys = [p[2] for p in points]
     for cs in contour_sets:
@@ -66,9 +68,9 @@ def render_svg(points, contour_sets, path, width=800, height=800, margin=60):
     for cs in contour_sets:
         color = colors.get(cs.family, "#333333")
         for polyline in cs.polylines:
-            coords = " ".join(f"{sx(float(x))},{sy(float(y))}" for x, y in polyline)
+            vertices = " ".join(f"{sx(float(x))},{sy(float(y))}" for x, y in polyline)
             out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                f'<polyline points="{vertices}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5" opacity="0.8"/>')
     for code, x, y, family in points:
         color = colors.get(family, "#333333")

@@ -7,15 +7,12 @@ their distribution vectors, so the measure is invariant to corpus size.
 """
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError, PhonosimError
+from .errors import DataError, ParseError
 from .formats import fmt_float
-from .g2p import Ruleset, transliterate
-from .ipa import NormalizationPolicy
 
 
 @dataclass(frozen=True)
@@ -63,22 +60,6 @@ class SimilarityMatrix:
             return self._index[code]
         except KeyError:
             raise DataError(f"unknown language code {code!r}") from None
-
-
-def count_phonemes(corpus, rs: Ruleset, policy: NormalizationPolicy,
-                   mode="error") -> Counter:
-    """Token counts over an iterable of utterance texts.
-
-    G2P and tokenization errors are re-raised with the 1-based utterance
-    number so corpus problems are locatable.
-    """
-    counts: Counter = Counter()
-    for line_no, text in enumerate(corpus, 1):
-        try:
-            counts.update(transliterate(text, rs, policy, mode=mode))
-        except PhonosimError as e:
-            raise ParseError(str(e), line=line_no) from e
-    return counts
 
 
 def build_vocabulary(count_maps) -> Vocabulary:
@@ -203,4 +184,6 @@ def read_matrix_csv(path) -> SimilarityMatrix:
             values[i] = [float(cell) for cell in row[1:]]
         except ValueError:
             raise ParseError("non-numeric matrix entry", path, i + 2) from None
+        if not np.isfinite(values[i]).all():
+            raise ParseError("non-finite matrix entry", path, i + 2)
     return SimilarityMatrix(codes, values)

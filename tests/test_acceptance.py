@@ -22,13 +22,15 @@ from phonosim.g2p import transliterate
 from phonosim.ipa import NormalizationPolicy, normalize, tokenize_ipa
 from phonosim.pca import pca_project
 from phonosim.per import per
-from phonosim.pipeline import ARTIFACT_NAMES, PipelineConfig, run_pipeline
+from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig,
+                               convert_corpora, phoneme_distributions,
+                               run_pipeline)
 from phonosim.registry import load_registry
 from phonosim.selection import select_top_k
 from phonosim.stats import (PhonemeDistribution, SimilarityMatrix,
                             build_vocabulary, cosine_similarity,
-                            count_phonemes, family_mean_similarities,
-                            similarity_matrix, to_distribution)
+                            family_mean_similarities, similarity_matrix,
+                            to_distribution)
 
 from genutil import random_ipa_string, random_policy, random_ruleset
 
@@ -395,20 +397,14 @@ def test_c13_qualitative_family_report(toy_dir):
     22 languages the same hook prints whether Turkic intra-family mean
     similarity exceeds the other families'. The bundled corpus only
     demonstrates the report."""
-    from phonosim.g2p import load_ruleset
     from phonosim.ipa import load_policy
-    from phonosim.pipeline import read_corpus_tsv
 
     policy = load_policy(toy_dir / "policy.txt")
     reg = load_registry(toy_dir / "registry.csv")
-    count_maps = {}
-    for code in ("aaa", "aab", "aba", "abb"):
-        rs = load_ruleset(toy_dir / "rules" / f"{code}.rules")
-        texts = [t for _, t in read_corpus_tsv(toy_dir / "corpus" / f"{code}.tsv")]
-        count_maps[code] = count_phonemes(texts, rs, policy)
-    vocab = build_vocabulary(count_maps.values())
-    matrix = similarity_matrix(
-        [to_distribution(count_maps[c], vocab, c) for c in sorted(count_maps)])
+    converted = convert_corpora(("aaa", "aab", "aba", "abb"),
+                                toy_dir / "corpus", toy_dir / "rules", policy)
+    _, dists = phoneme_distributions(converted)
+    matrix = similarity_matrix(dists)
     rows = family_mean_similarities(matrix, reg.families())
     assert rows, "report should not be empty"
     print("intra-family mean similarity report (toy corpus):")

@@ -1,8 +1,11 @@
 import io
 import json
+import shutil
 
+import pytest
 
 from phonosim import cli
+from phonosim.pipeline import ARTIFACT_NAMES
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
@@ -138,6 +141,49 @@ class TestAnalysisCommands:
         assert out.startswith("target\taaa")
         assert "source\taab" in out
 
+    def test_sim_matrix_matches_golden(self, toy_dir, tmp_path):
+        matrix_csv = tmp_path / "matrix.csv"
+        dists_csv = tmp_path / "dists.csv"
+        assert cli.main([
+            "sim", "matrix",
+            "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--policy", str(toy_dir / "policy.txt"),
+            "--out", str(matrix_csv),
+            "--distributions", str(dists_csv),
+        ]) == 0
+        golden = toy_dir / "golden"
+        assert matrix_csv.read_bytes() == (golden / "similarity.csv").read_bytes()
+        assert dists_csv.read_bytes() == (golden / "distributions.csv").read_bytes()
+
+    def test_sim_matrix_rejects_corpus_name_with_comma(self, toy_dir, tmp_path,
+                                                        capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(toy_dir / "corpus", corpus)
+        bad = corpus / "x,y.tsv"
+        shutil.copy(corpus / "aaa.tsv", bad)
+        assert cli.main([
+            "sim", "matrix", "--corpus-dir", str(corpus),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--out", str(tmp_path / "m.csv"),
+        ]) == 2
+        assert (f"{bad}: language code 'x,y' contains a comma, a double quote "
+                "or whitespace" in capsys.readouterr().err)
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_contours_non_finite_level_exit_2(self, toy_dir, tmp_path, capsys):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y,ev1,ev2\naaa,0,0,1,0\naab,1,1,1,0\n",
+                          encoding="utf-8")
+        for level in ("nan", "inf"):
+            assert cli.main([
+                "contours", "--coords", str(coords),
+                "--registry", str(toy_dir / "registry.csv"),
+                "--level", level, "--out", str(tmp_path / "c.json"),
+            ]) == 2
+            assert "finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_contours_bad_extension(self, toy_dir, tmp_path):
         coords = tmp_path / "coords.csv"
         coords.write_text("id,x,y,ev1,ev2\naaa,0,0,1,0\naab,1,1,1,0\n",
@@ -224,7 +270,33 @@ class TestPipelineCommand:
             "--target", "aaa",
             "--out", str(out_dir),
         ]) == 0
-        assert (out_dir / "manifest.tsv").is_file()
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"wrote {(out_dir / name).absolute()}"
+                           for name in sorted(ARTIFACT_NAMES)]
+        for name in ARTIFACT_NAMES:
+            assert ((out_dir / name).read_bytes()
+                    == (toy_dir / "golden" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", "three"), ("resolution", "big"), ("level", "nanx"),
+        ("level", "nan"), ("level", "inf")])
+    def test_bad_number_in_config_exit_2(self, toy_dir, tmp_path, capsys,
+                                         key, value):
+        config = tmp_path / "pipeline.ini"
+        config.write_text(
+            "[pipeline]\n"
+            f"corpus_dir = {toy_dir / 'corpus'}\n"
+            f"rules_dir = {toy_dir / 'rules'}\n"
+            f"registry = {toy_dir / 'registry.csv'}\n"
+            "target = aaa\n"
+            f"{key} = {value}\n"
+            "out = out\n",
+            encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: setting '{key}' must be" in err
+        assert value in err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_hours_exit_2(self, toy_dir, tmp_path, capsys):
         registry = tmp_path / "registry.csv"

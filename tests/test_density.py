@@ -206,8 +206,9 @@ class TestContours:
 
     def test_level_must_be_positive(self):
         grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16, np.zeros((16, 16)))
-        with pytest.raises(DataError):
-            extract_contours(grid, 0.0)
+        for level in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError):
+                extract_contours(grid, level)
 
     def test_boundary_clipped_chain_is_open(self):
         # monotone field: the level set is a line leaving the grid

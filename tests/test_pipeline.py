@@ -79,6 +79,14 @@ class TestRun:
         run_pipeline(toy_config(toy_dir, out2))
         assert read_all(out1) == read_all(out2)
 
+    def test_golden_bytes(self, toy_dir, tmp_path):
+        # golden/ holds the toy run's artifacts at the default settings
+        out = tmp_path / "out"
+        run_pipeline(toy_config(toy_dir, out))
+        for name in ARTIFACT_NAMES:
+            assert ((out / name).read_bytes()
+                    == (toy_dir / "golden" / name).read_bytes()), name
+
     def test_rerun_into_same_directory(self, toy_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(toy_config(toy_dir, out))
@@ -148,6 +156,19 @@ class TestFailures:
         assert exc.value.stage == "g2p"
         assert "aab" in str(exc.value) and "9" in str(exc.value)
 
+    def test_empty_target_corpus_named(self, toy_dir, tmp_path):
+        # only the target and one other language: the error names the
+        # target rather than reporting too few languages
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "aaa.tsv").write_text("# nothing yet\n", encoding="utf-8")
+        shutil.copy(toy_dir / "corpus" / "aab.tsv", corpus)
+        cfg = toy_config(toy_dir, tmp_path / "out", corpus_dir=corpus)
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(cfg)
+        assert exc.value.stage == "distributions"
+        assert "target 'aaa' corpus produced no phonemes" in str(exc.value)
+
     def test_no_partial_outputs_after_failure(self, toy_dir, tmp_path):
         corpus = tmp_path / "corpus"
         shutil.copytree(toy_dir / "corpus", corpus)
@@ -166,8 +187,9 @@ class TestConfig:
     def test_validation(self, toy_dir, tmp_path):
         with pytest.raises(DataError):
             toy_config(toy_dir, tmp_path, k=0)
-        with pytest.raises(DataError):
-            toy_config(toy_dir, tmp_path, contour_level=0.0)
+        for level in (0.0, float("nan"), float("inf"), "nan", "inf"):
+            with pytest.raises(DataError):
+                toy_config(toy_dir, tmp_path, contour_level=level)
         with pytest.raises(DataError):
             toy_config(toy_dir, tmp_path, resolution=4)
         with pytest.raises(DataError):

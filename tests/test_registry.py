@@ -129,6 +129,15 @@ class TestLoadErrors:
         assert exc.value.line == 3
         assert "yy" in str(exc.value)
 
+    @pytest.mark.parametrize("cell", ['"x,y"', "x y", '"x\ny"', "x\ty", '"""x"'])
+    def test_code_with_comma_quote_or_space_names_the_line(self, tmp_path, cell):
+        p = tmp_path / "reg.csv"
+        p.write_text(f"code,name,family,branch,hours\nxx,X,F,,1\n{cell},Y,F,,2\n",
+                     encoding="utf-8")
+        with pytest.raises(ParseError, match=r"reg\.csv:3: language code .* "
+                                             r"contains a comma, a double quote"):
+            load_registry(p)
+
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "reg.csv"
         p.write_text("code,name,family,branch,hours\nxx,X,F,1\n",
@@ -161,6 +170,11 @@ class TestRegistryObject:
     def test_non_finite_hours_in_memory(self, hours):
         with pytest.raises(DataError):
             Registry([LanguageRecord("a", "A", "F", None, hours)])
+
+    @pytest.mark.parametrize("code", ["", "x,y", "x y", "x\ny", '"x'])
+    def test_bad_code_in_memory(self, code):
+        with pytest.raises(DataError):
+            Registry([LanguageRecord(code, "A", "F", None, 1.0)])
 
     def test_low_resource_codes_sorted(self, cv_registry_path):
         reg = load_registry(cv_registry_path)

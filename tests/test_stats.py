@@ -8,9 +8,10 @@ import pytest
 from phonosim.errors import DataError, ParseError
 from phonosim.g2p import G2PRule, Ruleset, transliterate
 from phonosim.ipa import NormalizationPolicy
+from phonosim.pipeline import convert_corpora, phoneme_distributions
 from phonosim.stats import (PhonemeDistribution, Vocabulary, build_vocabulary,
-                            cosine_similarity, count_phonemes,
-                            family_mean_similarities, read_matrix_csv,
+                            cosine_similarity, family_mean_similarities,
+                            read_matrix_csv,
                             similarity_matrix, to_distribution,
                             write_distributions_csv, write_matrix_csv)
 
@@ -29,33 +30,68 @@ def dist(vec, code="x"):
     return PhonemeDistribution(code, np.asarray(vec, dtype=float), 1)
 
 
+def corpus_distributions(tmp_path, texts_by_code, mode="error"):
+    """Write one corpus per language, then convert and count it."""
+    corpus, rules = tmp_path / "corpus", tmp_path / "rules"
+    corpus.mkdir(exist_ok=True)
+    rules.mkdir(exist_ok=True)
+    for code, texts in texts_by_code.items():
+        (rules / f"{code}.rules").write_text("a\ta\nb\tb\n", encoding="utf-8")
+        (corpus / f"{code}.tsv").write_text(
+            "".join(f"{code}_{n}.mp3\t{t}\n" for n, t in enumerate(texts)),
+            encoding="utf-8")
+    converted = convert_corpora(texts_by_code, corpus, rules, PLAIN, mode=mode)
+    return converted, phoneme_distributions(converted)
+
+
+def counts_of(vocab, d):
+    return Counter({p: round(q * d.total_count)
+                    for p, q in zip(vocab.phonemes, d.probabilities) if q})
+
+
 class TestCounting:
-    def test_direct_count(self):
-        assert count_phonemes(["aba"], AB_RULES, PLAIN) == Counter({"a": 2, "b": 1})
+    def test_direct_count(self, tmp_path):
+        converted, (vocab, dists) = corpus_distributions(
+            tmp_path, {"x": ["aba"], "y": ["b"]})
+        assert converted["x"] == [("x_0.mp3", ["a", "b", "a"])]
+        assert vocab.phonemes == ("a", "b")
+        assert [d.language_code for d in dists] == ["x", "y"]
+        assert dists[0].total_count == 3
+        assert counts_of(vocab, dists[0]) == Counter({"a": 2, "b": 1})
 
-    def test_empty_corpus(self):
-        assert count_phonemes([], AB_RULES, PLAIN) == Counter()
+    def test_empty_corpus(self, tmp_path):
+        with pytest.warns(UserWarning, match="'e' has an empty corpus"):
+            converted, (_, dists) = corpus_distributions(
+                tmp_path, {"e": [], "x": ["a"], "y": ["b"]})
+        assert converted["e"] == []
+        assert [d.language_code for d in dists] == ["x", "y"]
+        with pytest.warns(UserWarning), pytest.raises(DataError, match="at least 2"):
+            corpus_distributions(tmp_path, {"e": [], "x": ["a"]})
 
-    def test_error_carries_line_number(self):
-        with pytest.raises(ParseError) as exc:
-            count_phonemes(["ab", "aq"], AB_RULES, PLAIN, mode="error")
-        assert exc.value.line == 2
+    def test_error_carries_line_number(self, tmp_path):
+        with pytest.raises(DataError, match=r"^x: utterance 2: .*'q'"):
+            corpus_distributions(tmp_path, {"x": ["ab", "aq"], "y": ["a"]})
 
-    def test_recount_oracle(self):
+    def test_recount_oracle(self, tmp_path):
         rng = random.Random(5)
         corpus = ["".join(rng.choice("ab") for _ in range(rng.randrange(12)))
                   for _ in range(100)]
-        counts = count_phonemes(corpus, AB_RULES, PLAIN)
+        _, (vocab, dists) = corpus_distributions(tmp_path, {"x": corpus, "y": ["a"]})
         expected = Counter()
         for line in corpus:
             expected.update(transliterate(line, AB_RULES, PLAIN))
-        assert counts == expected
+        assert dists[0].total_count == sum(expected.values())
+        assert counts_of(vocab, dists[0]) == expected
+        assert dists[0].probabilities.tolist() == [
+            expected[p] / dists[0].total_count for p in vocab.phonemes]
 
-    def test_order_invariance(self):
+    def test_order_invariance(self, tmp_path):
         corpus = ["ab", "ba", "aab"]
         shuffled = ["ba", "aab", "ab"]
-        assert (count_phonemes(corpus, AB_RULES, PLAIN)
-                == count_phonemes(shuffled, AB_RULES, PLAIN))
+        _, (_, dists) = corpus_distributions(
+            tmp_path, {"x": corpus, "y": shuffled})
+        assert dists[0].total_count == dists[1].total_count
+        assert dists[0].probabilities.tolist() == dists[1].probabilities.tolist()
 
 
 class TestVocabulary:
@@ -205,6 +241,13 @@ class TestMatrix:
         m2 = read_matrix_csv(path)
         assert m2.codes == m.codes
         assert np.allclose(m2.values, m.values, atol=1e-11)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_rejected(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f",a,b\na,1,0.5\nb,{cell},1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"m\.csv:3: non-finite matrix entry"):
+            read_matrix_csv(path)
 
     def test_distributions_csv(self, tmp_path):
         vocab = Vocabulary(("a", "b"))
