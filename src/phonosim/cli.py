@@ -6,6 +6,7 @@ error. All configuration is explicit; no environment variables are read.
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -308,8 +309,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    previous = warnings.showwarning
+    warnings.showwarning = _print_warning
     try:
         args = parser.parse_args(argv)
         func = getattr(args, "func", None)
@@ -327,6 +334,8 @@ def main(argv=None) -> int:
     except Exception as e:  # pragma: no cover - defensive
         print(f"phonosim: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    finally:
+        warnings.showwarning = previous
 
 
 def run():

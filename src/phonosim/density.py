@@ -17,6 +17,8 @@ the cell-center sample (mean of the four corners).
 
 import json
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,6 +33,8 @@ ROBUST_FACTOR = 0.9
 # kept/used when an axis has zero spread: max(1e-6, 1e-3 * other axis range)
 _FALLBACK_MIN = 1e-6
 _FALLBACK_SCALE = 1e-3
+# size of the (rows, R, N) product buffer that each rasterize thread fills
+_BLOCK_BYTES = 4 << 20
 
 
 def weights_from_hours(hours) -> np.ndarray:
@@ -38,6 +42,8 @@ def weights_from_hours(hours) -> np.ndarray:
     arr = np.asarray(hours, dtype=float)
     if arr.size == 0:
         raise DataError("no hours given")
+    if not np.isfinite(arr).all():
+        raise DataError("hours must be finite")
     if (arr <= 0).any():
         raise DataError("weights require strictly positive hours")
     return arr.size * arr / arr.sum()
@@ -53,10 +59,12 @@ class KDEParams:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.h_x <= 0 or self.h_y <= 0:
-            raise DataError("bandwidths must be positive")
+        if not all(math.isfinite(h) and h > 0 for h in (self.h_x, self.h_y)):
+            raise DataError("bandwidths must be finite and positive")
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise DataError("weights must be a nonempty vector")
+        if not np.isfinite(self.weights).all():
+            raise DataError("weights must be finite")
         if (self.weights <= 0).any():
             raise DataError("weights must be strictly positive")
         if self.n_points == 0:
@@ -122,15 +130,20 @@ def silverman_bandwidths(coords, weights=None, robust=False):
     return bandwidths[0], bandwidths[1]
 
 
+def _gaussian_kernel(centers, samples, h):
+    """exp(-d*d/2) for d = (centers[:, None] - samples[None, :]) / h."""
+    d = (np.asarray(centers, dtype=float)[:, None] - samples[None, :]) / h
+    return np.exp(-0.5 * d * d)
+
+
 def kde_density(point, coords, params: KDEParams) -> float:
     """Density at one point, straight from the product-kernel sum."""
     pts = np.asarray(coords, dtype=float)
     if pts.shape != (params.n_points, 2):
         raise DataError(
             f"expected {params.n_points} coordinate pairs, got shape {pts.shape}")
-    dx = (float(point[0]) - pts[:, 0]) / params.h_x
-    dy = (float(point[1]) - pts[:, 1]) / params.h_y
-    kernel = np.exp(-0.5 * dx * dx) * np.exp(-0.5 * dy * dy)
+    kernel = (_gaussian_kernel([point[0]], pts[:, 0], params.h_x)[0]
+              * _gaussian_kernel([point[1]], pts[:, 1], params.h_y)[0])
     return float((params.weights * kernel).sum()
                  / (params.n_points * params.h_x * params.h_y * TWO_PI))
 
@@ -164,9 +177,37 @@ class DensityGrid:
         return float(self.values.sum() * self.cell_width * self.cell_height)
 
 
+def _fill_rows(values, kx, ky, weights, start, stop):
+    """values[i, j] = sum_n weights[n] * kx[i, n] * ky[j, n] for rows i in
+    [start, stop), through one buffer of about _BLOCK_BYTES.
+
+    Each cell reduces the same N products with the same np.sum over a
+    contiguous points axis, so the result does not depend on how the rows
+    are split into blocks or between threads.
+    """
+    rows = max(1, min(stop - start, _BLOCK_BYTES // ky.nbytes))
+    buf = np.empty((rows,) + ky.shape)
+    for lo in range(start, stop, rows):
+        block = buf[:min(rows, stop - lo)]
+        np.multiply(kx[lo:lo + len(block), None, :], ky[None], out=block)
+        np.multiply(weights, block, out=block)
+        np.sum(block, axis=-1, out=values[lo:lo + len(block)])
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 def rasterize(coords, params: KDEParams, resolution=512,
               padding_bandwidths=3.0) -> DensityGrid:
-    """Sample the density at cell centers over the padded data extent."""
+    """Sample the density at cell centers over the padded data extent.
+
+    Rows are split between one thread per available CPU; numpy releases
+    the interpreter lock inside each block's arithmetic.
+    """
     resolution = int(resolution)
     if resolution < 16:
         raise DataError("resolution must be at least 16")
@@ -174,6 +215,8 @@ def rasterize(coords, params: KDEParams, resolution=512,
     if pts.shape != (params.n_points, 2):
         raise DataError(
             f"expected {params.n_points} coordinate pairs, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise DataError("coordinates must be finite")
     x_min = float(pts[:, 0].min()) - padding_bandwidths * params.h_x
     x_max = float(pts[:, 0].max()) + padding_bandwidths * params.h_x
     y_min = float(pts[:, 1].min()) - padding_bandwidths * params.h_y
@@ -181,18 +224,29 @@ def rasterize(coords, params: KDEParams, resolution=512,
 
     grid = DensityGrid(x_min, x_max, y_min, y_max, resolution,
                        np.empty((resolution, resolution)))
-    xc = grid.x_centers
-    yc = grid.y_centers
-    norm = params.n_points * params.h_x * params.h_y * TWO_PI
+    kx = _gaussian_kernel(grid.x_centers, pts[:, 0], params.h_x)
+    ky = _gaussian_kernel(grid.y_centers, pts[:, 1], params.h_y)
 
-    # evaluate in x-row chunks to bound memory at ~32 MB of intermediates
-    chunk = max(1, int(4_000_000 // max(1, resolution * params.n_points)))
-    for start in range(0, resolution, chunk):
-        stop = min(start + chunk, resolution)
-        dx = (xc[start:stop, None, None] - pts[None, None, :, 0]) / params.h_x
-        dy = (yc[None, :, None] - pts[None, None, :, 1]) / params.h_y
-        kernel = np.exp(-0.5 * dx * dx) * np.exp(-0.5 * dy * dy)
-        grid.values[start:stop] = (params.weights * kernel).sum(axis=-1) / norm
+    workers = min(_cpu_count(), resolution)
+    bounds = [resolution * k // workers for k in range(workers + 1)]
+    failures = []
+
+    def fill(start, stop):
+        try:
+            _fill_rows(grid.values, kx, ky, params.weights, start, stop)
+        except Exception as exc:  # re-raised in the calling thread below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=fill, args=span)
+               for span in zip(bounds[1:-1], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    fill(bounds[0], bounds[1])
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    grid.values /= params.n_points * params.h_x * params.h_y * TWO_PI
     return grid
 
 
@@ -209,6 +263,13 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
 
     Polylines are closed unless clipped at the grid boundary. When the
     grid maximum is below the level the result is empty and flagged.
+
+    A crossing vertex lies on the edge between grid nodes (i1, j1) and
+    (i2, j2) and has the id 2*(i1*n + j1) + 1 on an x-edge (i2 = i1 + 1)
+    and 2*(i1*n + j1) on a y-edge (j2 = j1 + 1), so ids sort like the node
+    pairs. Open chains are traced first, from their smaller end, then
+    closed loops, each from its smallest vertex towards the smaller of its
+    two neighbours; both in vertex id order.
     """
     level = float(level)
     if not (math.isfinite(level) and level > 0):
@@ -220,97 +281,91 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
             + (f" for family {family!r}" if family else ""))
         return ContourSet(family, level, [], below_level=True)
 
-    xc = grid.x_centers
-    yc = grid.y_centers
+    n = v.shape[1]
     inside = v > level
-
     b00 = inside[:-1, :-1]
     b10 = inside[1:, :-1]
     b01 = inside[:-1, 1:]
     b11 = inside[1:, 1:]
-    mixed = (b00 != b10) | (b00 != b01) | (b00 != b11)
-
-    segments = []
-    for i, j in np.argwhere(mixed):
-        i = int(i)
-        j = int(j)
-        f00 = inside[i, j]
-        f10 = inside[i + 1, j]
-        f01 = inside[i, j + 1]
-        f11 = inside[i + 1, j + 1]
-        # edges as ordered node-index pairs; a key identifies one crossing
-        ex0 = ((i, j), (i + 1, j))
-        ex1 = ((i, j + 1), (i + 1, j + 1))
-        ey0 = ((i, j), (i, j + 1))
-        ey1 = ((i + 1, j), (i + 1, j + 1))
-
-        if f00 == f11 and f10 == f01 and f00 != f10:
-            # saddle: resolve with the cell-center sample
-            center = (v[i, j] + v[i + 1, j] + v[i, j + 1] + v[i + 1, j + 1]) / 4.0
-            if (center > level) == f00:
-                segments.append((ex0, ey1))   # around corner (i+1, j)
-                segments.append((ey0, ex1))   # around corner (i, j+1)
-            else:
-                segments.append((ex0, ey0))   # around corner (i, j)
-                segments.append((ex1, ey1))   # around corner (i+1, j+1)
-            continue
-
-        crossings = []
-        if f00 != f10:
-            crossings.append(ex0)
-        if f01 != f11:
-            crossings.append(ex1)
-        if f00 != f01:
-            crossings.append(ey0)
-        if f10 != f11:
-            crossings.append(ey1)
-        if len(crossings) == 2:
-            segments.append((crossings[0], crossings[1]))
-
-    if not segments:
+    i, j = np.nonzero((b00 != b10) | (b00 != b01) | (b00 != b11))
+    if i.size == 0:
         # every sample is on the same side of the level (e.g. the whole
         # grid sits above it); there is no crossing to trace
         return ContourSet(family, level, [], below_level=False)
 
-    def vertex(key):
-        (i1, j1), (i2, j2) = key
-        v1 = float(v[i1, j1])
-        v2 = float(v[i2, j2])
-        t = (level - v1) / (v2 - v1)
-        x = float(xc[i1]) + t * (float(xc[i2]) - float(xc[i1]))
-        y = float(yc[j1]) + t * (float(yc[j2]) - float(yc[j1]))
-        return (x, y)
+    f00, f10, f01, f11 = b00[i, j], b10[i, j], b01[i, j], b11[i, j]
+    node = i * n + j
+    ex0 = 2 * node + 1        # (i, j)-(i+1, j)
+    ex1 = 2 * node + 3        # (i, j+1)-(i+1, j+1)
+    ey0 = 2 * node            # (i, j)-(i, j+1)
+    ey1 = 2 * (node + n)      # (i+1, j)-(i+1, j+1)
 
-    adjacency: dict = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    for key in adjacency:
-        adjacency[key].sort()
+    # a plain mixed cell crosses exactly two edges: one segment
+    plain = ~((f00 == f11) & (f10 == f01) & (f00 != f10))
+    crossed = np.stack([f00 != f10, f01 != f11, f00 != f01, f10 != f11], axis=1)
+    edges = np.stack([ex0, ex1, ey0, ey1], axis=1)
+    pairs = edges[plain][crossed[plain]].reshape(-1, 2)
 
-    positions = {key: vertex(key) for key in adjacency}
+    # saddle: two segments, paired by the cell-center sample
+    s = ~plain
+    si, sj = i[s], j[s]
+    center = (v[si, sj] + v[si + 1, sj] + v[si, sj + 1] + v[si + 1, sj + 1]) / 4.0
+    keep = (center > level) == f00[s]
+    ends_a = np.concatenate([pairs[:, 0], ex0[s], ex1[s]])
+    ends_b = np.concatenate([pairs[:, 1], np.where(keep, ey1[s], ey0[s]),
+                             np.where(keep, ey0[s], ey1[s])])
+
+    ids = np.unique(np.concatenate([ends_a, ends_b]))
+    cell, on_x = np.divmod(ids, 2)
+    i1, j1 = np.divmod(cell, n)
+    i2 = i1 + on_x
+    j2 = j1 + 1 - on_x
+    v1 = v[i1, j1].astype(float)
+    v2 = v[i2, j2].astype(float)
+    t = (level - v1) / (v2 - v1)
+    xc = grid.x_centers
+    yc = grid.y_centers
+    positions = np.column_stack((xc[i1] + t * (xc[i2] - xc[i1]),
+                                 yc[j1] + t * (yc[j2] - yc[j1])))
+
+    # every vertex has one neighbour (at the grid boundary) or two; list
+    # them in ascending order, -1 where there is no second one
+    a = np.searchsorted(ids, ends_a)
+    b = np.searchsorted(ids, ends_b)
+    ends = np.concatenate([a, b])
+    nbrs = np.concatenate([b, a])
+    order = np.lexsort((nbrs, ends))
+    nbrs = nbrs[order]
+    degree = np.bincount(ends, minlength=ids.size)
+    offset = np.cumsum(degree) - degree
+    second = np.full(ids.size, -1)
+    second[degree == 2] = nbrs[offset[degree == 2] + 1]
+    first = nbrs[offset].tolist()
+    second = second.tolist()
+    seen = bytearray(ids.size)
     polylines = []
 
     def walk(start):
         chain = [start]
-        current = start
-        while adjacency[current]:
-            nxt = adjacency[current].pop(0)
-            adjacency[nxt].remove(current)
-            chain.append(nxt)
-            current = nxt
-        return chain
+        seen[start] = 1
+        prev, cur = start, first[start]
+        while True:
+            chain.append(cur)
+            if cur == start:
+                break  # closed loop
+            seen[cur] = 1
+            nxt = first[cur] if first[cur] != prev else second[cur]
+            if nxt < 0:
+                break  # open chain ends at the grid boundary
+            prev, cur = cur, nxt
+        polylines.append(positions[chain])
 
-    # open chains first (clipped at the grid boundary), then closed loops
-    for start in sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1):
-        if len(adjacency[start]) == 1:
-            chain = walk(start)
-            polylines.append(np.array([positions[k] for k in chain]))
-    for start in sorted(k for k, nbrs in adjacency.items() if nbrs):
-        if adjacency[start]:
-            chain = walk(start)  # cycle; walk returns to start, closing it
-            polylines.append(np.array([positions[k] for k in chain]))
-
+    for start in np.flatnonzero(degree == 1).tolist():
+        if not seen[start]:
+            walk(start)
+    for start in range(ids.size):
+        if not seen[start]:
+            walk(start)
     return ContourSet(family, level, polylines, below_level=False)
 
 

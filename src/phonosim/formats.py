@@ -1,9 +1,13 @@
 """Shared float formatting for exported artifacts.
 
 Every CSV/JSON/SVG writer renders floats through fmt_float: 12 significant
-digits, shortest form. Rounding to 12 digits absorbs last-bit differences
-between BLAS/LAPACK builds, so identical inputs give byte-identical
-artifacts across runs and platforms.
+digits, shortest form. Rounding hides most last-bit differences but not
+all of them: a value next to a rounding boundary still changes its 12th
+digit, and a last-bit change in a density grid value moves the contour
+vertices interpolated from it (evaluating the KDE grid as a matrix
+product changed two contours.json coordinates at the 12th digit).
+Artifacts are byte-identical when the floating-point operations and their
+order are, so a different BLAS/LAPACK build can still change them.
 """
 
 FLOAT_FMT = ".12g"

@@ -1,6 +1,7 @@
 import io
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -155,6 +156,20 @@ class TestAnalysisCommands:
         golden = toy_dir / "golden"
         assert matrix_csv.read_bytes() == (golden / "similarity.csv").read_bytes()
         assert dists_csv.read_bytes() == (golden / "distributions.csv").read_bytes()
+
+    def test_warning_printed_plainly(self, toy_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(toy_dir / "corpus", corpus)
+        (corpus / "aab.tsv").write_text("", encoding="utf-8")
+        before = warnings.showwarning
+        assert cli.main([
+            "sim", "matrix", "--corpus-dir", str(corpus),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--out", str(tmp_path / "m.csv"),
+        ]) == 0
+        assert warnings.showwarning is before
+        assert capsys.readouterr().err == (
+            "warning: language 'aab' has an empty corpus; excluded\n")
 
     def test_sim_matrix_rejects_corpus_name_with_comma(self, toy_dir, tmp_path,
                                                         capsys):

@@ -82,6 +82,16 @@ class TestWeights:
         with pytest.raises(DataError):
             weights_from_hours([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="hours must be finite"):
+            weights_from_hours([bad, 1.0])
+        for h_x, h_y in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DataError, match="finite and positive"):
+                KDEParams(h_x, h_y, np.ones(2))
+        with pytest.raises(DataError, match="weights must be finite"):
+            KDEParams(1.0, 1.0, np.array([bad, 1.0]))
+
     def test_params_validation(self):
         with pytest.raises(DataError):
             KDEParams(1.0, 1.0, np.array([2.0, 3.0]))  # mean != 1
@@ -160,6 +170,12 @@ class TestRasterize:
         grid = rasterize(coords, params, resolution=16, padding_bandwidths=3.0)
         assert grid.x_min == -1.5 and grid.x_max == 2.5
         assert grid.y_min == -0.75 and grid.y_max == 1.75
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        params = KDEParams(1.0, 1.0, np.ones(2))
+        with pytest.raises(DataError, match="coordinates must be finite"):
+            rasterize([(0.0, 0.0), (1.0, bad)], params, resolution=16)
 
     def test_resolution_floor(self):
         params = KDEParams(1.0, 1.0, np.ones(1))

@@ -1,0 +1,267 @@
+"""rasterize and extract_contours against their earlier straightforward forms.
+
+The oracles below are the chunked (chunk, R, N) rasterizer and the per-cell
+marching squares that the vectorized versions replaced. Both versions do
+the same floating-point operations in the same order, so results must be
+equal bit for bit (np.array_equal), not merely close: contours.json and
+the SVG are pinned byte for byte.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from phonosim import density
+from phonosim.density import (ContourSet, DensityGrid, KDEParams,
+                              extract_contours, rasterize)
+
+
+def rasterize_oracle(coords, params, resolution=512, padding_bandwidths=3.0):
+    pts = np.asarray(coords, dtype=float)
+    x_min = float(pts[:, 0].min()) - padding_bandwidths * params.h_x
+    x_max = float(pts[:, 0].max()) + padding_bandwidths * params.h_x
+    y_min = float(pts[:, 1].min()) - padding_bandwidths * params.h_y
+    y_max = float(pts[:, 1].max()) + padding_bandwidths * params.h_y
+    grid = DensityGrid(x_min, x_max, y_min, y_max, resolution,
+                       np.empty((resolution, resolution)))
+    xc = grid.x_centers
+    yc = grid.y_centers
+    norm = params.n_points * params.h_x * params.h_y * density.TWO_PI
+    chunk = max(1, int(4_000_000 // max(1, resolution * params.n_points)))
+    for start in range(0, resolution, chunk):
+        stop = min(start + chunk, resolution)
+        dx = (xc[start:stop, None, None] - pts[None, None, :, 0]) / params.h_x
+        dy = (yc[None, :, None] - pts[None, None, :, 1]) / params.h_y
+        kernel = np.exp(-0.5 * dx * dx) * np.exp(-0.5 * dy * dy)
+        grid.values[start:stop] = (params.weights * kernel).sum(axis=-1) / norm
+    return grid
+
+
+def extract_contours_oracle(grid, level=0.1, family=""):
+    level = float(level)
+    v = grid.values
+    if float(v.max()) < level:
+        warnings.warn(f"maximum density {v.max():.6g} is below contour "
+                      f"level {level:g}")
+        return ContourSet(family, level, [], below_level=True)
+
+    xc = grid.x_centers
+    yc = grid.y_centers
+    inside = v > level
+    b00 = inside[:-1, :-1]
+    b10 = inside[1:, :-1]
+    b01 = inside[:-1, 1:]
+    b11 = inside[1:, 1:]
+    mixed = (b00 != b10) | (b00 != b01) | (b00 != b11)
+
+    segments = []
+    for i, j in np.argwhere(mixed):
+        i = int(i)
+        j = int(j)
+        f00 = inside[i, j]
+        f10 = inside[i + 1, j]
+        f01 = inside[i, j + 1]
+        f11 = inside[i + 1, j + 1]
+        ex0 = ((i, j), (i + 1, j))
+        ex1 = ((i, j + 1), (i + 1, j + 1))
+        ey0 = ((i, j), (i, j + 1))
+        ey1 = ((i + 1, j), (i + 1, j + 1))
+        if f00 == f11 and f10 == f01 and f00 != f10:
+            center = (v[i, j] + v[i + 1, j] + v[i, j + 1] + v[i + 1, j + 1]) / 4.0
+            if (center > level) == f00:
+                segments.append((ex0, ey1))
+                segments.append((ey0, ex1))
+            else:
+                segments.append((ex0, ey0))
+                segments.append((ex1, ey1))
+            continue
+        crossings = []
+        if f00 != f10:
+            crossings.append(ex0)
+        if f01 != f11:
+            crossings.append(ex1)
+        if f00 != f01:
+            crossings.append(ey0)
+        if f10 != f11:
+            crossings.append(ey1)
+        if len(crossings) == 2:
+            segments.append((crossings[0], crossings[1]))
+    if not segments:
+        return ContourSet(family, level, [], below_level=False)
+
+    def vertex(key):
+        (i1, j1), (i2, j2) = key
+        v1 = float(v[i1, j1])
+        v2 = float(v[i2, j2])
+        t = (level - v1) / (v2 - v1)
+        x = float(xc[i1]) + t * (float(xc[i2]) - float(xc[i1]))
+        y = float(yc[j1]) + t * (float(yc[j2]) - float(yc[j1]))
+        return (x, y)
+
+    adjacency = {}
+    for a, b in segments:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    for key in adjacency:
+        adjacency[key].sort()
+    positions = {key: vertex(key) for key in adjacency}
+    polylines = []
+
+    def walk(start):
+        chain = [start]
+        current = start
+        while adjacency[current]:
+            nxt = adjacency[current].pop(0)
+            adjacency[nxt].remove(current)
+            chain.append(nxt)
+            current = nxt
+        return chain
+
+    for start in sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1):
+        if len(adjacency[start]) == 1:
+            polylines.append(np.array([positions[k] for k in walk(start)]))
+    for start in sorted(k for k, nbrs in adjacency.items() if nbrs):
+        if adjacency[start]:
+            polylines.append(np.array([positions[k] for k in walk(start)]))
+    return ContourSet(family, level, polylines, below_level=False)
+
+
+def random_family(n, seed):
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=(n, 2)) * rng.uniform(0.5, 3.0, size=2)
+    raw = rng.uniform(0.2, 5.0, size=n)
+    h = density.silverman_bandwidths(coords, raw) if n > 1 else (0.5, 0.3)
+    return coords, KDEParams(*h, n * raw / raw.sum())
+
+
+def assert_same_contours(got, want):
+    assert (got.family, got.level, got.below_level) == \
+        (want.family, want.level, want.below_level)
+    assert len(got.polylines) == len(want.polylines)
+    for g, w in zip(got.polylines, want.polylines):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+class TestRasterizeExact:
+    @pytest.mark.parametrize("resolution", [16, 33, 512])
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 17, 129])
+    def test_matches_chunked_oracle(self, n, resolution):
+        coords, params = random_family(n, seed=1000 * n + resolution)
+        got = rasterize(coords, params, resolution=resolution)
+        want = rasterize_oracle(coords, params, resolution=resolution)
+        assert (got.x_min, got.x_max, got.y_min, got.y_max) == \
+            (want.x_min, want.x_max, want.y_min, want.y_max)
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("n", [9, 129])
+    def test_split_into_ranges_does_not_matter(self, n):
+        resolution = 512
+        coords, params = random_family(n, seed=n)
+        grid = rasterize(coords, params, resolution=resolution)
+        kx = density._gaussian_kernel(grid.x_centers, coords[:, 0], params.h_x)
+        ky = density._gaussian_kernel(grid.y_centers, coords[:, 1], params.h_y)
+        norm = n * params.h_x * params.h_y * density.TWO_PI
+        for bounds in ([0, resolution], [0, 1, 200, 201, 377, resolution]):
+            values = np.full((resolution, resolution), np.nan)
+            for start, stop in zip(bounds, bounds[1:]):
+                density._fill_rows(values, kx, ky, params.weights, start, stop)
+            values /= norm
+            assert np.array_equal(values, grid.values)
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        coords, params = random_family(17, seed=5)
+        want = rasterize_oracle(coords, params, resolution=64)
+        monkeypatch.setattr(density, "_cpu_count", lambda: 24)
+        got = rasterize(coords, params, resolution=64)
+        assert np.array_equal(got.values, want.values)
+
+    def test_worker_failure_is_raised(self, monkeypatch):
+        real_fill = density._fill_rows
+
+        def fill(values, kx, ky, weights, start, stop):
+            if start > 0:
+                raise MemoryError("no room")
+            real_fill(values, kx, ky, weights, start, stop)
+
+        monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(density, "_fill_rows", fill)
+        coords, params = random_family(4, seed=2)
+        with pytest.raises(MemoryError, match="no room"):
+            rasterize(coords, params, resolution=32)
+
+
+class TestContoursExact:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_fields(self, seed):
+        rng = np.random.default_rng(seed)
+        res = int(rng.integers(16, 80))
+        grid = DensityGrid(-1.0, 2.0, 0.5, 1.5, res, rng.random((res, res)))
+        for level in (0.2, 0.5, 0.93):
+            assert_same_contours(extract_contours(grid, level, family="f"),
+                                 extract_contours_oracle(grid, level, family="f"))
+
+    @pytest.mark.parametrize("n,resolution", [(1, 64), (7, 128), (16, 512)])
+    def test_rasterized_families(self, n, resolution):
+        coords, params = random_family(n, seed=n)
+        grid = rasterize(coords, params, resolution=resolution)
+        peak = float(grid.values.max())
+        for frac in (0.05, 0.3, 0.8):
+            assert_same_contours(extract_contours(grid, frac * peak),
+                                 extract_contours_oracle(grid, frac * peak))
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 0.0])
+    def test_saddle_field(self, offset):
+        lin = np.linspace(-1.0, 1.0, 64)
+        grid = DensityGrid(-1.0, 1.0, -1.0, 1.0, 64, np.outer(lin, lin) + 0.5)
+        assert_same_contours(extract_contours(grid, 0.5 + offset),
+                             extract_contours_oracle(grid, 0.5 + offset))
+
+    def test_checkerboard_every_cell_a_saddle(self):
+        res = 20
+        board = (np.add.outer(np.arange(res), np.arange(res)) % 2).astype(float)
+        values = 0.1 + 0.8 * board + np.linspace(0, 0.05, res * res).reshape(res, res)
+        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, res, values)
+        for level in (0.45, 0.5, 0.55):
+            assert_same_contours(extract_contours(grid, level),
+                                 extract_contours_oracle(grid, level))
+
+    def test_boundary_clipped_lines(self):
+        res = 40
+        x = np.linspace(0.0, 1.0, res)
+        fields = [np.tile(x[:, None], (1, res)),          # lines across rows
+                  np.tile(x[None, :], (res, 1)),          # lines across columns
+                  np.add.outer(x, x),                     # diagonals
+                  np.sin(6 * x)[:, None] * np.cos(5 * x)[None, :] + 1.0]
+        for values in fields:
+            grid = DensityGrid(0.0, 1.0, 0.0, 1.0, res, values)
+            for level in (0.3, 0.5, 0.99):
+                got = extract_contours(grid, level)
+                assert_same_contours(got, extract_contours_oracle(grid, level))
+            assert any(not np.array_equal(p[0], p[-1])
+                       for p in extract_contours(grid, 0.5).polylines)
+
+    def test_all_above_level(self):
+        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16, np.full((16, 16), 0.5))
+        got = extract_contours(grid, 0.1)
+        assert got.polylines == [] and not got.below_level
+        assert_same_contours(got, extract_contours_oracle(grid, 0.1))
+
+    def test_all_below_level(self):
+        values = np.random.default_rng(0).random((16, 16)) * 0.05
+        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16, values)
+        with pytest.warns(UserWarning):
+            got = extract_contours(grid, 0.1)
+        with pytest.warns(UserWarning):
+            want = extract_contours_oracle(grid, 0.1)
+        assert got.below_level and got.polylines == []
+        assert_same_contours(got, want)
+
+    def test_float32_grid(self):
+        values = np.random.default_rng(4).random((24, 24)).astype(np.float32)
+        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 24, values)
+        level = 0.5 + math.ulp(0.5)
+        assert_same_contours(extract_contours(grid, level),
+                             extract_contours_oracle(grid, level))
