@@ -7,6 +7,7 @@ error. All configuration is explicit; no environment variables are read.
 import argparse
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -17,7 +18,7 @@ from .g2p import MODES, load_ruleset, transliterate
 from .ipa import default_policy, load_policy, normalize, tokenize_ipa
 from .pca import pca_project, read_coords_csv, write_coords_csv
 from .per import corpus_per
-from .pipeline import (compute_family_contours, config_from_mapping,
+from .pipeline import (PipelineConfig, compute_family_contours,
                        convert_corpora, load_config, phoneme_distributions,
                        run_pipeline)
 from .registry import code_problem, load_registry
@@ -176,37 +177,16 @@ def _cmd_per(args):
     return 0
 
 
-def _cmd_pipeline(args):
-    def absolute(value):
-        # flag paths resolve against the cwd even when a config file
-        # (whose own paths resolve against its directory) is in play
-        return None if value is None else str(Path(value).absolute())
+def _absolute(value):
+    # flag paths resolve against the cwd even when a config file
+    # (whose own paths resolve against its directory) is in play
+    return Path(value).absolute()
 
-    flags = {
-        "corpus_dir": absolute(args.corpus_dir),
-        "rules_dir": absolute(args.rules_dir),
-        "registry": absolute(args.registry),
-        "policy": absolute(args.policy),
-        "target": args.target,
-        "strategy": args.strategy,
-        "k": args.k,
-        "level": args.level,
-        "relative": "true" if args.relative else None,
-        "resolution": args.resolution,
-        "out": absolute(args.out),
-    }
-    overrides = {k: v for k, v in flags.items() if v is not None}
-    if args.config:
-        cfg = load_config(args.config, overrides)
-    else:
-        missing = [k for k in ("corpus_dir", "rules_dir", "registry", "target", "out")
-                   if k not in overrides]
-        if missing:
-            raise DataError(
-                "without --config these flags are required: "
-                + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
-        cfg = config_from_mapping(overrides)
-    artifacts = run_pipeline(cfg)
+
+def _cmd_pipeline(args):
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name) is not None}
+    artifacts = run_pipeline(load_config(args.config, overrides))
     for name in sorted(artifacts):
         print(f"wrote {artifacts[name]}")
     return 0
@@ -293,17 +273,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="run the full analysis pipeline")
     p.add_argument("--config", help="INI file with a [pipeline] section")
-    p.add_argument("--corpus-dir")
-    p.add_argument("--rules-dir")
-    p.add_argument("--registry")
-    p.add_argument("--policy")
+    p.add_argument("--corpus-dir", type=_absolute)
+    p.add_argument("--rules-dir", type=_absolute)
+    p.add_argument("--registry", type=_absolute)
+    p.add_argument("--policy", type=_absolute)
     p.add_argument("--target")
     p.add_argument("--strategy", choices=STRATEGY_CHOICES)
     p.add_argument("--k", type=int)
     p.add_argument("--level", type=float)
-    p.add_argument("--relative", action="store_true")
+    p.add_argument("--relative", action="store_const", const="true")
     p.add_argument("--resolution", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_absolute)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

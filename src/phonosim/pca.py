@@ -8,6 +8,7 @@ bit-identical even though PCA orientation is arbitrary.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,12 @@ def read_coords_csv(path):
             continue
         if len(row) < 3:
             raise ParseError("expected at least id,x,y fields", path, line_no)
-        codes.append(row[0].strip())
         try:
-            points.append((float(row[1]), float(row[2])))
+            x, y = float(row[1]), float(row[2])
         except ValueError:
             raise ParseError("non-numeric coordinate", path, line_no) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError("non-finite coordinate", path, line_no)
+        codes.append(row[0].strip())
+        points.append((x, y))
     return tuple(codes), np.array(points, dtype=float)

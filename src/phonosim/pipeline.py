@@ -13,13 +13,13 @@ file aborts the G2P stage naming the language.
 """
 
 import configparser
+import dataclasses
 import math
 import os
 import tempfile
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from .density import (KDEParams, extract_contours, rasterize,
@@ -53,33 +53,34 @@ def _number(kind, name, value):
                         f"got {value!r}") from None
 
 
-@dataclass
+@dataclasses.dataclass
 class PipelineConfig:
+    """Pipeline settings; each field name is also its `[pipeline]` key and,
+    with `-` for `_`, its `phonosim pipeline` flag."""
     corpus_dir: Path
     rules_dir: Path
-    registry_path: Path
-    output_dir: Path
+    registry: Path
+    out: Path
     target: str
     strategy: str = "corpus_sim"
-    policy_path: Path | None = None
+    policy: Path | None = None
     k: int = 3
-    contour_level: float = 0.1
-    relative_level: bool = False
+    level: float = 0.1
+    relative: bool = False
     resolution: int = 512
 
     def __post_init__(self):
-        for name in ("corpus_dir", "rules_dir", "registry_path", "output_dir"):
+        for name in ("corpus_dir", "rules_dir", "registry", "out"):
             setattr(self, name, Path(getattr(self, name)))
-        if self.policy_path is not None:
-            self.policy_path = Path(self.policy_path)
+        self.policy = Path(self.policy) if self.policy else None
         self.k = _number(int, "k", self.k)
         self.resolution = _number(int, "resolution", self.resolution)
-        self.contour_level = _number(float, "level", self.contour_level)
+        self.level = _number(float, "level", self.level)
         if self.k < 1:
             raise DataError("k must be at least 1")
-        if not (math.isfinite(self.contour_level) and self.contour_level > 0):
+        if not (math.isfinite(self.level) and self.level > 0):
             raise DataError("setting 'level' must be finite and positive, "
-                            f"got {self.contour_level!r}")
+                            f"got {self.level!r}")
         if self.resolution < 16:
             raise DataError("resolution must be at least 16")
         try:
@@ -88,52 +89,36 @@ class PipelineConfig:
             raise DataError(f"unknown selection strategy {self.strategy!r}") from None
 
 
-_CONFIG_KEYS = {
-    "corpus_dir", "rules_dir", "registry", "policy", "target", "strategy",
-    "k", "level", "relative", "resolution", "out",
-}
+def load_config(path=None, overrides=None) -> PipelineConfig:
+    """PipelineConfig from a `[pipeline]` INI section and/or overrides.
 
-
-def load_config(path, overrides=None) -> PipelineConfig:
-    """Read a `[pipeline]` INI section; overrides (setting -> value) win."""
-    parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ParseError("config file not found or unreadable", path)
-    if not parser.has_section("pipeline"):
-        raise ParseError("missing [pipeline] section", path)
-    section = dict(parser["pipeline"])
-    unknown = set(section) - _CONFIG_KEYS
+    Keys are the PipelineConfig field names; overrides (key -> value) win
+    over the file. Relative paths resolve against the file's directory
+    (the cwd without a file); fields without a default are required.
+    """
+    section, base = {}, Path()
+    if path is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        if not parser.read(path, encoding="utf-8"):
+            raise ParseError("config file not found or unreadable", path)
+        if not parser.has_section("pipeline"):
+            raise ParseError("missing [pipeline] section", path)
+        section, base = dict(parser["pipeline"]), Path(path).parent
+    fields = dataclasses.fields(PipelineConfig)
+    unknown = set(section) - {f.name for f in fields}
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}", path)
     section.update(overrides or {})
-    return config_from_mapping(section, base=Path(path).parent, path=path)
-
-
-def config_from_mapping(section, base=Path("."), path=None) -> PipelineConfig:
-    """PipelineConfig from a mapping of `[pipeline]` keys to values.
-
-    Relative paths resolve against base; absent optional settings keep
-    the PipelineConfig defaults.
-    """
-    def path_of(key):
-        value = section.get(key)
-        if value is None:
-            raise DataError(f"missing required setting {key!r}")
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-
-    optional = {"strategy": "strategy", "k": "k", "level": "contour_level",
-                "resolution": "resolution"}
-    return PipelineConfig(
-        corpus_dir=path_of("corpus_dir"),
-        rules_dir=path_of("rules_dir"),
-        registry_path=path_of("registry"),
-        output_dir=path_of("out"),
-        target=section.get("target") or "",
-        policy_path=path_of("policy") if section.get("policy") else None,
-        relative_level=_parse_bool(section.get("relative", "false"), path, None),
-        **{field: section[key] for key, field in optional.items() if key in section})
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and not section.get(f.name)]
+    if missing:
+        raise DataError(f"missing required settings: {', '.join(missing)}")
+    for f in fields:
+        if f.type in (Path, Path | None) and section.get(f.name):
+            section[f.name] = base / section[f.name]
+    if "relative" in section:
+        section["relative"] = _parse_bool(section["relative"], path, None)
+    return PipelineConfig(**section)
 
 
 def read_corpus_tsv(path):
@@ -208,15 +193,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     outputs are discarded with the temporary directory.
     """
     with _stage("registry"):
-        if not cfg.registry_path.exists():
-            raise DataError(f"registry file {cfg.registry_path} does not exist")
-        reg = load_registry(cfg.registry_path)
-        if not cfg.target:
-            raise DataError("no target language configured")
+        if not cfg.registry.exists():
+            raise DataError(f"registry file {cfg.registry} does not exist")
+        reg = load_registry(cfg.registry)
         reg.get(cfg.target)  # unknown target fails here
 
     with _stage("policy"):
-        policy = load_policy(cfg.policy_path) if cfg.policy_path else default_policy()
+        policy = load_policy(cfg.policy) if cfg.policy else default_policy()
 
     with _stage("corpus-scan"):
         if not cfg.corpus_dir.is_dir():
@@ -229,9 +212,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         converted = convert_corpora(langs, cfg.corpus_dir, cfg.rules_dir, policy)
 
     # temp dir next to the output so os.replace stays on one filesystem
-    cfg.output_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = tempfile.TemporaryDirectory(prefix=".phonosim-",
-                                      dir=cfg.output_dir.parent)
+    cfg.out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = tempfile.TemporaryDirectory(prefix=".phonosim-", dir=cfg.out.parent)
     try:
         tmp_dir = Path(tmp.name)
 
@@ -260,7 +242,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         with _stage("contours"):
             contour_sets = compute_family_contours(
                 proj.codes, proj.coords, reg,
-                level=cfg.contour_level, relative=cfg.relative_level,
+                level=cfg.level, relative=cfg.relative,
                 resolution=cfg.resolution)
             write_contours_json(contour_sets, tmp_dir / "contours.json")
             render_svg(proj.codes, proj.coords, reg, contour_sets,
@@ -269,9 +251,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         with _stage("selection"):
             # selection operates over the analyzed languages only: the
             # manifest needs a corpus for every chosen source
-            sub_registry = Registry(
-                [reg.get(c) for c in matrix.codes],
-                low_resource_threshold_hours=reg.low_resource_threshold_hours)
+            sub_registry = Registry([reg.get(c) for c in matrix.codes])
             sel = select_strategy(cfg.target, cfg.strategy, sub_registry,
                                   matrix=matrix, k=cfg.k)
             write_selection_report(sel, tmp_dir / "selection.tsv")
@@ -280,10 +260,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             manifest = emit_manifest(sel, converted, reg)
             write_manifest_tsv(manifest, tmp_dir / "manifest.tsv")
 
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        cfg.out.mkdir(parents=True, exist_ok=True)
         artifacts = {}
         for name in ARTIFACT_NAMES:
-            final = cfg.output_dir / name
+            final = cfg.out / name
             os.replace(tmp_dir / name, final)
             artifacts[name] = final
         return artifacts
@@ -291,8 +271,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         tmp.cleanup()
 
 
-def compute_family_contours(codes, coords, reg: Registry, level=0.1,
-                            relative=False, resolution=512, robust=False):
+def compute_family_contours(codes, coords, reg: Registry, level, resolution,
+                            relative=False, robust=False):
     """Per-family KDE contour sets over projected coordinates.
 
     Weights follow recording hours (mean-one within the family); families

@@ -165,25 +165,27 @@ def read_matrix_csv(path) -> SimilarityMatrix:
 
     with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
-    if len(rows) < 3:
+    # blank rows are skipped; errors keep the file's line numbers
+    body = [(line_no, row) for line_no, row in enumerate(rows[1:], 2)
+            if any(cell.strip() for cell in row)]
+    if len(body) < 2:
         raise ParseError("matrix file needs a header and at least 2 rows", path)
     codes = tuple(c.strip() for c in rows[0][1:])
     n = len(codes)
     values = np.zeros((n, n))
-    body = rows[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} data rows, got {len(body)}", path)
-    for i, row in enumerate(body):
+    for i, (line_no, row) in enumerate(body):
         if len(row) != n + 1:
-            raise ParseError(f"expected {n + 1} fields", path, i + 2)
+            raise ParseError(f"expected {n + 1} fields", path, line_no)
         if row[0].strip() != codes[i]:
             raise ParseError(
                 f"row label {row[0]!r} does not match column label {codes[i]!r}",
-                path, i + 2)
+                path, line_no)
         try:
             values[i] = [float(cell) for cell in row[1:]]
         except ValueError:
-            raise ParseError("non-numeric matrix entry", path, i + 2) from None
+            raise ParseError("non-numeric matrix entry", path, line_no) from None
         if not np.isfinite(values[i]).all():
-            raise ParseError("non-finite matrix entry", path, i + 2)
+            raise ParseError("non-finite matrix entry", path, line_no)
     return SimilarityMatrix(codes, values)

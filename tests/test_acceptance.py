@@ -374,9 +374,9 @@ def test_c12_golden_pipeline_run(toy_dir, tmp_path):
         run_pipeline(PipelineConfig(
             corpus_dir=toy_dir / "corpus",
             rules_dir=toy_dir / "rules",
-            registry_path=toy_dir / "registry.csv",
-            policy_path=toy_dir / "policy.txt",
-            output_dir=out_dir,
+            registry=toy_dir / "registry.csv",
+            policy=toy_dir / "policy.txt",
+            out=out_dir,
             target="aaa",
             strategy="corpus_sim",
             k=3,

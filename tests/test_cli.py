@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import shutil
@@ -6,7 +7,7 @@ import warnings
 import pytest
 
 from phonosim import cli
-from phonosim.pipeline import ARTIFACT_NAMES
+from phonosim.pipeline import ARTIFACT_NAMES, PipelineConfig
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
@@ -199,6 +200,27 @@ class TestAnalysisCommands:
             assert "finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("suffix", [".svg", ".json"])
+    def test_contours_non_finite_coordinate_exit_2(self, toy_dir, tmp_path,
+                                                    capsys, value, suffix):
+        # aba alone in its family: no bandwidth check sees its coordinate
+        registry = tmp_path / "registry.csv"
+        registry.write_text(
+            (toy_dir / "registry.csv").read_text(encoding="utf-8")
+            .replace("abb,Deltan,Gammaic", "abb,Deltan,Deltaic"),
+            encoding="utf-8")
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y,ev1,ev2\naaa,0.1,0.2,1,0\naab,0.3,-0.1,1,0\n"
+                          f"aba,{value},0.3,1,0\nabb,-0.2,0.1,1,0\n",
+                          encoding="utf-8")
+        out = tmp_path / f"contours{suffix}"
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(registry), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"phonosim: error: {coords}:4: non-finite coordinate\n")
+        assert not out.exists()
+
     def test_contours_bad_extension(self, toy_dir, tmp_path):
         coords = tmp_path / "coords.csv"
         coords.write_text("id,x,y,ev1,ev2\naaa,0,0,1,0\naab,1,1,1,0\n",
@@ -358,6 +380,50 @@ class TestPipelineCommand:
 
     def test_missing_required_flags(self, capsys):
         assert cli.main(["pipeline", "--target", "aaa"]) == 2
+
+    def test_flags_and_config_give_equal_settings(self, toy_dir, tmp_path,
+                                                  monkeypatch):
+        toy = toy_dir.absolute()
+        settings = {
+            "corpus_dir": toy / "corpus", "rules_dir": toy / "rules",
+            "registry": toy / "registry.csv", "policy": toy / "policy.txt",
+            "target": "aaa", "strategy": "family", "k": 2, "level": 0.25,
+            "relative": True, "resolution": 64, "out": tmp_path / "out",
+        }
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[pipeline]\n" + "".join(
+            f"{key} = {value}\n" for key, value in settings.items()),
+            encoding="utf-8")
+        flags = []
+        for key, value in settings.items():
+            flags.append("--" + key.replace("_", "-"))
+            if key != "relative":
+                flags.append(str(value))
+        seen = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda cfg: seen.append(cfg) or {})
+        assert cli.main(["pipeline", "--config", str(config)]) == 0
+        assert cli.main(["pipeline", *flags]) == 0
+        assert seen == [PipelineConfig(**settings)] * 2
+
+    @pytest.mark.parametrize("form", ["flags", "config"])
+    def test_every_missing_setting_named(self, toy_dir, tmp_path, capsys, form):
+        if form == "flags":
+            args = ["pipeline", "--rules-dir", str(toy_dir / "rules"), "--k", "2"]
+        else:
+            config = tmp_path / "pipeline.ini"
+            config.write_text(f"[pipeline]\nrules_dir = {toy_dir / 'rules'}\n"
+                              "k = 2\n", encoding="utf-8")
+            args = ["pipeline", "--config", str(config)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == ("phonosim: error: missing required "
+                                           "settings: corpus_dir, registry, out, "
+                                           "target\n")
+
+    def test_flag_dests_are_config_fields(self):
+        # one name per setting: INI key, flag dest and PipelineConfig field
+        args = vars(cli.build_parser().parse_args(["pipeline"]))
+        assert (set(args) - {"command", "config", "func"}
+                == {f.name for f in dataclasses.fields(PipelineConfig)})
 
     def test_stage_error_reported(self, toy_dir, tmp_path, capsys):
         assert cli.main([

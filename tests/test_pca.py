@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonosim.errors import DataError
+from phonosim.errors import DataError, ParseError
 from phonosim.pca import (Projection2D, pca_project, read_coords_csv,
                           write_coords_csv)
 
@@ -137,3 +137,10 @@ class TestCsv:
         assert lines[0] == "id,x,y,ev1,ev2,family"
         assert lines[1].endswith(",F1")
         assert lines[2].endswith(",")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value):
+        path = tmp_path / "coords.csv"
+        path.write_text(f"id,x,y\na,0,1\n\nb,0.5,{value}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"coords\.csv:4: non-finite coordinate"):
+            read_coords_csv(path)

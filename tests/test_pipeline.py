@@ -13,9 +13,9 @@ def toy_config(toy_dir, out_dir, **overrides):
     kwargs = dict(
         corpus_dir=toy_dir / "corpus",
         rules_dir=toy_dir / "rules",
-        registry_path=toy_dir / "registry.csv",
-        policy_path=toy_dir / "policy.txt",
-        output_dir=out_dir,
+        registry=toy_dir / "registry.csv",
+        policy=toy_dir / "policy.txt",
+        out=out_dir,
         target="aaa",
         strategy="corpus_sim",
         k=3,
@@ -96,8 +96,8 @@ class TestRun:
 
     def test_relative_level(self, toy_dir, tmp_path):
         out = tmp_path / "out"
-        run_pipeline(toy_config(toy_dir, out, relative_level=True,
-                                contour_level=0.5))
+        run_pipeline(toy_config(toy_dir, out, relative=True,
+                                level=0.5))
         payload = json.loads((out / "contours.json").read_text(encoding="utf-8"))
         for obj in payload:
             assert obj["polylines"]  # half of peak always intersects
@@ -109,7 +109,7 @@ class TestRun:
             .replace("Alphaic", "X & <x>"),
             encoding="utf-8")
         out = tmp_path / "out"
-        run_pipeline(toy_config(toy_dir, out, registry_path=registry))
+        run_pipeline(toy_config(toy_dir, out, registry=registry))
         root = ET.parse(out / "contours.svg").getroot()
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "X & <x>" in texts
@@ -189,7 +189,7 @@ class TestConfig:
             toy_config(toy_dir, tmp_path, k=0)
         for level in (0.0, float("nan"), float("inf"), "nan", "inf"):
             with pytest.raises(DataError):
-                toy_config(toy_dir, tmp_path, contour_level=level)
+                toy_config(toy_dir, tmp_path, level=level)
         with pytest.raises(DataError):
             toy_config(toy_dir, tmp_path, resolution=4)
         with pytest.raises(DataError):
@@ -238,7 +238,7 @@ class TestConfig:
             encoding="utf-8")
         cfg = load_config(cfg_file)
         assert cfg.corpus_dir == tmp_path / "toy" / "corpus"
-        assert cfg.output_dir == tmp_path / "out"
+        assert cfg.out == tmp_path / "out"
         run_pipeline(cfg)
         assert (tmp_path / "out" / "manifest.tsv").is_file()
 

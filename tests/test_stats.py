@@ -249,6 +249,17 @@ class TestMatrix:
         with pytest.raises(ParseError, match=r"m\.csv:3: non-finite matrix entry"):
             read_matrix_csv(path)
 
+    def test_csv_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",a,b\n\na,1,0.5\n , \nb,0.5,1\n\n", encoding="utf-8")
+        m = read_matrix_csv(path)
+        assert m.codes == ("a", "b")
+        assert m.values.tolist() == [[1, 0.5], [0.5, 1]]
+        # errors name the file's line, blank lines included
+        path.write_text(",a,b\n\na,1,0.5\n\nb,nan,1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"m\.csv:5: non-finite matrix entry"):
+            read_matrix_csv(path)
+
     def test_distributions_csv(self, tmp_path):
         vocab = Vocabulary(("a", "b"))
         dists = [to_distribution(Counter({"a": 1}), vocab, "x"),
