@@ -19,11 +19,12 @@ from .ipa import default_policy, load_policy, normalize, tokenize_ipa
 from .pca import pca_project, read_coords_csv, write_coords_csv
 from .per import corpus_per
 from .pipeline import (PipelineConfig, compute_family_contours,
-                       convert_corpora, load_config, phoneme_distributions,
-                       run_pipeline)
-from .registry import code_problem, load_registry
+                       convert_corpora, corpus_languages, load_config,
+                       phoneme_distributions, run_pipeline)
+from .registry import load_registry
 from .render import render_svg
-from .selection import Strategy, select_strategy, selection_report
+from .selection import (Strategy, select_strategy, selection_report,
+                        write_selection_report)
 from .stats import (read_matrix_csv, similarity_matrix,
                     write_distributions_csv, write_matrix_csv)
 from .typology import impute, load_feature_matrix, project_typology
@@ -74,23 +75,9 @@ def _cmd_g2p(args):
     return 0
 
 
-def _scan_corpus_languages(corpus_dir):
-    corpus_dir = Path(corpus_dir)
-    if not corpus_dir.is_dir():
-        raise DataError(f"corpus directory {corpus_dir} does not exist")
-    paths = sorted(corpus_dir.glob("*.tsv"))
-    if not paths:
-        raise DataError(f"no .tsv corpus files in {corpus_dir}")
-    for path in paths:
-        problem = code_problem(path.stem)
-        if problem:
-            raise DataError(f"{path}: {problem}")
-    return [path.stem for path in paths]
-
-
 def _cmd_sim_matrix(args):
     policy = _policy_from(args)
-    codes = _scan_corpus_languages(args.corpus_dir)
+    codes = corpus_languages(args.corpus_dir)
     converted = convert_corpora(codes, args.corpus_dir, args.rules_dir, policy,
                                 mode=args.mode)
     vocab, dists = phoneme_distributions(converted)
@@ -148,12 +135,10 @@ def _cmd_select(args):
     reg = load_registry(args.registry)
     matrix = read_matrix_csv(args.matrix) if args.matrix else None
     sel = select_strategy(args.target, args.strategy, reg, matrix=matrix, k=args.k)
-    report = selection_report(sel)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(report)
+        write_selection_report(sel, args.out)
     else:
-        sys.stdout.write(report)
+        sys.stdout.write(selection_report(sel))
     return 0
 
 

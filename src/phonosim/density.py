@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .formats import round_float
+from .formats import round_float, write_lines
 
 TWO_PI = 2.0 * math.pi
 GAUSSIAN_REFERENCE_FACTOR = 1.06
@@ -382,6 +382,5 @@ def write_contours_json(contour_sets, path):
                 for polyline in cs.polylines
             ],
         })
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=2, sort_keys=True)
-        f.write("\n")
+    write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2,
+                                  sort_keys=True)])

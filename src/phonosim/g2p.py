@@ -21,6 +21,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .errors import DataError, ParseError, PhonosimError, UnmatchedGraphemeError
+from .formats import data_lines, parse_bool
 from .ipa import NormalizationPolicy, PhonemeSequence, normalize, tokenize_ipa
 
 MODES = ("error", "skip", "passthrough")
@@ -255,47 +256,43 @@ def load_ruleset(path) -> Ruleset:
     rules = []
     first_line = {}
 
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if line.startswith("@"):
-                parts = line[1:].split(None, 1)
-                key = parts[0].lower() if parts else ""
-                value = parts[1].strip() if len(parts) > 1 else ""
-                if key == "language":
-                    language = value
-                elif key == "case_fold":
-                    case_fold = value.lower() not in ("off", "false", "no", "0")
-                elif key == "punctuation_strip":
-                    punctuation_strip = value.lower() not in ("off", "false", "no", "0")
-                else:
-                    raise ParseError(f"unknown directive @{key}", path, line_no)
-                continue
-            fields = line.split("\t")
-            if len(fields) > 5:
-                raise ParseError(
-                    f"expected at most 5 tab-separated fields, got {len(fields)}",
-                    path, line_no)
-            fields += [""] * (5 - len(fields))
-            grapheme, output, left, right, prio_text = (f.strip() for f in fields)
-            if not grapheme:
-                raise ParseError("empty grapheme", path, line_no)
-            try:
-                priority = int(prio_text) if prio_text else 0
-            except ValueError:
-                raise ParseError(f"bad priority {prio_text!r}", path, line_no) from None
-            key = (grapheme, left or None, right or None)
-            if key in first_line:
-                raise ParseError(
-                    f"duplicate rule for {grapheme!r} (first on line {first_line[key]})",
-                    path, line_no)
-            first_line[key] = line_no
-            for side, pattern in (("left", left), ("right", right)):
-                if pattern:
-                    _parse_pattern(pattern, side, path, line_no)
-            rules.append(G2PRule(grapheme, output, left or None, right or None, priority))
+    for line_no, line in data_lines(path):
+        if line.startswith("@"):
+            parts = line[1:].split(None, 1)
+            key = parts[0].lower() if parts else ""
+            value = parts[1].strip() if len(parts) > 1 else ""
+            if key == "language":
+                language = value
+            elif key == "case_fold":
+                case_fold = parse_bool(value, path, line_no)
+            elif key == "punctuation_strip":
+                punctuation_strip = parse_bool(value, path, line_no)
+            else:
+                raise ParseError(f"unknown directive @{key}", path, line_no)
+            continue
+        fields = line.split("\t")
+        if len(fields) > 5:
+            raise ParseError(
+                f"expected at most 5 tab-separated fields, got {len(fields)}",
+                path, line_no)
+        fields += [""] * (5 - len(fields))
+        grapheme, output, left, right, prio_text = (f.strip() for f in fields)
+        if not grapheme:
+            raise ParseError("empty grapheme", path, line_no)
+        try:
+            priority = int(prio_text) if prio_text else 0
+        except ValueError:
+            raise ParseError(f"bad priority {prio_text!r}", path, line_no) from None
+        key = (grapheme, left or None, right or None)
+        if key in first_line:
+            raise ParseError(
+                f"duplicate rule for {grapheme!r} (first on line {first_line[key]})",
+                path, line_no)
+        first_line[key] = line_no
+        for side, pattern in (("left", left), ("right", right)):
+            if pattern:
+                _parse_pattern(pattern, side, path, line_no)
+        rules.append(G2PRule(grapheme, output, left or None, right or None, priority))
 
     if not rules:
         raise ParseError("rule file contains no rules", path)

@@ -16,6 +16,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import DataError, ParseError, TokenizeError
+from .formats import data_lines, parse_bool
 
 Phoneme = str
 PhonemeSequence = list[str]
@@ -205,19 +206,6 @@ def normalize(seq: PhonemeSequence, policy: NormalizationPolicy) -> PhonemeSeque
     return out
 
 
-_BOOLEANS = {
-    "true": True, "false": False, "yes": True, "no": False,
-    "on": True, "off": False, "1": True, "0": False,
-}
-
-
-def _parse_bool(value, path, line_no):
-    try:
-        return _BOOLEANS[value.strip().lower()]
-    except KeyError:
-        raise ParseError(f"expected a boolean, got {value!r}", path, line_no) from None
-
-
 def _parse_codepoint(token, path, line_no):
     if token.upper().startswith("U+"):
         try:
@@ -246,38 +234,33 @@ def load_policy(path) -> NormalizationPolicy:
     merge_given = False
     in_merge = False
 
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if stripped == "[merge]":
-                in_merge = True
-                merge_given = True
-                continue
-            if in_merge:
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0].strip():
-                    raise ParseError(
-                        "merge lines must be 'source<TAB>target'", path, line_no)
-                merge_pairs[parts[0].strip()] = parts[1].strip()
-                continue
-            if "=" not in line:
-                raise ParseError("expected 'key = value'", path, line_no)
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            if key == "strip_stress":
-                strip_stress = _parse_bool(value, path, line_no)
-            elif key == "strip_voqs":
-                strip_voqs = _parse_bool(value, path, line_no)
-            elif key == "strip_diacritics":
-                strip_diacritics = {
-                    _parse_codepoint(tok, path, line_no) for tok in value.split()
-                }
-            else:
-                raise ParseError(f"unknown policy key {key!r}", path, line_no)
+    for line_no, line in data_lines(path):
+        if line.strip() == "[merge]":
+            in_merge = True
+            merge_given = True
+            continue
+        if in_merge:
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip():
+                raise ParseError(
+                    "merge lines must be 'source<TAB>target'", path, line_no)
+            merge_pairs[parts[0].strip()] = parts[1].strip()
+            continue
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", path, line_no)
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        value = value.strip()
+        if key == "strip_stress":
+            strip_stress = parse_bool(value, path, line_no)
+        elif key == "strip_voqs":
+            strip_voqs = parse_bool(value, path, line_no)
+        elif key == "strip_diacritics":
+            strip_diacritics = {
+                _parse_codepoint(tok, path, line_no) for tok in value.split()
+            }
+        else:
+            raise ParseError(f"unknown policy key {key!r}", path, line_no)
 
     if not merge_given:
         merge_pairs = dict(DEFAULT_MERGE_PAIRS)

@@ -7,14 +7,13 @@ positive (ties broken by lower row index), so repeated runs are
 bit-identical even though PCA orientation is arbitrary.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParseError
-from .formats import fmt_float
+from .formats import csv_rows, fmt_float, write_lines
 
 
 @dataclass(frozen=True)
@@ -73,21 +72,18 @@ def write_coords_csv(proj: Projection2D, path, families=None):
         if families is not None:
             row.append(families.get(code, ""))
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_coords_csv(path):
     """Read (codes, coords array) back from a coordinates CSV."""
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0][:3] != ["id", "x", "y"]:
-        raise ParseError("expected header starting with id,x,y", path, 1)
+    rows = csv_rows(path)
+    if not rows or rows[0][1][:3] != ["id", "x", "y"]:
+        raise ParseError("expected header starting with id,x,y", path,
+                         rows[0][0] if rows else 1)
     codes = []
     points = []
-    for line_no, row in enumerate(rows[1:], 2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for line_no, row in rows[1:]:
         if len(row) < 3:
             raise ParseError("expected at least id,x,y fields", path, line_no)
         try:

@@ -27,16 +27,16 @@ from .density import (KDEParams, extract_contours, rasterize,
                       write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
 from .g2p import load_ruleset, transliterate
-from .ipa import _parse_bool, default_policy, load_policy
+from .ipa import default_policy, load_policy
 from .pca import pca_project, write_coords_csv
-from .registry import Registry, load_registry
+from .registry import Registry, code_problem, load_registry
 from .render import render_svg
 from .selection import (Strategy, emit_manifest, select_strategy,
                         write_manifest_tsv, write_selection_report)
 from .stats import (build_vocabulary, family_mean_similarities,
                     similarity_matrix, to_distribution,
                     write_distributions_csv, write_matrix_csv)
-from .formats import fmt_float
+from .formats import data_lines, fmt_float, parse_bool, write_lines
 
 ARTIFACT_NAMES = (
     "distributions.csv", "similarity.csv", "pca.csv", "contours.json",
@@ -117,23 +117,35 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
         if f.type in (Path, Path | None) and section.get(f.name):
             section[f.name] = base / section[f.name]
     if "relative" in section:
-        section["relative"] = _parse_bool(section["relative"], path, None)
+        section["relative"] = parse_bool(section["relative"], path, None)
     return PipelineConfig(**section)
 
 
 def read_corpus_tsv(path):
     """List of (audio_path, text) from `audio<TAB>text` lines."""
     utterances = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ParseError("expected 'audio_path<TAB>text'", path, line_no)
-            audio, _, text = line.partition("\t")
-            utterances.append((audio.strip(), text))
+    for line_no, line in data_lines(path):
+        if "\t" not in line:
+            raise ParseError("expected 'audio_path<TAB>text'", path, line_no)
+        audio, _, text = line.partition("\t")
+        utterances.append((audio.strip(), text))
     return utterances
+
+
+def corpus_languages(corpus_dir):
+    """Sorted codes of the `<code>.tsv` files in `corpus_dir`; no such file,
+    or one whose name is no valid code, is an error."""
+    corpus_dir = Path(corpus_dir)
+    if not corpus_dir.is_dir():
+        raise DataError(f"corpus directory {corpus_dir} does not exist")
+    paths = sorted(corpus_dir.glob("*.tsv"))
+    if not paths:
+        raise DataError(f"no .tsv corpus files in {corpus_dir}")
+    for path in paths:
+        problem = code_problem(path.stem)
+        if problem:
+            raise DataError(f"{path}: {problem}")
+    return [path.stem for path in paths]
 
 
 def convert_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
@@ -202,9 +214,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         policy = load_policy(cfg.policy) if cfg.policy else default_policy()
 
     with _stage("corpus-scan"):
-        if not cfg.corpus_dir.is_dir():
-            raise DataError(f"corpus directory {cfg.corpus_dir} does not exist")
-        langs = [r.code for r in reg if (cfg.corpus_dir / f"{r.code}.tsv").is_file()]
+        langs = sorted(set(reg.codes).intersection(corpus_languages(cfg.corpus_dir)))
         if cfg.target not in langs:
             raise DataError(f"no corpus file for target language {cfg.target!r}")
 
@@ -227,13 +237,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             matrix = similarity_matrix(dists)
             write_matrix_csv(matrix, tmp_dir / "similarity.csv")
             rows = family_mean_similarities(matrix, reg.families())
-            with open(tmp_dir / "family_report.txt", "w", encoding="utf-8",
-                      newline="\n") as f:
-                f.write("family\tmean_similarity\tn_languages\n")
-                for family, mean, n in rows:
-                    f.write(f"{family}\t{fmt_float(mean)}\t{n}\n")
-                if rows:
-                    f.write(f"highest\t{rows[0][0]}\n")
+            lines = ["family\tmean_similarity\tn_languages"]
+            lines += [f"{family}\t{fmt_float(mean)}\t{n}" for family, mean, n in rows]
+            if rows:
+                lines.append(f"highest\t{rows[0][0]}")
+            write_lines(tmp_dir / "family_report.txt", lines)
 
         with _stage("pca"):
             proj = pca_project(matrix.values, matrix.codes, dims=2)

@@ -5,11 +5,11 @@ strictly below the threshold (default 15 hours), so a language at exactly
 the threshold is not low-resource.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 from .errors import DataError, ParseError
+from .formats import csv_rows
 
 REGISTRY_HEADER = ("code", "name", "family", "branch", "hours")
 DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS = 15.0
@@ -101,24 +101,21 @@ def load_registry(path,
                   ) -> Registry:
     """Read a registry CSV: header `code,name,family,branch,hours`.
 
-    A completely empty file yields an empty registry; duplicate codes and
+    A file without nonblank rows yields an empty registry; duplicate codes and
     malformed rows raise ParseError with the line number.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+    rows = csv_rows(path)
     if not rows:
         return Registry([], low_resource_threshold_hours)
-    header = tuple(cell.strip() for cell in rows[0])
-    if header != REGISTRY_HEADER:
+    header_line, header = rows[0]
+    if tuple(cell.strip() for cell in header) != REGISTRY_HEADER:
         raise ParseError(
-            f"expected header {','.join(REGISTRY_HEADER)!r}, got {','.join(rows[0])!r}",
-            path, 1)
+            f"expected header {','.join(REGISTRY_HEADER)!r}, got {','.join(header)!r}",
+            path, header_line)
 
     records = []
     first_line = {}
-    for line_no, row in enumerate(rows[1:], 2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line_no, row in rows[1:]:
         if len(row) != len(REGISTRY_HEADER):
             raise ParseError(
                 f"expected {len(REGISTRY_HEADER)} fields, got {len(row)}",

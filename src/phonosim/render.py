@@ -7,7 +7,7 @@ uniform scale so distances stay honest.
 
 from html import escape
 
-from .formats import fmt_float
+from .formats import fmt_float, write_lines
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
@@ -87,5 +87,4 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
             f'<text x="{margin + 14}" y="{y}" font-size="12" '
             f'font-family="sans-serif">{escape(family, quote=False)}</text>')
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+    write_lines(path, out)

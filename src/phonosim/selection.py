@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DataError
-from .formats import fmt_float
+from .formats import fmt_float, write_lines
 from .registry import Registry
 from .stats import SimilarityMatrix
 
@@ -163,8 +163,7 @@ def selection_report(selection: SelectionResult) -> str:
 
 
 def write_selection_report(selection: SelectionResult, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(selection_report(selection))
+    write_lines(path, selection_report(selection).splitlines())
 
 
 def write_manifest_tsv(manifest: TrainingManifest, path):
@@ -182,5 +181,4 @@ def write_manifest_tsv(manifest: TrainingManifest, path):
     ]
     for code, audio_path, seq in manifest.utterances:
         lines.append(f"{code}\t{audio_path}\t{' '.join(seq)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

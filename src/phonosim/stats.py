@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
-from .formats import fmt_float
+from .formats import csv_rows, fmt_float, write_lines
 
 
 @dataclass(frozen=True)
@@ -148,29 +148,22 @@ def write_distributions_csv(dists, vocab: Vocabulary, path):
     lines = ["code," + ",".join(vocab.phonemes)]
     for d in dists:
         lines.append(d.language_code + "," + ",".join(fmt_float(p) for p in d.probabilities))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_matrix_csv(matrix: SimilarityMatrix, path):
     lines = ["," + ",".join(matrix.codes)]
     for i, code in enumerate(matrix.codes):
         lines.append(code + "," + ",".join(fmt_float(v) for v in matrix.values[i]))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_matrix_csv(path) -> SimilarityMatrix:
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    # blank rows are skipped; errors keep the file's line numbers
-    body = [(line_no, row) for line_no, row in enumerate(rows[1:], 2)
-            if any(cell.strip() for cell in row)]
+    rows = csv_rows(path)
+    body = rows[1:]
     if len(body) < 2:
         raise ParseError("matrix file needs a header and at least 2 rows", path)
-    codes = tuple(c.strip() for c in rows[0][1:])
+    codes = tuple(c.strip() for c in rows[0][1][1:])
     n = len(codes)
     values = np.zeros((n, n))
     if len(body) != n:

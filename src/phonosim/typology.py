@@ -6,13 +6,13 @@ with predicted values); `column_mode` is a deliberately simple fallback
 for matrices that still have holes.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParseError
+from .formats import csv_rows
 from .pca import Projection2D, pca_project
 
 IMPUTE_METHODS = ("none", "column_mode")
@@ -31,19 +31,17 @@ def load_feature_matrix(path) -> FeatureMatrix:
     Rows or columns that are entirely missing are dropped with a warning;
     any cell outside {0, 1, ?} (empty counts as ?) is an error.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+    rows = csv_rows(path)
     if len(rows) < 2:
         raise ParseError("feature matrix needs a header and at least one row", path)
-    feature_ids = [c.strip() for c in rows[0][1:]]
+    header_line, header = rows[0]
+    feature_ids = [c.strip() for c in header[1:]]
     if not feature_ids:
-        raise ParseError("no feature columns", path, 1)
+        raise ParseError("no feature columns", path, header_line)
 
     language_ids = []
     data = []
-    for line_no, row in enumerate(rows[1:], 2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for line_no, row in rows[1:]:
         if len(row) != len(feature_ids) + 1:
             raise ParseError(
                 f"expected {len(feature_ids) + 1} fields, got {len(row)}",
@@ -69,8 +67,6 @@ def load_feature_matrix(path) -> FeatureMatrix:
         language_ids.append(lang)
         data.append(values)
 
-    if not data:
-        raise ParseError("feature matrix has no data rows", path)
     matrix = np.array(data, dtype=float)
 
     keep_rows = ~np.isnan(matrix).all(axis=1)

@@ -239,6 +239,18 @@ class TestAnalysisCommands:
         out = capsys.readouterr().out
         assert "source\taab" in out and "aba" not in out
 
+    def test_select_out_file_matches_stdout(self, toy_dir, tmp_path, capsys):
+        args = ["select", "--target", "aaa", "--strategy", "corpus_sim",
+                "--registry", str(toy_dir / "registry.csv"),
+                "--matrix", str(toy_dir / "golden" / "similarity.csv")]
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        golden = (toy_dir / "golden" / "selection.tsv").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == golden
+        out = tmp_path / "sel.tsv"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == golden
+
     def test_select_corpus_sim_without_matrix(self, toy_dir, capsys):
         assert cli.main([
             "select", "--target", "aaa", "--strategy", "corpus_sim",

@@ -1,0 +1,155 @@
+import csv
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phonosim.errors import ParseError
+from phonosim.formats import csv_rows, data_lines, parse_bool, write_lines
+from phonosim.pca import read_coords_csv
+from phonosim.registry import load_registry
+from phonosim.stats import read_matrix_csv
+from phonosim.typology import load_feature_matrix
+
+
+class TestDataLines:
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_blank_and_comment_lines_skipped(self, tmp_path, ending):
+        p = tmp_path / "f.txt"
+        text = ending.join(["a\tb", "", "   ", "  # indented comment",
+                            "#comment", "c # not a comment", "last"])
+        p.write_bytes(text.encode("utf-8"))
+        assert data_lines(p) == [(1, "a\tb"), (6, "c # not a comment"),
+                                 (7, "last")]
+
+    def test_trailing_whitespace_kept(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_bytes(b"x\t \r\n")
+        assert data_lines(p) == [(1, "x\t ")]
+
+    def test_utf8(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_bytes("ʃa\tʃ\n".encode("utf-8"))
+        assert data_lines(p) == [(1, "ʃa\tʃ")]
+
+
+class TestCsvRows:
+    def test_quoted_comma_and_newline(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_bytes(b'h1,h2\n"a,b","x\ny"\nc,d\n')
+        assert csv_rows(p) == [(1, ["h1", "h2"]), (2, ["a,b", "x\ny"]),
+                               (4, ["c", "d"])]
+
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_bytes(b"\nh\n,\n  , \nv\n\n")
+        assert csv_rows(p) == [(2, ["h"]), (5, ["v"])]
+
+    def test_crlf(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_bytes(b'h\r\n"a\r\nb"\r\nc\r\n')
+        assert csv_rows(p) == [(1, ["h"]), (2, ["a\r\nb"]), (4, ["c"])]
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_bytes(b"")
+        assert csv_rows(p) == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.text(alphabet='a ,"\n', max_size=4),
+                             min_size=1, max_size=3), max_size=6))
+    def test_start_lines_match_writer(self, tmp_path_factory, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        expected = []
+        for row in rows:
+            start = buf.getvalue().count("\n") + 1
+            writer.writerow(row)
+            if any(cell.strip() for cell in row):
+                expected.append((start, row))
+        p = tmp_path_factory.mktemp("csv") / "f.csv"
+        p.write_bytes(buf.getvalue().encode("utf-8"))
+        assert csv_rows(p) == expected
+
+
+class TestWriteLines:
+    def test_lf_terminated(self, tmp_path):
+        p = tmp_path / "out.txt"
+        write_lines(p, ["a,b", "ʃ", ""])
+        data = p.read_bytes()
+        assert data == "a,b\nʃ\n\n".encode("utf-8")
+
+    def test_one_final_newline_and_no_cr(self, tmp_path):
+        p = tmp_path / "out.txt"
+        write_lines(p, (f"row {i}" for i in range(3)))
+        data = p.read_bytes()
+        assert data.endswith(b"2\n") and b"\r" not in data
+
+    def test_no_lines_gives_empty_file(self, tmp_path):
+        p = tmp_path / "out.txt"
+        write_lines(p, [])
+        assert p.read_bytes() == b""
+
+
+class TestParseBool:
+    @pytest.mark.parametrize("value,expected", [
+        ("true", True), ("false", False), ("yes", True), ("no", False),
+        ("on", True), ("off", False), ("1", True), ("0", False),
+        (" TRUE ", True), ("Off", False),
+    ])
+    def test_spellings(self, value, expected):
+        assert parse_bool(value, "f", 1) is expected
+
+    @pytest.mark.parametrize("value", ["", "of", "flase", "tru", "2", "y",
+                                       "maybe", "none"])
+    def test_others_rejected(self, value):
+        with pytest.raises(ParseError) as exc:
+            parse_bool(value, "f.txt", 7)
+        assert str(exc.value) == f"f.txt:7: expected a boolean, got {value!r}"
+
+
+# line 2 holds a quoted cell that runs onto line 3; line 4 is bad
+MULTILINE_CELL_FILES = [
+    (load_registry,
+     'code,name,family,branch,hours\naaa,"Lang\nA",fam,,1.0\nbbb,B,fam,,x\n',
+     "bad hours value 'x'"),
+    (read_matrix_csv,
+     ',aaa,bbb\naaa,"1\n",0.5\nbbb,0.5,x\n',
+     "non-numeric matrix entry"),
+    (read_coords_csv,
+     'id,x,y,ev1,ev2\naaa,0.1,0.2,"0.6\n",0.4\nbbb,x,0.2,0.6,0.4\n',
+     "non-numeric coordinate"),
+    (load_feature_matrix,
+     'lang,f1,f2\naaa,"1\n",0\nbbb,1,x\n',
+     "value 'x' for language 'bbb', feature 'f2' is not 0, 1 or ?"),
+]
+
+
+@pytest.mark.parametrize("loader,text,message", MULTILINE_CELL_FILES,
+                         ids=[case[0].__name__ for case in MULTILINE_CELL_FILES])
+def test_error_names_line_after_multiline_cell(tmp_path, loader, text, message):
+    p = tmp_path / "f.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        loader(p)
+    assert exc.value.line == 4
+    assert str(exc.value) == f"{p}:4: {message}"
+
+
+# blank lines before a bad header
+BAD_HEADER_FILES = [
+    (load_registry, "\ncode,name,family\n", 2),
+    (read_coords_csv, "\n\nid,y,x\n", 3),
+    (load_feature_matrix, "\nlang\naaa\n", 2),
+]
+
+
+@pytest.mark.parametrize("loader,text,line", BAD_HEADER_FILES,
+                         ids=[case[0].__name__ for case in BAD_HEADER_FILES])
+def test_header_error_names_header_line(tmp_path, loader, text, line):
+    p = tmp_path / "f.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        loader(p)
+    assert exc.value.line == line

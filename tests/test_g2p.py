@@ -193,6 +193,16 @@ class TestRuleFile:
         assert rs.language_code == "klg"
         assert rs.case_fold is False
 
+    @pytest.mark.parametrize("directive", ["@case_fold of",
+                                           "@punctuation_strip flase",
+                                           "@case_fold"])
+    def test_directive_booleans_strict(self, tmp_path, directive):
+        p = tmp_path / "x.rules"
+        p.write_text(f"a\tA\n{directive}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_ruleset(p)
+        assert str(exc.value).startswith(f"{p}:2: expected a boolean")
+
     def test_unknown_directive_errors(self, tmp_path):
         p = tmp_path / "x.rules"
         p.write_text("@frobnicate on\na\tA\n", encoding="utf-8")

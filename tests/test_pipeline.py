@@ -145,6 +145,24 @@ class TestFailures:
         assert exc.value.stage == "corpus-scan"
         assert "aaa" in str(exc.value)
 
+    def test_empty_corpus_dir_fails_scan(self, toy_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        cfg = toy_config(toy_dir, tmp_path / "out", corpus_dir=corpus)
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(cfg)
+        assert str(exc.value) == f"[corpus-scan] no .tsv corpus files in {corpus}"
+
+    def test_corpus_name_that_is_no_code_fails_scan(self, toy_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(toy_dir / "corpus", corpus)
+        (corpus / "a b.tsv").write_text("", encoding="utf-8")
+        cfg = toy_config(toy_dir, tmp_path / "out", corpus_dir=corpus)
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(cfg)
+        assert exc.value.stage == "corpus-scan"
+        assert f"{corpus / 'a b.tsv'}: language code 'a b'" in str(exc.value)
+
     def test_bad_corpus_line_names_language_and_line(self, toy_dir, tmp_path):
         corpus = tmp_path / "corpus"
         shutil.copytree(toy_dir / "corpus", corpus)
