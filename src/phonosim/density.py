@@ -370,17 +370,29 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
 
 
 def write_contours_json(contour_sets, path):
-    """One object per family: level, below_level flag, polylines."""
-    payload = []
+    """One object per family: level, below_level flag, polylines.
+
+    Written by hand in the layout of json.dumps(indent=2, sort_keys=True),
+    whose indented form runs Python's pure-Python encoder; numbers are
+    repr(round_float(v)), as json.dumps writes those floats.
+    """
+    def num(v):
+        return repr(round_float(v))
+
+    families = []
     for cs in contour_sets:
-        payload.append({
-            "family": cs.family,
-            "level": round_float(cs.level),
-            "below_level": bool(cs.below_level),
-            "polylines": [
-                [[round_float(x), round_float(y)] for x, y in polyline]
-                for polyline in cs.polylines
-            ],
-        })
-    write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2,
-                                  sort_keys=True)])
+        polylines = []
+        for polyline in cs.polylines:
+            points = ",\n".join(
+                f"        [\n          {num(x)},\n          {num(y)}\n        ]"
+                for x, y in np.asarray(polyline, dtype=float).tolist())
+            polylines.append(f"      [\n{points}\n      ]" if points else "      []")
+        body = "[\n" + ",\n".join(polylines) + "\n    ]" if polylines else "[]"
+        families.append(
+            "  {\n"
+            f'    "below_level": {"true" if cs.below_level else "false"},\n'
+            f'    "family": {json.dumps(cs.family, ensure_ascii=False)},\n'
+            f'    "level": {num(cs.level)},\n'
+            f'    "polylines": {body}\n'
+            "  }")
+    write_lines(path, ["[\n" + ",\n".join(families) + "\n]" if families else "[]"])

@@ -103,13 +103,25 @@ def _match_right(pat, word, pos):
     return not pat.anchored or j == len(word)
 
 
+class _KeepTable(dict):
+    """str.translate table for punctuation_strip: a code point maps to itself
+    (kept) or to None (dropped: a P*/S*/N* category, which no whitespace
+    character has), decided once per code point."""
+
+    def __missing__(self, cp):
+        keep = unicodedata.category(chr(cp))[0] not in "PSN"
+        self[cp] = cp if keep else None
+        return self[cp]
+
+
 class Ruleset:
     """Immutable rule collection for one language.
 
     case_fold folds both input text and rule graphemes/contexts;
     punctuation_strip removes punctuation, symbols and digits before
     matching (whitespace stays and separates words). The rules never
-    change; the only mutable state is transliterate's word memo.
+    change; the only mutable state is transliterate's word memo and the
+    per-character keep/drop table of punctuation_strip.
     """
 
     def __init__(self, language_code, rules, case_fold=True, punctuation_strip=True):
@@ -147,15 +159,14 @@ class Ruleset:
             by_first.setdefault(entry[0][0], []).append(entry)
         self._by_first = {c: tuple(entries) for c, entries in by_first.items()}
         self._memo = (None, None, {})
+        self._keep = _KeepTable()
 
     def prepare(self, text):
         t = unicodedata.normalize("NFC", text)
         if self.case_fold:
             t = t.casefold()
         if self.punctuation_strip:
-            t = "".join(
-                c for c in t
-                if c.isspace() or unicodedata.category(c)[0] not in ("P", "S", "N"))
+            t = t.translate(self._keep)
         return t
 
     def match_at(self, word, i):

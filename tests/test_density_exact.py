@@ -1,12 +1,16 @@
-"""rasterize and extract_contours against their earlier straightforward forms.
+"""rasterize, extract_contours and write_contours_json against their
+earlier straightforward forms.
 
 The oracles below are the chunked (chunk, R, N) rasterizer and the per-cell
 marching squares that the vectorized versions replaced. Both versions do
 the same floating-point operations in the same order, so results must be
 equal bit for bit (np.array_equal), not merely close: contours.json and
-the SVG are pinned byte for byte.
+the SVG are pinned byte for byte. The contours.json oracle is the
+json.dumps form that the hand-written writer replaced; files must be equal
+byte for byte.
 """
 
+import json
 import math
 import warnings
 
@@ -15,7 +19,8 @@ import pytest
 
 from phonosim import density
 from phonosim.density import (ContourSet, DensityGrid, KDEParams,
-                              extract_contours, rasterize)
+                              extract_contours, rasterize, write_contours_json)
+from phonosim.formats import round_float, write_lines
 
 
 def rasterize_oracle(coords, params, resolution=512, padding_bandwidths=3.0):
@@ -126,6 +131,22 @@ def extract_contours_oracle(grid, level=0.1, family=""):
         if adjacency[start]:
             polylines.append(np.array([positions[k] for k in walk(start)]))
     return ContourSet(family, level, polylines, below_level=False)
+
+
+def write_contours_json_oracle(contour_sets, path):
+    payload = []
+    for cs in contour_sets:
+        payload.append({
+            "family": cs.family,
+            "level": round_float(cs.level),
+            "below_level": bool(cs.below_level),
+            "polylines": [
+                [[round_float(x), round_float(y)] for x, y in polyline]
+                for polyline in cs.polylines
+            ],
+        })
+    write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2,
+                                  sort_keys=True)])
 
 
 def random_family(n, seed):
@@ -265,3 +286,46 @@ class TestContoursExact:
         level = 0.5 + math.ulp(0.5)
         assert_same_contours(extract_contours(grid, level),
                              extract_contours_oracle(grid, level))
+
+
+class TestContoursJsonExact:
+    def assert_same_bytes(self, contour_sets, tmp_path):
+        write_contours_json(contour_sets, tmp_path / "got.json")
+        write_contours_json_oracle(contour_sets, tmp_path / "want.json")
+        got = (tmp_path / "got.json").read_bytes()
+        assert got == (tmp_path / "want.json").read_bytes()
+        json.loads(got)
+
+    def test_no_sets(self, tmp_path):
+        self.assert_same_bytes([], tmp_path)
+
+    def test_family_without_polylines(self, tmp_path):
+        self.assert_same_bytes([ContourSet("fam", 0.1, [])], tmp_path)
+
+    def test_below_level(self, tmp_path):
+        self.assert_same_bytes([ContourSet("fam", 0.3, [], below_level=True),
+                                ContourSet("other", 0.3, [])], tmp_path)
+
+    @pytest.mark.parametrize("name", ['a"b', "back\\slash", "Afro-Asiatic ǃ",
+                                      "tab\tnew\nline\x00\x1f", "", "ü/é\u2028"])
+    def test_family_names(self, name, tmp_path):
+        line = np.array([[0.0, 0.0], [1.0, 0.5]])
+        self.assert_same_bytes([ContourSet(name, 0.1, [line])], tmp_path)
+
+    def test_number_forms(self, tmp_path):
+        values = [1e-05, 1e16, -0.0, 0.1, 1.0, -2.5, 123456789012345.0,
+                  1 / 3, -1e-300, 5e-324, 1e300, 0.30000000000000004]
+        line = np.array(values).reshape(-1, 2)
+        sets = [ContourSet("f", v, [line, line[:1], line[:0]])
+                for v in (1e-05, 1e16, 0.1)]
+        self.assert_same_bytes(sets, tmp_path)
+
+    def test_rasterized_families(self, tmp_path):
+        sets = []
+        for n in (1, 5, 16):
+            coords, params = random_family(n, seed=n)
+            grid = rasterize(coords, params, resolution=96)
+            level = 0.3 * float(grid.values.max())
+            sets.append(extract_contours(grid, level, family=f"fam{n}"))
+        assert all(cs.polylines for cs in sets)
+        self.assert_same_bytes(sets, tmp_path)

@@ -1,4 +1,5 @@
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,23 @@ PLAIN = NormalizationPolicy(merge_pairs={})
 
 def make_ruleset(*rules, **kwargs):
     return Ruleset("toy", [G2PRule(*r) for r in rules], **kwargs)
+
+
+def prepare_oracle(rs, text):
+    """Ruleset.prepare with the per-character category test it replaced."""
+    t = unicodedata.normalize("NFC", text)
+    if rs.case_fold:
+        t = t.casefold()
+    if rs.punctuation_strip:
+        t = "".join(
+            c for c in t
+            if c.isspace() or unicodedata.category(c)[0] not in ("P", "S", "N"))
+    return t
+
+
+MIXED_TEXT = ("Ça, va?  «Oui» — 42½ ½ ⅷ ٣ $€ + ∑ © 😀 a\u0301 e\u0308 n\u0303 "
+              "t͡ʃ ʼ ˈa ˌb ː \t\n\r\x0b\x0c\x1c\x85\u00a0\u2003\u2028\u3000 "
+              "\u200b\u200d\ufeff \x00 \ue000 \U000e0001 ΣΑΣ straße ǅ İ ﬁ")
 
 
 class TestMatching:
@@ -116,6 +134,22 @@ class TestPreparation:
         rs = make_ruleset(("a", "a"), punctuation_strip=False)
         with pytest.raises(UnmatchedGraphemeError):
             transliterate("a!", rs, PLAIN)
+
+    @pytest.mark.parametrize("case_fold", [True, False])
+    @pytest.mark.parametrize("punctuation_strip", [True, False])
+    def test_prepare_matches_category_filter(self, case_fold, punctuation_strip):
+        rs = make_ruleset(("a", "a"), case_fold=case_fold,
+                          punctuation_strip=punctuation_strip)
+        for text in (MIXED_TEXT, MIXED_TEXT[::-1], "", " "):
+            assert rs.prepare(text) == prepare_oracle(rs, text)
+        # the second pass reads the cached decisions
+        assert rs.prepare(MIXED_TEXT) == prepare_oracle(rs, MIXED_TEXT)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.text(st.characters(codec="utf-8"), max_size=40))
+    def test_prepare_matches_category_filter_random(self, text):
+        rs = make_ruleset(("a", "a"))
+        assert rs.prepare(text) == prepare_oracle(rs, text)
 
     def test_output_is_normalized(self):
         rs = make_ruleset(("s", "sʲ"), ("u", "u"))
