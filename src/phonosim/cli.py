@@ -99,18 +99,18 @@ def _cmd_pca(args):
 
 
 def _cmd_contours(args):
+    out = Path(args.out)
+    if out.suffix.lower() not in (".json", ".svg"):
+        raise DataError("output must end in .json or .svg")
     codes, coords = read_coords_csv(args.coords)
     reg = load_registry(args.registry)
     contour_sets = compute_family_contours(
         codes, coords, reg, level=args.level, relative=args.relative,
         resolution=args.resolution, robust=args.robust_bandwidth)
-    out = Path(args.out)
     if out.suffix.lower() == ".svg":
         render_svg(codes, coords, reg, contour_sets, out)
-    elif out.suffix.lower() == ".json":
-        write_contours_json(contour_sets, out)
     else:
-        raise DataError("output must end in .json or .svg")
+        write_contours_json(contour_sets, out)
     print(f"wrote {len(contour_sets)} family contour set(s) to {out}")
     return 0
 

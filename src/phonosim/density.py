@@ -13,6 +13,15 @@ min(sigma, IQR/1.34) variant behind a flag.
 Contours are extracted by marching squares over a rasterized grid, with
 linear interpolation along cell edges and saddle cells disambiguated by
 the cell-center sample (mean of the four corners).
+
+rasterize() sums every cell exactly. contour_grid() returns the same grid
+for one contour level at a fraction of the cost: it estimates all cells
+with one matrix product and keeps rasterize's exact value only in the
+cells marching squares reads (the maximum, cells near the level, and the
+corners of every cell the level crosses), each found through a rigorous
+bound on the estimate's rounding error. Its contract is that
+extract_contours() on its grid returns exactly what it returns on
+rasterize's grid; the other cells hold the estimate.
 """
 
 import json
@@ -33,8 +42,18 @@ ROBUST_FACTOR = 0.9
 # kept/used when an axis has zero spread: max(1e-6, 1e-3 * other axis range)
 _FALLBACK_MIN = 1e-6
 _FALLBACK_SCALE = 1e-3
+# grid margin beyond the data extent, in bandwidths per axis
+PADDING_BANDWIDTHS = 3.0
 # size of the (rows, R, N) product buffer that each rasterize thread fills
 _BLOCK_BYTES = 4 << 20
+# contour_grid fills the whole grid as rasterize does once one set of exact
+# cells exceeds 1/_WHOLE_GRID_SHARE of it
+_WHOLE_GRID_SHARE = 8
+# |estimate - exact| <= _ERROR_FACTOR * (N + 2) * (_UNIT_ROUNDOFF * estimate
+# + _NORMAL_MIN * (1 + 1/norm)) for contour_grid's matmul estimate
+_ERROR_FACTOR = 4
+_UNIT_ROUNDOFF = 2.0 ** -53
+_NORMAL_MIN = 2.0 ** -1022
 
 
 def weights_from_hours(hours) -> np.ndarray:
@@ -136,6 +155,10 @@ def _gaussian_kernel(centers, samples, h):
     return np.exp(-0.5 * d * d)
 
 
+def _norm(params: KDEParams):
+    return params.n_points * params.h_x * params.h_y * TWO_PI
+
+
 def kde_density(point, coords, params: KDEParams) -> float:
     """Density at one point, straight from the product-kernel sum."""
     pts = np.asarray(coords, dtype=float)
@@ -144,8 +167,7 @@ def kde_density(point, coords, params: KDEParams) -> float:
             f"expected {params.n_points} coordinate pairs, got shape {pts.shape}")
     kernel = (_gaussian_kernel([point[0]], pts[:, 0], params.h_x)[0]
               * _gaussian_kernel([point[1]], pts[:, 1], params.h_y)[0])
-    return float((params.weights * kernel).sum()
-                 / (params.n_points * params.h_x * params.h_y * TWO_PI))
+    return float((params.weights * kernel).sum() / _norm(params))
 
 
 @dataclass
@@ -201,13 +223,10 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def rasterize(coords, params: KDEParams, resolution=512,
-              padding_bandwidths=3.0) -> DensityGrid:
-    """Sample the density at cell centers over the padded data extent.
-
-    Rows are split between one thread per available CPU; numpy releases
-    the interpreter lock inside each block's arithmetic.
-    """
+def _grid_and_kernels(coords, params: KDEParams, resolution,
+                      padding_bandwidths):
+    """The padded grid (values unset) and the per-axis kernel factors
+    kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j - y_n)/h_y)."""
     resolution = int(resolution)
     if resolution < 16:
         raise DataError("resolution must be at least 16")
@@ -226,7 +245,12 @@ def rasterize(coords, params: KDEParams, resolution=512,
                        np.empty((resolution, resolution)))
     kx = _gaussian_kernel(grid.x_centers, pts[:, 0], params.h_x)
     ky = _gaussian_kernel(grid.y_centers, pts[:, 1], params.h_y)
+    return grid, kx, ky
 
+
+def _fill_exact(grid, kx, ky, params: KDEParams):
+    """Every cell of grid.values, rows split between one thread per CPU."""
+    resolution = grid.resolution
     workers = min(_cpu_count(), resolution)
     bounds = [resolution * k // workers for k in range(workers + 1)]
     failures = []
@@ -246,8 +270,132 @@ def rasterize(coords, params: KDEParams, resolution=512,
         thread.join()
     if failures:
         raise failures[0]
-    grid.values /= params.n_points * params.h_x * params.h_y * TWO_PI
+    grid.values /= _norm(params)
+
+
+def rasterize(coords, params: KDEParams, resolution=512,
+              padding_bandwidths=PADDING_BANDWIDTHS) -> DensityGrid:
+    """Sample the density at cell centers over the padded data extent.
+
+    Rows are split between one thread per available CPU; numpy releases
+    the interpreter lock inside each block's arithmetic.
+    """
+    grid, kx, ky = _grid_and_kernels(coords, params, resolution,
+                                     padding_bandwidths)
+    _fill_exact(grid, kx, ky, params)
     return grid
+
+
+def _set_exact(grid, kx, ky, params: KDEParams, cells):
+    """Overwrite the flat cell indices `cells` of grid.values with the
+    values rasterize writes there: the same N products, the same np.sum
+    over a contiguous points axis, the same division.
+
+    Gathering kx[i] * ky[j] per cell on one thread costs 2-3 times a cell
+    of rasterize's threaded rows, so a set over 1/_WHOLE_GRID_SHARE of the
+    grid fills every cell with _fill_exact instead; returns True then.
+    """
+    if cells.size * _WHOLE_GRID_SHARE > grid.values.size:
+        _fill_exact(grid, kx, ky, params)
+        return True
+    flat = grid.values.reshape(-1)
+    norm = _norm(params)
+    step = max(1, _BLOCK_BYTES // kx[0].nbytes)
+    for lo in range(0, cells.size, step):
+        chunk = cells[lo:lo + step]
+        i, j = np.divmod(chunk, grid.resolution)
+        block = kx[i] * ky[j]
+        np.multiply(params.weights, block, out=block)
+        flat[chunk] = np.sum(block, axis=-1) / norm
+    return False
+
+
+def _band(x, rel, floor):
+    """(lo, hi) such that lo <= e <= hi for every estimate e whose exact
+    value may lie on the other side of x, or may reach an estimate
+    maximum x, given |e - exact| <= rel * e + floor.
+
+    The exact conditions are (x - floor) / (1 + rel) <= e <= (x + floor) /
+    (1 - rel), and e >= (x (1 - rel) - 2 floor) / (1 + rel) for the
+    maximum; tripling rel and floor covers both with room to spare for the
+    rounding of lo and hi themselves.
+    """
+    return (x - 3 * floor) * (1 - 3 * rel), (x + 3 * floor) * (1 + 3 * rel)
+
+
+def contour_grid(coords, params: KDEParams, resolution=512, level=0.1,
+                 relative=False):
+    """The grid rasterize builds, exact wherever extract_contours reads,
+    and the cutoff to extract at: `level`, or `level` times the grid
+    maximum when `relative`.
+
+    The whole grid is first estimated with one matrix product, E = (kx *
+    w) @ ky.T / norm. Every term is nonnegative, so in any summation
+    order (and with fused multiply-adds) E and the exact value V each lie
+    within gamma_(N+2) = (N+2) u / (1 - (N+2) u) of the real density, u =
+    2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 3-4). Hence |E - V| <= c (N+2) (u E + floor) with c = 4,
+    where floor = 2**-1022 (1 + 1/norm) bounds gradual underflow. Cells
+    are then overwritten with V, computed as rasterize computes it, where
+    E alone cannot decide:
+
+    1. cells whose E is within the bound of max(E), so the grid maximum
+       (used for `relative` and the below-level check) is exact;
+    2. cells whose E is within the bound of the cutoff, so every cell is
+       on the same side of it as in rasterize's grid;
+    3. all four corners of every cell that is then mixed (some corners
+       above the cutoff, some not): the crossing-edge endpoints and the
+       saddle centres.
+
+    extract_contours(grid, cutoff) reads nothing else, so its result is
+    identical to the one on rasterize's grid. Every other cell holds the
+    estimate. Steps 2-3 are skipped when the cutoff is not finite and
+    positive (extract_contours rejects it) or exceeds the maximum (it
+    reads only the maximum). A grid outside the range of the bound (norm
+    below the smallest normal float, or an estimate that is not finite or
+    near overflow), or one whose cells 1 or 2 exceed an eighth of it (a
+    tiny level over a grid of zero densities), is computed whole, as
+    rasterize does.
+    """
+    grid, kx, ky = _grid_and_kernels(coords, params, resolution,
+                                     PADDING_BANDWIDTHS)
+    norm = _norm(params)
+    values = grid.values
+    np.matmul(kx * params.weights, ky.T, out=values)
+    row_peaks = values.max(axis=1)
+    if norm < _NORMAL_MIN or not math.isfinite(2 * float(row_peaks.max()) / norm):
+        _fill_exact(grid, kx, ky, params)
+        return grid, level * float(values.max()) if relative else level
+    # dividing by norm > 0 is monotone: row_peaks stay the row maxima
+    values /= norm
+    row_peaks /= norm
+    peak = float(row_peaks.max())
+
+    n = params.n_points
+    rel = _ERROR_FACTOR * (n + 2) * _UNIT_ROUNDOFF
+    floor = _ERROR_FACTOR * (n + 2) * _NORMAL_MIN * (1.0 + 1.0 / norm)
+    lo = _band(peak, rel, floor)[0]
+    rows = np.flatnonzero(row_peaks >= lo)
+    r, c = np.nonzero(values[rows] >= lo)
+    whole = _set_exact(grid, kx, ky, params, rows[r] * grid.resolution + c)
+    # every other cell's estimate is below the exact maximum
+    top = float(values[rows].max())
+    cutoff = level * top if relative else level
+    cut = float(cutoff)
+    if whole or not (math.isfinite(cut) and 0 < cut <= top):
+        return grid, cutoff
+
+    lo, hi = _band(cut, rel, floor)
+    flat = values.reshape(-1)
+    if _set_exact(grid, kx, ky, params,
+                  np.flatnonzero((flat >= lo) & (flat <= hi))):
+        return grid, cutoff
+    _, i, j = _mixed_cells(values, cut)
+    node = i * grid.resolution + j
+    corners = np.unique(np.concatenate(
+        [node, node + 1, node + grid.resolution, node + grid.resolution + 1]))
+    _set_exact(grid, kx, ky, params, corners)
+    return grid, cutoff
 
 
 @dataclass
@@ -256,6 +404,21 @@ class ContourSet:
     level: float
     polylines: list = field(default_factory=list)  # (M, 2) arrays; closed iff first == last
     below_level: bool = False
+
+
+def _mixed_cells(values, level):
+    """The mask values > level and the (i, j) of every cell whose corners
+    (i, j), (i+1, j), (i, j+1), (i+1, j+1) are not all on one side."""
+    inside = values > level
+    # corners not all equal: (i, j) differs from (i, j+1), or a column
+    # edge (i, j)-(i+1, j) or (i, j+1)-(i+1, j+1) is crossed
+    crossed = inside[:-1] != inside[1:]
+    mixed = crossed[:, :-1] | crossed[:, 1:]
+    del crossed  # at most three masks alive at once
+    mixed |= inside[:-1, :-1] != inside[:-1, 1:]
+    # flatnonzero is several times faster than a 2D nonzero, same order
+    i, j = np.divmod(np.flatnonzero(mixed), mixed.shape[1])
+    return inside, i, j
 
 
 def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
@@ -282,18 +445,14 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
         return ContourSet(family, level, [], below_level=True)
 
     n = v.shape[1]
-    inside = v > level
-    b00 = inside[:-1, :-1]
-    b10 = inside[1:, :-1]
-    b01 = inside[:-1, 1:]
-    b11 = inside[1:, 1:]
-    i, j = np.nonzero((b00 != b10) | (b00 != b01) | (b00 != b11))
+    inside, i, j = _mixed_cells(v, level)
     if i.size == 0:
         # every sample is on the same side of the level (e.g. the whole
         # grid sits above it); there is no crossing to trace
         return ContourSet(family, level, [], below_level=False)
 
-    f00, f10, f01, f11 = b00[i, j], b10[i, j], b01[i, j], b11[i, j]
+    f00, f10 = inside[i, j], inside[i + 1, j]
+    f01, f11 = inside[i, j + 1], inside[i + 1, j + 1]
     node = i * n + j
     ex0 = 2 * node + 1        # (i, j)-(i+1, j)
     ex1 = 2 * node + 3        # (i, j+1)-(i+1, j+1)

@@ -160,7 +160,14 @@ class NormalizationPolicy:
             for src, tgt in self.merge_pairs.items()
         }
         object.__setattr__(self, "merge_pairs", merges)
-        removal = self.removal_set()
+        removal = set(self.strip_diacritics)
+        if self.strip_stress:
+            removal |= STRESS_MARKS
+        if self.strip_voqs:
+            removal |= VOQS_MARKS
+        # built once: normalize() asks for it on every call
+        removal = frozenset(removal)
+        object.__setattr__(self, "_removal", removal)
         for src, tgt in merges.items():
             if not src:
                 raise DataError("merge source must be nonempty")
@@ -170,12 +177,8 @@ class NormalizationPolicy:
                     f"merge target {tgt!r} reduces to merge source {cleaned!r}")
 
     def removal_set(self):
-        removal = set(self.strip_diacritics)
-        if self.strip_stress:
-            removal |= STRESS_MARKS
-        if self.strip_voqs:
-            removal |= VOQS_MARKS
-        return frozenset(removal)
+        """Every codepoint normalize() strips, as one frozenset."""
+        return self._removal
 
 
 def default_policy() -> NormalizationPolicy:

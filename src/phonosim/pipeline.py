@@ -22,7 +22,7 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
-from .density import (KDEParams, extract_contours, rasterize,
+from .density import (KDEParams, contour_grid, extract_contours,
                       silverman_bandwidths, weights_from_hours,
                       write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
@@ -312,7 +312,8 @@ def compute_family_contours(codes, coords, reg: Registry, level, resolution,
             weights = weights_from_hours(hours)
         h_x, h_y = silverman_bandwidths(pts, weights, robust=robust)
         params = KDEParams(h_x, h_y, weights, family=family)
-        grid = rasterize(pts, params, resolution=resolution)
-        cutoff = level * float(grid.values.max()) if relative else level
+        grid, cutoff = contour_grid(pts, params, resolution=resolution,
+                                    level=level, relative=relative)
         contour_sets.append(extract_contours(grid, cutoff, family=family))
+        del grid  # not alive while the next family's grid is built
     return contour_sets

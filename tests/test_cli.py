@@ -200,6 +200,24 @@ class TestAnalysisCommands:
             assert "finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    def test_contours_bad_suffix_exits_before_any_kde(self, toy_dir, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_kde(*args, **kwargs):
+            raise AssertionError("contours computed before the --out check")
+
+        monkeypatch.setattr(cli, "compute_family_contours", no_kde)
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y,ev1,ev2\naaa,0,0,1,0\naab,1,1,1,0\n",
+                          encoding="utf-8")
+        assert cli.main([
+            "contours", "--coords", str(coords),
+            "--registry", str(toy_dir / "registry.csv"),
+            "--resolution", "2048", "--out", str(tmp_path / "x.txt"),
+        ]) == 2
+        assert capsys.readouterr().err == \
+            "phonosim: error: output must end in .json or .svg\n"
+        assert not (tmp_path / "x.txt").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("suffix", [".svg", ".json"])
     def test_contours_non_finite_coordinate_exit_2(self, toy_dir, tmp_path,

@@ -1,13 +1,14 @@
-"""rasterize, extract_contours and write_contours_json against their
-earlier straightforward forms.
+"""rasterize, contour_grid, extract_contours and write_contours_json
+against their earlier straightforward forms.
 
 The oracles below are the chunked (chunk, R, N) rasterizer and the per-cell
 marching squares that the vectorized versions replaced. Both versions do
 the same floating-point operations in the same order, so results must be
 equal bit for bit (np.array_equal), not merely close: contours.json and
-the SVG are pinned byte for byte. The contours.json oracle is the
-json.dumps form that the hand-written writer replaced; files must be equal
-byte for byte.
+the SVG are pinned byte for byte. contour_grid followed by
+extract_contours must give exactly what rasterize followed by
+extract_contours gives. The contours.json oracle is the json.dumps form
+that the hand-written writer replaced; files must be equal byte for byte.
 """
 
 import json
@@ -19,7 +20,9 @@ import pytest
 
 from phonosim import density
 from phonosim.density import (ContourSet, DensityGrid, KDEParams,
-                              extract_contours, rasterize, write_contours_json)
+                              contour_grid, extract_contours, rasterize,
+                              write_contours_json)
+from phonosim.errors import DataError
 from phonosim.formats import round_float, write_lines
 
 
@@ -286,6 +289,172 @@ class TestContoursExact:
         level = 0.5 + math.ulp(0.5)
         assert_same_contours(extract_contours(grid, level),
                              extract_contours_oracle(grid, level))
+
+
+def assert_promised_cells_exact(grid, full, cutoff, n_points):
+    """The cells contour_grid promises hold rasterize's values: those near
+    the maximum, those near the cutoff (both judged here from the exact
+    values, inside the band the estimate's bound guarantees) and the
+    corners of every mixed cell; and every cell sits on the same side of
+    the cutoff."""
+    exact, got = full.values, grid.values
+    rel = (n_points + 2) * 2.0 ** -53
+    top = float(exact.max())
+    promised = exact >= top * (1 - rel)
+    cut = float(cutoff)
+    if math.isfinite(cut) and 0 < cut <= top:
+        assert np.array_equal(got > cut, exact > cut)
+        promised |= np.abs(exact - cut) <= rel * exact
+        _, i, j = density._mixed_cells(exact, cut)
+        for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            promised[i + di, j + dj] = True
+    assert promised.any()
+    assert np.array_equal(got[promised], exact[promised])
+    assert float(got.max()) == top
+
+
+def contours_both_ways(coords, params, resolution, level, relative=False):
+    """contour_grid then extract_contours, checked against rasterize then
+    extract_contours (polylines, flags, cutoff, warning text) and against
+    the per-cell marching squares."""
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        grid, cutoff = contour_grid(coords, params, resolution, level, relative)
+        got = extract_contours(grid, cutoff, family="f")
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        full = rasterize(coords, params, resolution)
+        want_cutoff = level * float(full.values.max()) if relative else level
+        want = extract_contours(full, want_cutoff, family="f")
+    assert cutoff == want_cutoff
+    assert_same_contours(got, want)
+    assert [(w.category, str(w.message)) for w in got_warnings] == \
+        [(w.category, str(w.message)) for w in want_warnings]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_same_contours(got, extract_contours_oracle(full, want_cutoff,
+                                                          family="f"))
+    assert (grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.resolution) \
+        == (full.x_min, full.x_max, full.y_min, full.y_max, full.resolution)
+    assert_promised_cells_exact(grid, full, cutoff, params.n_points)
+    return got, grid, full
+
+
+def two_clusters():
+    # far enough apart (in bandwidths) that the grid between them holds
+    # subnormal and zero densities
+    coords = np.array([[0.0, 0.0], [0.4, 1.0], [80.0, 0.3], [80.3, -0.6]])
+    return coords, KDEParams(1.0, 1.0, [0.5, 1.5, 1.2, 0.8])
+
+
+class TestContourGridExact:
+    @pytest.mark.parametrize("resolution", [16, 33, 257])
+    @pytest.mark.parametrize("n", [1, 2, 16, 129])
+    def test_random_families(self, n, resolution):
+        coords, params = random_family(n, seed=77 * n + resolution)
+        for level, relative in ((0.5, True), (0.05, True), (0.9, True),
+                                (1.0, True), (1.5, True), (0.02, False)):
+            contours_both_ways(coords, params, resolution, level, relative)
+
+    def test_pipeline_size(self):
+        coords, params = random_family(16, seed=2048)
+        got, _, _ = contours_both_ways(coords, params, 2048, 0.1, relative=True)
+        assert sum(len(p) for p in got.polylines) > 1000
+
+    @pytest.mark.parametrize("family", ["random", "symmetric", "identical"])
+    def test_level_equal_to_a_grid_value(self, family):
+        rng = np.random.default_rng(11)
+        if family == "random":
+            coords, params = random_family(16, seed=3)
+        elif family == "symmetric":
+            # mirror-image points: many cells share one exact value
+            coords = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+            params = KDEParams(0.8, 0.8, np.ones(4))
+        else:
+            coords = np.tile([0.3, -1.2], (5, 1))
+            params = KDEParams(*density.silverman_bandwidths(coords), np.ones(5))
+        resolution = 65
+        values = rasterize(coords, params, resolution).values
+        for cell in rng.choice(values.size, size=25, replace=False):
+            contours_both_ways(coords, params, resolution,
+                               float(values.flat[cell]))
+
+    def test_identical_points_fallback_bandwidth(self):
+        coords = np.tile([0.3, -1.2], (7, 1))
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, 7)
+        h = density.silverman_bandwidths(coords, weights)
+        assert h == (1e-6, 1e-6)
+        params = KDEParams(*h, 7 * weights / weights.sum())
+        for resolution in (16, 33, 257):
+            for level in (0.2, 0.5, 0.999999, 1.0):
+                contours_both_ways(coords, params, resolution, level, True)
+            got, _, _ = contours_both_ways(coords, params, resolution, 1e9)
+            assert got.polylines
+
+    @pytest.mark.parametrize("level", [5e-324, 1e-320, 2.0 ** -1022, 1e-300])
+    def test_tiny_levels(self, level):
+        coords, params = two_clusters()
+        values = rasterize(coords, params, 257).values
+        assert (values == 0).any() and ((values > 0) & (values < 2.0 ** -1022)).any()
+        got, _, _ = contours_both_ways(coords, params, 257, level)
+        assert got.polylines
+
+    def test_relative_just_below_one(self):
+        for n in (1, 2, 16):
+            coords, params = random_family(n, seed=n + 40)
+            for level in (0.999999, 1.0 - 2.0 ** -52, 1.0):
+                contours_both_ways(coords, params, 257, level, True)
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_all_below(self, relative):
+        coords, params = random_family(16, seed=9)
+        level = 1.0 + 2.0 ** -52 if relative else 1e6
+        got, _, _ = contours_both_ways(coords, params, 64, level, relative)
+        assert got.below_level and got.polylines == []
+
+    @pytest.mark.parametrize("relative", [False, True])
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, 0.0,
+                                       -1.0, -5e-324, 1e300])
+    def test_invalid_levels_still_rejected(self, level, relative):
+        # identical points: the peak is near 1e11, so 1e300 of it overflows
+        coords = np.tile([0.3, -1.2], (4, 1))
+        params = KDEParams(*density.silverman_bandwidths(coords), np.ones(4))
+        if level == 1e300 and not relative:
+            level = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            grid, cutoff = contour_grid(coords, params, 64, level, relative)
+            with pytest.raises(DataError,
+                               match="^contour level must be finite and positive$"):
+                extract_contours(grid, cutoff)
+
+    def test_scale_outside_the_bound_is_computed_whole(self, monkeypatch):
+        # h_x * h_y so small that the normalizing constant is subnormal
+        coords = np.array([[0.0, 0.0], [5e-150, 1e-159]])
+        params = KDEParams(1e-150, 1.59e-159, np.ones(2))
+        assert density._norm(params) < 2.0 ** -1022
+        calls = []
+        real = density._fill_exact
+        monkeypatch.setattr(density, "_fill_exact",
+                            lambda *args: calls.append(1) or real(*args))
+        _, grid, full = contours_both_ways(coords, params, 33, 0.5, True)
+        assert len(calls) == 2  # contour_grid, then rasterize
+        assert np.array_equal(grid.values, full.values)
+        assert np.isfinite(grid.values).all()
+
+    def test_wide_band_is_computed_whole(self, monkeypatch):
+        # two points 1000 bandwidths apart: nearly every cell is zero, so
+        # the band around a subnormal level holds nearly the whole grid
+        coords = np.array([[0.0, 0.0], [1000.0, 1000.0]])
+        params = KDEParams(1.0, 1.0, [0.5, 1.5])
+        calls = []
+        real = density._fill_exact
+        monkeypatch.setattr(density, "_fill_exact",
+                            lambda *args: calls.append(1) or real(*args))
+        got, grid, full = contours_both_ways(coords, params, 257, 5e-324)
+        assert len(calls) == 2  # contour_grid, then rasterize
+        assert np.array_equal(grid.values, full.values)
+        assert got.polylines
 
 
 class TestContoursJsonExact:

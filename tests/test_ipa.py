@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import unicodedata
 
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonosim.errors import DataError, ParseError, TokenizeError
-from phonosim.ipa import (DEFAULT_MERGE_PAIRS, NormalizationPolicy,
-                          default_policy, load_policy, normalize,
-                          tokenize_ipa)
+from phonosim.ipa import (DEFAULT_MERGE_PAIRS, STRESS_MARKS, VOQS_MARKS,
+                          NormalizationPolicy, default_policy, load_policy,
+                          normalize, tokenize_ipa)
 
 from genutil import random_ipa_string, random_policy
 
@@ -132,6 +133,32 @@ class TestPolicyValidation:
     def test_base_letter_in_strip_set_rejected(self):
         with pytest.raises(DataError):
             NormalizationPolicy(strip_diacritics=frozenset({"a"}))
+
+    @pytest.mark.parametrize("strip_stress", [True, False])
+    @pytest.mark.parametrize("strip_voqs", [True, False])
+    @pytest.mark.parametrize("diacritics", [frozenset({"."}),
+                                            frozenset({"ʰ", "ʲ"}), frozenset()])
+    def test_removal_set_built_once(self, strip_stress, strip_voqs, diacritics):
+        def make():
+            return NormalizationPolicy(strip_stress=strip_stress,
+                                       strip_voqs=strip_voqs,
+                                       strip_diacritics=diacritics,
+                                       merge_pairs={"q": "k"})
+
+        policy = make()
+        removal = policy.removal_set()
+        assert policy.removal_set() is removal
+        assert isinstance(removal, frozenset)
+        assert removal == (diacritics
+                           | (STRESS_MARKS if strip_stress else frozenset())
+                           | (VOQS_MARKS if strip_voqs else frozenset()))
+        # the cached set is not a field: equality and fields are unchanged
+        assert policy == make() and policy is not make()
+        assert [f.name for f in dataclasses.fields(policy)] == \
+            ["strip_stress", "strip_voqs", "strip_diacritics", "merge_pairs"]
+        other = dataclasses.replace(policy, strip_stress=not strip_stress)
+        assert other != policy
+        assert other.removal_set() ^ removal == STRESS_MARKS
 
     def test_default_merge_table_matches_named_pairs(self):
         assert DEFAULT_MERGE_PAIRS == {"sʲ": "ʃ", "zʲ": "ʒ"}
