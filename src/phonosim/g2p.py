@@ -142,10 +142,10 @@ class Ruleset:
         self.case_fold = bool(case_fold)
         self.punctuation_strip = bool(punctuation_strip)
 
-        fold = (lambda s: s.casefold()) if self.case_fold else (lambda s: s)
+        fold = self._fold
         compiled = []
         for idx, rule in enumerate(rules):
-            g = unicodedata.normalize("NFC", fold(rule.grapheme))
+            g = fold(rule.grapheme)
             left = (_parse_pattern(fold(rule.left_context), "left")
                     if rule.left_context else None)
             right = (_parse_pattern(fold(rule.right_context), "right")
@@ -161,10 +161,17 @@ class Ruleset:
         self._memo = (None, None, {})
         self._keep = _KeepTable()
 
-    def prepare(self, text):
+    def _fold(self, text):
+        """The one text form that input, rule graphemes and contexts share:
+        NFC, then with case_fold casefold and NFC again, since casefold can
+        decompose (ǰ → j + U+030C, İ → i + U+0307)."""
         t = unicodedata.normalize("NFC", text)
         if self.case_fold:
-            t = t.casefold()
+            t = unicodedata.normalize("NFC", t.casefold())
+        return t
+
+    def prepare(self, text):
+        t = self._fold(text)
         if self.punctuation_strip:
             t = t.translate(self._keep)
         return t

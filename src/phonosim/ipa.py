@@ -10,6 +10,12 @@ Normalization removes stress marks, voice quality symbols and a
 configurable set of diacritics, then maps whole segments through a merge
 table (e.g. sʲ → ʃ). All strings are kept in Unicode canonical
 composition (NFC) so equal sounds compare equal.
+
+Two caches keep this work proportional to what is distinct. tokenize_ipa
+classifies each code point once per process (separator, tie bar, prefix
+mark, combining mark, modifier letter or base) in a module-level table.
+normalize maps each distinct segment once per policy, through a memo that
+the policy builds at construction; a dropped segment is cached as ''.
 """
 
 import unicodedata
@@ -53,6 +59,34 @@ def _is_base(ch):
     return not (_is_combining(ch) or _is_modifier(ch) or ch in PREFIX_MARKS)
 
 
+_SEPARATOR, _TIE, _PREFIX, _COMBINING, _MODIFIER, _BASE = range(6)
+
+
+class _KindTable(dict):
+    """Character -> its kind in tokenize_ipa, decided once per code point by
+    the tests in this order: separator (whitespace or undertie), tie bar,
+    prefix mark, combining mark, modifier letter, base."""
+
+    def __missing__(self, ch):
+        if ch.isspace() or ch in WORD_SEPARATORS:
+            kind = _SEPARATOR
+        elif ch in TIE_BARS:
+            kind = _TIE
+        elif ch in PREFIX_MARKS:
+            kind = _PREFIX
+        elif _is_combining(ch):
+            kind = _COMBINING
+        elif _is_modifier(ch):
+            kind = _MODIFIER
+        else:
+            kind = _BASE
+        self[ch] = kind
+        return kind
+
+
+_KINDS = _KindTable()
+
+
 def tokenize_ipa(s: str) -> PhonemeSequence:
     """Split an IPA string into phoneme segments.
 
@@ -62,6 +96,7 @@ def tokenize_ipa(s: str) -> PhonemeSequence:
     tie bar, trailing stress mark).
     """
     text = unicodedata.normalize("NFC", s)
+    kinds = _KINDS
     segments: PhonemeSequence = []
     current: list[str] = []
     has_base = False
@@ -79,33 +114,10 @@ def tokenize_ipa(s: str) -> PhonemeSequence:
         has_base = False
 
     for offset, ch in enumerate(text):
-        if ch.isspace() or ch in WORD_SEPARATORS:
-            if pending_tie:
-                raise TokenizeError("tie bar not followed by a base symbol", offset)
-            flush(offset)
-        elif ch in TIE_BARS:
-            if not has_base or pending_tie:
-                raise TokenizeError("tie bar with no preceding base symbol", offset)
-            current.append(ch)
-            pending_tie = True
-        elif ch in PREFIX_MARKS:
-            if pending_tie:
-                raise TokenizeError("tie bar not followed by a base symbol", offset)
-            if has_base:
-                flush(offset)
-            current.append(ch)
-        elif _is_combining(ch):
-            if not has_base or pending_tie:
-                name = unicodedata.name(ch, repr(ch))
-                raise TokenizeError(f"combining mark {name} with no base symbol", offset)
-            current.append(ch)
-        elif _is_modifier(ch):
-            if not has_base or pending_tie:
-                raise TokenizeError(f"modifier {ch!r} with no base symbol", offset)
-            current.append(ch)
-        else:
-            # base character; anything that is not a mark starts (or, after
-            # a tie bar, continues) a segment
+        kind = kinds[ch]
+        if kind == _BASE:
+            # anything that is not a mark starts (or, after a tie bar,
+            # continues) a segment
             if pending_tie:
                 current.append(ch)
                 pending_tie = False
@@ -114,6 +126,30 @@ def tokenize_ipa(s: str) -> PhonemeSequence:
                     flush(offset)
                 current.append(ch)
                 has_base = True
+        elif kind == _SEPARATOR:
+            if pending_tie:
+                raise TokenizeError("tie bar not followed by a base symbol", offset)
+            flush(offset)
+        elif kind == _TIE:
+            if not has_base or pending_tie:
+                raise TokenizeError("tie bar with no preceding base symbol", offset)
+            current.append(ch)
+            pending_tie = True
+        elif kind == _PREFIX:
+            if pending_tie:
+                raise TokenizeError("tie bar not followed by a base symbol", offset)
+            if has_base:
+                flush(offset)
+            current.append(ch)
+        elif kind == _COMBINING:
+            if not has_base or pending_tie:
+                name = unicodedata.name(ch, repr(ch))
+                raise TokenizeError(f"combining mark {name} with no base symbol", offset)
+            current.append(ch)
+        else:
+            if not has_base or pending_tie:
+                raise TokenizeError(f"modifier {ch!r} with no base symbol", offset)
+            current.append(ch)
 
     if pending_tie:
         raise TokenizeError("tie bar not followed by a base symbol", len(text))
@@ -131,6 +167,29 @@ def _clean_segment(seg, removal, strip_voqs):
     return unicodedata.normalize("NFC", "".join(kept))
 
 
+class _SegmentMemo(dict):
+    """Raw segment -> normalized segment for one policy, '' when dropped.
+
+    A miss strips the segment, merges it once through the table and strips
+    the merge target too, otherwise a target carrying a stripped mark would
+    change again on a second pass.
+    """
+
+    def __init__(self, removal, strip_voqs, merges):
+        super().__init__()
+        self.removal = removal
+        self.strip_voqs = strip_voqs
+        self.merges = merges
+
+    def __missing__(self, seg):
+        t = _clean_segment(seg, self.removal, self.strip_voqs)
+        merged = self.merges.get(t) if t else None
+        if merged is not None:
+            t = _clean_segment(merged, self.removal, self.strip_voqs)
+        self[seg] = t
+        return t
+
+
 @dataclass(frozen=True)
 class NormalizationPolicy:
     """What normalize() strips and merges.
@@ -139,6 +198,12 @@ class NormalizationPolicy:
     must not themselves be merge sources, including after stripping, which
     makes normalization idempotent; violations raise DataError at
     construction.
+
+    A policy must not be changed after construction: merge_pairs is a plain
+    dict, but normalize() caches each segment's result in a memo the policy
+    builds once, and the Ruleset word memo of g2p.transliterate caches whole
+    words by policy identity. Both would keep serving the old mapping.
+    Build a new policy (dataclasses.replace) instead; it gets its own memo.
     """
 
     strip_stress: bool = True
@@ -165,7 +230,7 @@ class NormalizationPolicy:
             removal |= STRESS_MARKS
         if self.strip_voqs:
             removal |= VOQS_MARKS
-        # built once: normalize() asks for it on every call
+        # built once: removal_set() hands out the same frozenset every call
         removal = frozenset(removal)
         object.__setattr__(self, "_removal", removal)
         for src, tgt in merges.items():
@@ -175,6 +240,9 @@ class NormalizationPolicy:
             if cleaned in merges:
                 raise DataError(
                     f"merge target {tgt!r} reduces to merge source {cleaned!r}")
+        # not a field: equality, fields() and replace() do not see it
+        object.__setattr__(
+            self, "_segments", _SegmentMemo(removal, self.strip_voqs, merges))
 
     def removal_set(self):
         """Every codepoint normalize() strips, as one frozenset."""
@@ -190,23 +258,10 @@ def normalize(seq: PhonemeSequence, policy: NormalizationPolicy) -> PhonemeSeque
 
     Segments that become empty disappear; unknown segments pass through
     unchanged. Output length never exceeds input length, and the function
-    is idempotent for any policy that passes construction checks.
+    is idempotent for any policy that passes construction checks. Each
+    distinct segment is worked out once per policy and then looked up.
     """
-    removal = policy.removal_set()
-    out: PhonemeSequence = []
-    for seg in seq:
-        t = _clean_segment(seg, removal, policy.strip_voqs)
-        if not t:
-            continue
-        merged = policy.merge_pairs.get(t)
-        if merged is not None:
-            # the target is cleaned too, otherwise a target carrying a
-            # stripped mark would change again on a second pass
-            t = _clean_segment(merged, removal, policy.strip_voqs)
-            if not t:
-                continue
-        out.append(t)
-    return out
+    return [t for t in map(policy._segments.__getitem__, seq) if t]
 
 
 def _parse_codepoint(token, path, line_no):

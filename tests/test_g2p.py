@@ -24,7 +24,7 @@ def prepare_oracle(rs, text):
     """Ruleset.prepare with the per-character category test it replaced."""
     t = unicodedata.normalize("NFC", text)
     if rs.case_fold:
-        t = t.casefold()
+        t = unicodedata.normalize("NFC", t.casefold())
     if rs.punctuation_strip:
         t = "".join(
             c for c in t
@@ -120,6 +120,23 @@ class TestPreparation:
     def test_case_folding(self):
         rs = make_ruleset(("ch", "t͡ʃ"), ("a", "a"))
         assert transliterate("CHa", rs, PLAIN) == ["t͡ʃ", "a"]
+
+    @pytest.mark.parametrize("text", ["ǰ", "J\u030c", "j\u030c"])
+    def test_case_folding_keeps_nfc(self, text):
+        # casefold('ǰ') is 'j' + U+030C; rule and input must both recompose
+        rs = make_ruleset(("ǰ", "d͡ʒ"), ("j", "j"))
+        assert rs.prepare(text) == "ǰ"
+        assert transliterate(text, rs, PLAIN) == ["d͡ʒ"]
+
+    def test_case_folding_dotted_capital_i(self):
+        # casefold('İ') is 'i' + U+0307, which has no composed form
+        rs = make_ruleset(("İ", "i"), ("i", "ɪ"))
+        assert rs.prepare("İ") == "i\u0307"
+        assert transliterate("İ i\u0307 i", rs, PLAIN) == ["i", "i", "ɪ"]
+
+    def test_case_folded_context_keeps_nfc(self):
+        rs = make_ruleset(("a", "ə", "ǰ"), ("a", "a"), ("ǰ", "d͡ʒ"))
+        assert transliterate("ǰa a", rs, PLAIN) == ["d͡ʒ", "ə", "a"]
 
     def test_case_folding_disabled(self):
         rs = make_ruleset(("a", "a"), case_fold=False)
