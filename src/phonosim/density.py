@@ -14,20 +14,19 @@ Contours are extracted by marching squares over a rasterized grid, with
 linear interpolation along cell edges and saddle cells disambiguated by
 the cell-center sample (mean of the four corners).
 
-rasterize() sums every cell exactly. contour_grid() returns the same grid
-for one contour level at a fraction of the cost: it estimates all cells
-with one matrix product and keeps rasterize's exact value only in the
-cells marching squares reads (the maximum, cells near the level, and the
-corners of every cell the level crosses), each found through a rigorous
-bound on the estimate's rounding error. Its contract is that
-extract_contours() on its grid returns exactly what it returns on
-rasterize's grid; the other cells hold the estimate.
+rasterize() sums every cell exactly, on one thread, one block of rows at
+a time. contour_grid() returns the same grid for one contour level at a
+fraction of the cost: it estimates all cells with one matrix product and
+keeps rasterize's exact value only in the cells marching squares reads
+(the maximum, cells near the level, and the corners of every cell the
+level crosses), each found through a rigorous bound on the estimate's
+rounding error. Its contract is that extract_contours() on its grid
+returns exactly what it returns on rasterize's grid; the other cells hold
+the estimate.
 """
 
 import json
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,11 +43,8 @@ _FALLBACK_MIN = 1e-6
 _FALLBACK_SCALE = 1e-3
 # grid margin beyond the data extent, in bandwidths per axis
 PADDING_BANDWIDTHS = 3.0
-# size of the (rows, R, N) product buffer that each rasterize thread fills
+# size of the product buffer that an exact fill or gather works through
 _BLOCK_BYTES = 4 << 20
-# contour_grid fills the whole grid as rasterize does once one set of exact
-# cells exceeds 1/_WHOLE_GRID_SHARE of it
-_WHOLE_GRID_SHARE = 8
 # |estimate - exact| <= _ERROR_FACTOR * (N + 2) * (_UNIT_ROUNDOFF * estimate
 # + _NORMAL_MIN * (1 + 1/norm)) for contour_grid's matmul estimate
 _ERROR_FACTOR = 4
@@ -73,8 +69,6 @@ class KDEParams:
     h_x: float
     h_y: float
     weights: np.ndarray
-    family: str = ""
-    n_points: int = 0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -86,12 +80,12 @@ class KDEParams:
             raise DataError("weights must be finite")
         if (self.weights <= 0).any():
             raise DataError("weights must be strictly positive")
-        if self.n_points == 0:
-            self.n_points = int(self.weights.size)
-        if self.n_points != self.weights.size:
-            raise DataError("n_points does not match the number of weights")
         if abs(float(self.weights.mean()) - 1.0) > 1e-9:
             raise DataError("weights must average 1 (see weights_from_hours)")
+
+    @property
+    def n_points(self):
+        return int(self.weights.size)
 
 
 def _weighted_std(x, w):
@@ -199,32 +193,7 @@ class DensityGrid:
         return float(self.values.sum() * self.cell_width * self.cell_height)
 
 
-def _fill_rows(values, kx, ky, weights, start, stop):
-    """values[i, j] = sum_n weights[n] * kx[i, n] * ky[j, n] for rows i in
-    [start, stop), through one buffer of about _BLOCK_BYTES.
-
-    Each cell reduces the same N products with the same np.sum over a
-    contiguous points axis, so the result does not depend on how the rows
-    are split into blocks or between threads.
-    """
-    rows = max(1, min(stop - start, _BLOCK_BYTES // ky.nbytes))
-    buf = np.empty((rows,) + ky.shape)
-    for lo in range(start, stop, rows):
-        block = buf[:min(rows, stop - lo)]
-        np.multiply(kx[lo:lo + len(block), None, :], ky[None], out=block)
-        np.multiply(weights, block, out=block)
-        np.sum(block, axis=-1, out=values[lo:lo + len(block)])
-
-
-def _cpu_count():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
-
-
-def _grid_and_kernels(coords, params: KDEParams, resolution,
-                      padding_bandwidths):
+def _grid_and_kernels(coords, params: KDEParams, resolution):
     """The padded grid (values unset) and the per-axis kernel factors
     kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j - y_n)/h_y)."""
     resolution = int(resolution)
@@ -236,10 +205,10 @@ def _grid_and_kernels(coords, params: KDEParams, resolution,
             f"expected {params.n_points} coordinate pairs, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise DataError("coordinates must be finite")
-    x_min = float(pts[:, 0].min()) - padding_bandwidths * params.h_x
-    x_max = float(pts[:, 0].max()) + padding_bandwidths * params.h_x
-    y_min = float(pts[:, 1].min()) - padding_bandwidths * params.h_y
-    y_max = float(pts[:, 1].max()) + padding_bandwidths * params.h_y
+    x_min = float(pts[:, 0].min()) - PADDING_BANDWIDTHS * params.h_x
+    x_max = float(pts[:, 0].max()) + PADDING_BANDWIDTHS * params.h_x
+    y_min = float(pts[:, 1].min()) - PADDING_BANDWIDTHS * params.h_y
+    y_max = float(pts[:, 1].max()) + PADDING_BANDWIDTHS * params.h_y
 
     grid = DensityGrid(x_min, x_max, y_min, y_max, resolution,
                        np.empty((resolution, resolution)))
@@ -249,39 +218,28 @@ def _grid_and_kernels(coords, params: KDEParams, resolution,
 
 
 def _fill_exact(grid, kx, ky, params: KDEParams):
-    """Every cell of grid.values, rows split between one thread per CPU."""
-    resolution = grid.resolution
-    workers = min(_cpu_count(), resolution)
-    bounds = [resolution * k // workers for k in range(workers + 1)]
-    failures = []
+    """Every cell of grid.values: sum_n weights[n] * kx[i, n] * ky[j, n] /
+    norm, through one (rows, R, N) buffer of about _BLOCK_BYTES.
 
-    def fill(start, stop):
-        try:
-            _fill_rows(grid.values, kx, ky, params.weights, start, stop)
-        except Exception as exc:  # re-raised in the calling thread below
-            failures.append(exc)
-
-    threads = [threading.Thread(target=fill, args=span)
-               for span in zip(bounds[1:-1], bounds[2:])]
-    for thread in threads:
-        thread.start()
-    fill(bounds[0], bounds[1])
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
-    grid.values /= _norm(params)
-
-
-def rasterize(coords, params: KDEParams, resolution=512,
-              padding_bandwidths=PADDING_BANDWIDTHS) -> DensityGrid:
-    """Sample the density at cell centers over the padded data extent.
-
-    Rows are split between one thread per available CPU; numpy releases
-    the interpreter lock inside each block's arithmetic.
+    Each cell reduces the same N products with the same np.sum over a
+    contiguous points axis as _set_exact, so a cell does not depend on
+    which of the two computed it.
     """
-    grid, kx, ky = _grid_and_kernels(coords, params, resolution,
-                                     padding_bandwidths)
+    values = grid.values
+    rows = max(1, min(grid.resolution, _BLOCK_BYTES // ky.nbytes))
+    buf = np.empty((rows,) + ky.shape)
+    for lo in range(0, grid.resolution, rows):
+        block = buf[:min(rows, grid.resolution - lo)]
+        np.multiply(kx[lo:lo + len(block), None, :], ky[None], out=block)
+        np.multiply(params.weights, block, out=block)
+        np.sum(block, axis=-1, out=values[lo:lo + len(block)])
+    values /= _norm(params)
+
+
+def rasterize(coords, params: KDEParams, resolution=512) -> DensityGrid:
+    """Sample the density at cell centers over the data extent padded by
+    PADDING_BANDWIDTHS bandwidths per axis."""
+    grid, kx, ky = _grid_and_kernels(coords, params, resolution)
     _fill_exact(grid, kx, ky, params)
     return grid
 
@@ -289,15 +247,7 @@ def rasterize(coords, params: KDEParams, resolution=512,
 def _set_exact(grid, kx, ky, params: KDEParams, cells):
     """Overwrite the flat cell indices `cells` of grid.values with the
     values rasterize writes there: the same N products, the same np.sum
-    over a contiguous points axis, the same division.
-
-    Gathering kx[i] * ky[j] per cell on one thread costs 2-3 times a cell
-    of rasterize's threaded rows, so a set over 1/_WHOLE_GRID_SHARE of the
-    grid fills every cell with _fill_exact instead; returns True then.
-    """
-    if cells.size * _WHOLE_GRID_SHARE > grid.values.size:
-        _fill_exact(grid, kx, ky, params)
-        return True
+    over a contiguous points axis, the same division."""
     flat = grid.values.reshape(-1)
     norm = _norm(params)
     step = max(1, _BLOCK_BYTES // kx[0].nbytes)
@@ -307,7 +257,6 @@ def _set_exact(grid, kx, ky, params: KDEParams, cells):
         block = kx[i] * ky[j]
         np.multiply(params.weights, block, out=block)
         flat[chunk] = np.sum(block, axis=-1) / norm
-    return False
 
 
 def _band(x, rel, floor):
@@ -353,12 +302,11 @@ def contour_grid(coords, params: KDEParams, resolution=512, level=0.1,
     positive (extract_contours rejects it) or exceeds the maximum (it
     reads only the maximum). A grid outside the range of the bound (norm
     below the smallest normal float, or an estimate that is not finite or
-    near overflow), or one whose cells 1 or 2 exceed an eighth of it (a
-    tiny level over a grid of zero densities), is computed whole, as
-    rasterize does.
+    near overflow) is computed whole, as rasterize does. A tiny level over
+    a grid of zero densities puts nearly every cell in step 2, and
+    gathering them costs up to about twice a rasterize.
     """
-    grid, kx, ky = _grid_and_kernels(coords, params, resolution,
-                                     PADDING_BANDWIDTHS)
+    grid, kx, ky = _grid_and_kernels(coords, params, resolution)
     norm = _norm(params)
     values = grid.values
     np.matmul(kx * params.weights, ky.T, out=values)
@@ -377,19 +325,17 @@ def contour_grid(coords, params: KDEParams, resolution=512, level=0.1,
     lo = _band(peak, rel, floor)[0]
     rows = np.flatnonzero(row_peaks >= lo)
     r, c = np.nonzero(values[rows] >= lo)
-    whole = _set_exact(grid, kx, ky, params, rows[r] * grid.resolution + c)
+    _set_exact(grid, kx, ky, params, rows[r] * grid.resolution + c)
     # every other cell's estimate is below the exact maximum
     top = float(values[rows].max())
     cutoff = level * top if relative else level
     cut = float(cutoff)
-    if whole or not (math.isfinite(cut) and 0 < cut <= top):
+    if not (math.isfinite(cut) and 0 < cut <= top):
         return grid, cutoff
 
     lo, hi = _band(cut, rel, floor)
     flat = values.reshape(-1)
-    if _set_exact(grid, kx, ky, params,
-                  np.flatnonzero((flat >= lo) & (flat <= hi))):
-        return grid, cutoff
+    _set_exact(grid, kx, ky, params, np.flatnonzero((flat >= lo) & (flat <= hi)))
     _, i, j = _mixed_cells(values, cut)
     node = i * grid.resolution + j
     corners = np.unique(np.concatenate(

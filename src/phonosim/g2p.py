@@ -173,7 +173,9 @@ class Ruleset:
     def prepare(self, text):
         t = self._fold(text)
         if self.punctuation_strip:
-            t = t.translate(self._keep)
+            # NFC again: a dropped mark may have kept a base and a combining
+            # mark apart (e + ! + U+0301)
+            t = unicodedata.normalize("NFC", t.translate(self._keep))
         return t
 
     def match_at(self, word, i):

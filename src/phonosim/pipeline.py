@@ -311,7 +311,7 @@ def compute_family_contours(codes, coords, reg: Registry, level, resolution,
         else:
             weights = weights_from_hours(hours)
         h_x, h_y = silverman_bandwidths(pts, weights, robust=robust)
-        params = KDEParams(h_x, h_y, weights, family=family)
+        params = KDEParams(h_x, h_y, weights)
         grid, cutoff = contour_grid(pts, params, resolution=resolution,
                                     level=level, relative=relative)
         contour_sets.append(extract_contours(grid, cutoff, family=family))

@@ -31,11 +31,23 @@ def code_problem(code):
 
 @dataclass(frozen=True)
 class LanguageRecord:
+    """One language; raises DataError for a code code_problem() rejects or
+    for non-finite or negative hours."""
+
     code: str
     name: str
     family: str
     branch: str | None
     recording_hours: float
+
+    def __post_init__(self):
+        problem = code_problem(self.code)
+        if problem:
+            raise DataError(problem)
+        if not math.isfinite(self.recording_hours):
+            raise DataError(f"non-finite hours for {self.code!r}")
+        if self.recording_hours < 0:
+            raise DataError(f"negative hours for {self.code!r}")
 
 
 class Registry:
@@ -46,16 +58,9 @@ class Registry:
         records = sorted(languages, key=lambda r: r.code)
         seen = set()
         for rec in records:
-            problem = code_problem(rec.code)
-            if problem:
-                raise DataError(problem)
             if rec.code in seen:
                 raise DataError(f"duplicate language code {rec.code!r}")
             seen.add(rec.code)
-            if not math.isfinite(rec.recording_hours):
-                raise DataError(f"non-finite recording hours for {rec.code!r}")
-            if rec.recording_hours < 0:
-                raise DataError(f"negative recording hours for {rec.code!r}")
         self._records = tuple(records)
         self._by_code = {r.code: r for r in records}
         self.low_resource_threshold_hours = float(low_resource_threshold_hours)
@@ -121,21 +126,18 @@ def load_registry(path,
                 f"expected {len(REGISTRY_HEADER)} fields, got {len(row)}",
                 path, line_no)
         code, name, family, branch, hours_text = (cell.strip() for cell in row)
-        problem = code_problem(code)
-        if problem:
-            raise ParseError(problem, path, line_no)
+        try:
+            hours = float(hours_text)
+        except ValueError:
+            raise ParseError(f"bad hours value {hours_text!r}", path, line_no) from None
+        try:
+            record = LanguageRecord(code, name, family, branch or None, hours)
+        except DataError as exc:
+            raise ParseError(str(exc), path, line_no) from None
         if code in first_line:
             raise ParseError(
                 f"duplicate language code {code!r} (first seen on line {first_line[code]})",
                 path, line_no)
         first_line[code] = line_no
-        try:
-            hours = float(hours_text)
-        except ValueError:
-            raise ParseError(f"bad hours value {hours_text!r}", path, line_no) from None
-        if not math.isfinite(hours):
-            raise ParseError(f"non-finite hours for {code!r}", path, line_no)
-        if hours < 0:
-            raise ParseError(f"negative hours for {code!r}", path, line_no)
-        records.append(LanguageRecord(code, name, family, branch or None, hours))
+        records.append(record)
     return Registry(records, low_resource_threshold_hours)

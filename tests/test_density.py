@@ -97,8 +97,6 @@ class TestWeights:
             KDEParams(1.0, 1.0, np.array([2.0, 3.0]))  # mean != 1
         with pytest.raises(DataError):
             KDEParams(0.0, 1.0, np.array([1.0]))
-        with pytest.raises(DataError):
-            KDEParams(1.0, 1.0, np.array([1.5, 0.5, 1.0]), n_points=2)
 
 
 class TestDensity:
@@ -167,7 +165,7 @@ class TestRasterize:
     def test_padding_extends_bounds(self):
         coords = [(0.0, 0.0), (1.0, 1.0)]
         params = KDEParams(0.5, 0.25, np.ones(2))
-        grid = rasterize(coords, params, resolution=16, padding_bandwidths=3.0)
+        grid = rasterize(coords, params, resolution=16)
         assert grid.x_min == -1.5 and grid.x_max == 2.5
         assert grid.y_min == -0.75 and grid.y_max == 1.75
 
@@ -187,7 +185,7 @@ class TestContours:
     def test_single_point_ring(self):
         coords = [(0.0, 0.0)]
         params = KDEParams(1.0, 1.0, np.array([1.0]))
-        grid = rasterize(coords, params, resolution=512, padding_bandwidths=4.0)
+        grid = rasterize(coords, params, resolution=512)
         level = 0.1  # peak is 1/(2*pi) ~ 0.159
         cs = extract_contours(grid, level, family="solo")
         assert not cs.below_level

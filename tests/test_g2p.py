@@ -26,9 +26,9 @@ def prepare_oracle(rs, text):
     if rs.case_fold:
         t = unicodedata.normalize("NFC", t.casefold())
     if rs.punctuation_strip:
-        t = "".join(
+        t = unicodedata.normalize("NFC", "".join(
             c for c in t
-            if c.isspace() or unicodedata.category(c)[0] not in ("P", "S", "N"))
+            if c.isspace() or unicodedata.category(c)[0] not in ("P", "S", "N")))
     return t
 
 
@@ -146,6 +146,13 @@ class TestPreparation:
     def test_punctuation_and_digits_stripped(self):
         rs = make_ruleset(("a", "a"), ("b", "b"))
         assert transliterate("a, b! 42", rs, PLAIN) == ["a", "b"]
+
+    @pytest.mark.parametrize("text", ["e!\u0301", "e\u0301!", "E\u00b2\u0301"])
+    def test_stripped_punctuation_between_base_and_mark(self, text):
+        # dropping the mark brings e and U+0301 together; they must compose
+        rs = make_ruleset(("é", "e"), ("e", "ə"))
+        assert rs.prepare(text) == "é"
+        assert transliterate(text, rs, PLAIN) == ["e"]
 
     def test_punctuation_kept_when_disabled(self):
         rs = make_ruleset(("a", "a"), punctuation_strip=False)

@@ -176,6 +176,13 @@ class TestRegistryObject:
         with pytest.raises(DataError):
             Registry([LanguageRecord(code, "A", "F", None, 1.0)])
 
+    @pytest.mark.parametrize("code, hours, message", [
+        ("x y", 1.0, "contains a comma"), ("a", float("nan"), "non-finite hours"),
+        ("a", -1.0, "negative hours")])
+    def test_record_checks_itself(self, code, hours, message):
+        with pytest.raises(DataError, match=message):
+            LanguageRecord(code, "A", "F", None, hours)
+
     def test_low_resource_codes_sorted(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
         codes = reg.low_resource_codes()
