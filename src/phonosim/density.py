@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .formats import round_float, write_lines
+from .formats import json_floats, round_float, write_lines
 
 TWO_PI = 2.0 * math.pi
 GAUSSIAN_REFERENCE_FACTOR = 1.06
@@ -474,30 +474,31 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
     return ContourSet(family, level, polylines, below_level=False)
 
 
+_JSON_VERTEX = "        [\n          %s,\n          %s\n        ]"
+
+
 def write_contours_json(contour_sets, path):
     """One object per family: level, below_level flag, polylines.
 
     Written by hand in the layout of json.dumps(indent=2, sort_keys=True),
     whose indented form runs Python's pure-Python encoder; numbers are
-    repr(round_float(v)), as json.dumps writes those floats.
+    repr(round_float(v)), as json.dumps writes those floats. A polyline's
+    numbers come from one json_floats call and fill one vertex template
+    per vertex through a single % call.
     """
-    def num(v):
-        return repr(round_float(v))
-
     families = []
     for cs in contour_sets:
         polylines = []
         for polyline in cs.polylines:
-            points = ",\n".join(
-                f"        [\n          {num(x)},\n          {num(y)}\n        ]"
-                for x, y in np.asarray(polyline, dtype=float).tolist())
+            points = json_floats(np.asarray(polyline, dtype=float).reshape(-1, 2),
+                                 _JSON_VERTEX, ",\n")
             polylines.append(f"      [\n{points}\n      ]" if points else "      []")
         body = "[\n" + ",\n".join(polylines) + "\n    ]" if polylines else "[]"
         families.append(
             "  {\n"
             f'    "below_level": {"true" if cs.below_level else "false"},\n'
             f'    "family": {json.dumps(cs.family, ensure_ascii=False)},\n'
-            f'    "level": {num(cs.level)},\n'
+            f'    "level": {repr(round_float(cs.level))},\n'
             f'    "polylines": {body}\n'
             "  }")
     write_lines(path, ["[\n" + ",\n".join(families) + "\n]" if families else "[]"])

@@ -6,6 +6,22 @@ the line a row starts on) and return lists, so each file is closed before
 a caller raises. Artifacts are UTF-8 with every line LF-terminated.
 
 Floats render through fmt_float: 12 significant digits, shortest form.
+fmt_floats gives the same text for a whole numpy array with one C-level
+`%` call of `%.12g` fields: that is format(v, ".12g") for every value,
+and adding 0.0 first turns -0.0 into 0.0, the one value fmt_float
+rewrites, while leaving every other value as it is. json_floats gives
+repr(round_float(v)), the form json.dumps writes for an exported float,
+from the same call. For 1e-4 <= |v| < 1e11 the `%.12g` form t is
+positional, and a decimal of at most 15 significant digits round-trips
+through a double, so repr(float(t)) writes t's digits and differs from t
+only by the ".0" it adds to an integral value. When rounding to 12
+digits gives an integer, v lies within 5e-12 |v| of one, so an array
+whose values all lie in that range and farther than 1e-10 |v| from every
+integer is written by fmt_floats as it is; any other array goes token by
+token, taking repr(float(t)) for the exponent forms, inf and nan.
+fmt_float and round_float stay the scalar forms, and the bulk forms'
+test oracle.
+
 Rounding hides most last-bit differences but not all: a value next to a
 rounding boundary still changes its 12th digit, and a last-bit change in
 a density grid value moves the contour vertices interpolated from it.
@@ -18,6 +34,7 @@ import csv
 from .errors import ParseError
 
 FLOAT_FMT = ".12g"
+_FLOAT_PCT = "%" + FLOAT_FMT
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
@@ -31,6 +48,26 @@ def fmt_float(x):
 def round_float(x):
     """The float as exported, for embedding in JSON payloads."""
     return float(fmt_float(x))
+
+
+def fmt_floats(a, row="%s", sep=" "):
+    """sep.join(row % tuple(map(fmt_float, r)) for r in a) for a numpy
+    float array of rows (in a 1-D array each value is a row), by one % call.
+    `row` holds one %s field per column."""
+    flat = (a + 0.0).ravel().tolist()  # -0.0 + 0.0 is 0.0
+    return sep.join([row.replace("%s", _FLOAT_PCT)] * len(a)) % tuple(flat)
+
+
+def json_floats(a, row="%s", sep=" "):
+    """fmt_floats with each number as json.dumps writes round_float(v),
+    that is repr(round_float(v)); the module docstring says why the fast
+    first branch is exact."""
+    m = abs(a)
+    if ((m >= 1e-4) & (m < 1e11)).all() and (abs(a - a.round()) > 1e-10 * m).all():
+        return fmt_floats(a, row, sep)
+    tokens = [repr(float(t)) if "e" in t or "n" in t else t if "." in t else t + ".0"
+              for t in fmt_floats(a.ravel()).split()]
+    return sep.join([row] * len(a)) % tuple(tokens)
 
 
 def parse_bool(value, path, line_no):
@@ -62,6 +99,14 @@ def csv_rows(path):
                 rows.append((line_no, cells))
             line_no = reader.line_num + 1
     return rows
+
+
+def csv_cell(text):
+    """`text` as one CSV cell: quoted, with each `"` doubled, when it holds
+    a comma, a double quote, CR or LF."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_lines(path, lines):

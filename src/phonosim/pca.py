@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
-from .formats import csv_rows, fmt_float, write_lines
+from .formats import csv_cell, csv_rows, fmt_float, write_lines
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ def pca_project(rows, ids, dims=2) -> Projection2D:
 
 
 def write_coords_csv(proj: Projection2D, path, families=None):
-    """Export `id,x,y,ev1,ev2` rows, plus a family column when given."""
+    """Export `id,x,y,ev1,ev2` rows, plus a family column (a CSV cell,
+    quoted where needed) when given."""
     header = "id,x,y,ev1,ev2"
     if families is not None:
         header += ",family"
@@ -70,7 +71,7 @@ def write_coords_csv(proj: Projection2D, path, families=None):
     for code, (x, y) in zip(proj.codes, proj.coords):
         row = [code, fmt_float(x), fmt_float(y), ev[0], ev[1]]
         if families is not None:
-            row.append(families.get(code, ""))
+            row.append(csv_cell(families.get(code, "")))
         lines.append(",".join(row))
     write_lines(path, lines)
 

@@ -6,6 +6,7 @@ the threshold is not low-resource.
 """
 
 import math
+import unicodedata
 from dataclasses import dataclass
 
 from .errors import DataError, ParseError
@@ -19,20 +20,24 @@ def code_problem(code):
     """Why `code` cannot name a language, or None when it can.
 
     Codes become unquoted CSV cells and file stems, so they must be
-    nonempty and free of commas, double quotes and whitespace.
+    nonempty and free of commas, double quotes, whitespace and control
+    characters.
     """
     if not code:
         return "empty language code"
     if any(ch in ',"' or ch.isspace() for ch in code):
         return (f"language code {code!r} contains a comma, a double quote "
                 "or whitespace")
+    if any(unicodedata.category(ch) == "Cc" for ch in code):
+        return f"language code {code!r} contains a control character"
     return None
 
 
 @dataclass(frozen=True)
 class LanguageRecord:
-    """One language; raises DataError for a code code_problem() rejects or
-    for non-finite or negative hours."""
+    """One language; raises DataError for a code code_problem() rejects, for
+    a family no XML or TSV artifact can hold (a control character, U+FFFE
+    or U+FFFF) or for non-finite or negative hours."""
 
     code: str
     name: str
@@ -44,6 +49,10 @@ class LanguageRecord:
         problem = code_problem(self.code)
         if problem:
             raise DataError(problem)
+        if any(unicodedata.category(ch) == "Cc" or ch in "\ufffe\uffff"
+               for ch in self.family):
+            raise DataError(f"family {self.family!r} of {self.code!r} contains "
+                            "a control character, U+FFFE or U+FFFF")
         if not math.isfinite(self.recording_hours):
             raise DataError(f"non-finite hours for {self.code!r}")
         if self.recording_hours < 0:

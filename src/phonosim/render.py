@@ -7,7 +7,9 @@ uniform scale so distances stay honest.
 
 from html import escape
 
-from .formats import fmt_float, write_lines
+import numpy as np
+
+from .formats import fmt_float, fmt_floats, write_lines
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
@@ -29,16 +31,14 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
     """
     points = [(code, float(x), float(y), reg.get(code).family)
               for code, (x, y) in zip(codes, coords)]
-    xs = [p[1] for p in points]
-    ys = [p[2] for p in points]
-    for cs in contour_sets:
-        for polyline in cs.polylines:
-            xs.extend(float(v) for v in polyline[:, 0])
-            ys.extend(float(v) for v in polyline[:, 1])
-    if not xs:
-        xs = ys = [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    lines = [[np.asarray(polyline, dtype=float).reshape(-1, 2)
+              for polyline in cs.polylines] for cs in contour_sets]
+    xy = np.concatenate([np.array([p[1:3] for p in points]).reshape(-1, 2)]
+                        + [line for cs_lines in lines for line in cs_lines])
+    if not xy.size:
+        xy = np.array([[0.0, 0.0], [1.0, 1.0]])
+    # A tie of 0.0 and -0.0 may give either sign; the padding absorbs it.
+    (x_lo, y_lo), (x_hi, y_hi) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
     span_x = (x_hi - x_lo) or 1.0
     span_y = (y_hi - y_lo) or 1.0
     pad_x = 0.05 * span_x
@@ -65,10 +65,14 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for cs in contour_sets:
+    for cs, cs_lines in zip(contour_sets, lines):
         color = colors.get(cs.family, "#333333")
-        for polyline in cs.polylines:
-            vertices = " ".join(f"{sx(float(x))},{sy(float(y))}" for x, y in polyline)
+        for line in cs_lines:
+            # sx and sy over the whole polyline: same IEEE operations, same order
+            screen = np.empty_like(line)
+            screen[:, 0] = margin + (line[:, 0] - x_lo) * scale
+            screen[:, 1] = height - margin - (line[:, 1] - y_lo) * scale
+            vertices = fmt_floats(screen, "%s,%s")
             out.append(
                 f'<polyline points="{vertices}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5" opacity="0.8"/>')

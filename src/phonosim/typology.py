@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DataError, ParseError
 from .formats import csv_rows
 from .pca import Projection2D, pca_project
+from .registry import code_problem
 
 IMPUTE_METHODS = ("none", "column_mode")
 
@@ -28,8 +29,9 @@ class FeatureMatrix:
 def load_feature_matrix(path) -> FeatureMatrix:
     """Read a feature CSV: first column language id, header of feature ids.
 
-    Rows or columns that are entirely missing are dropped with a warning;
-    any cell outside {0, 1, ?} (empty counts as ?) is an error.
+    Language ids must pass code_problem, as registry codes do. Rows or
+    columns that are entirely missing are dropped with a warning; any cell
+    outside {0, 1, ?} (empty counts as ?) is an error.
     """
     rows = csv_rows(path)
     if len(rows) < 2:
@@ -47,8 +49,9 @@ def load_feature_matrix(path) -> FeatureMatrix:
                 f"expected {len(feature_ids) + 1} fields, got {len(row)}",
                 path, line_no)
         lang = row[0].strip()
-        if not lang:
-            raise ParseError("empty language id", path, line_no)
+        problem = code_problem(lang)
+        if problem:
+            raise ParseError(problem, path, line_no)
         if lang in language_ids:
             raise ParseError(f"duplicate language id {lang!r}", path, line_no)
         values = []

@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Every run executes the same examples: no randomness, no example database.
+# Per-test @settings still choose max_examples and deadline.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

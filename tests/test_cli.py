@@ -7,6 +7,8 @@ import warnings
 import pytest
 
 from phonosim import cli
+from phonosim.formats import csv_rows
+from phonosim.pca import read_coords_csv
 from phonosim.pipeline import ARTIFACT_NAMES, PipelineConfig
 
 
@@ -288,6 +290,29 @@ class TestAnalysisCommands:
         assert cli.main(["typology", "--features", str(features),
                          "--impute", "column_mode", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").startswith("id,x,y,ev1,ev2")
+
+    def test_typology_quotes_family_cells(self, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_text("lang,f1,f2\naaa,1,0\naab,0,1\n", encoding="utf-8")
+        registry = tmp_path / "registry.csv"
+        registry.write_text('code,name,family,branch,hours\n'
+                            'aaa,A,"Indo,European",,1\naab,B,"say ""b""",,2\n',
+                            encoding="utf-8")
+        out = tmp_path / "typo.csv"
+        assert cli.main(["typology", "--features", str(features), "--registry",
+                         str(registry), "--out", str(out)]) == 0
+        rows = [cells for _, cells in csv_rows(out)]
+        assert [len(cells) for cells in rows] == [6, 6, 6]
+        assert [cells[5] for cells in rows] == ["family", "Indo,European", 'say "b"']
+        assert read_coords_csv(out)[0] == ("aaa", "aab")
+
+    def test_typology_id_with_comma_exit_2(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text('lang,f1\n"a,a",1\nb,0\n', encoding="utf-8")
+        assert cli.main(["typology", "--features", str(features),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "features.csv:2: language code 'a,a'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_typology_none_with_missing_exit_2(self, tmp_path):
         features = tmp_path / "features.csv"

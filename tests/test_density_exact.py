@@ -1,5 +1,5 @@
-"""rasterize, contour_grid, extract_contours and write_contours_json
-against their earlier straightforward forms.
+"""rasterize, contour_grid, extract_contours, write_contours_json and
+render_svg against their earlier straightforward forms.
 
 The oracles below are the chunked (chunk, R, N) rasterizer and the per-cell
 marching squares that the vectorized versions replaced. Both versions do
@@ -8,12 +8,16 @@ equal bit for bit (np.array_equal), not merely close: contours.json and
 the SVG are pinned byte for byte. contour_grid followed by
 extract_contours must give exactly what rasterize followed by
 extract_contours gives. The contours.json oracle is the json.dumps form
-that the hand-written writer replaced; files must be equal byte for byte.
+that the hand-written writer replaced, and the render_svg oracle is the
+per-vertex writer that the array form replaced; files must be equal byte
+for byte.
 """
 
 import json
 import math
 import warnings
+import xml.etree.ElementTree as ET
+from html import escape
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ from phonosim.density import (ContourSet, DensityGrid, KDEParams,
                               contour_grid, extract_contours, rasterize,
                               write_contours_json)
 from phonosim.errors import DataError
-from phonosim.formats import round_float, write_lines
+from phonosim.formats import fmt_float, round_float, write_lines
+from phonosim.registry import LanguageRecord, Registry
+from phonosim.render import family_colors, render_svg
 
 
 def rasterize_oracle(coords, params, resolution=512, padding_bandwidths=3.0):
@@ -150,6 +156,71 @@ def write_contours_json_oracle(contour_sets, path):
         })
     write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2,
                                   sort_keys=True)])
+
+
+def render_svg_oracle(codes, coords, reg, contour_sets, path, width=800, height=800,
+                      margin=60):
+    points = [(code, float(x), float(y), reg.get(code).family)
+              for code, (x, y) in zip(codes, coords)]
+    xs = [p[1] for p in points]
+    ys = [p[2] for p in points]
+    for cs in contour_sets:
+        for polyline in cs.polylines:
+            xs.extend(float(v) for v in polyline[:, 0])
+            ys.extend(float(v) for v in polyline[:, 1])
+    if not xs:
+        xs = ys = [0.0, 1.0]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    span_x = (x_hi - x_lo) or 1.0
+    span_y = (y_hi - y_lo) or 1.0
+    pad_x = 0.05 * span_x
+    pad_y = 0.05 * span_y
+    x_lo -= pad_x
+    x_hi += pad_x
+    y_lo -= pad_y
+    y_hi += pad_y
+
+    scale = min((width - 2 * margin) / (x_hi - x_lo),
+                (height - 2 * margin) / (y_hi - y_lo))
+
+    def sx(x):
+        return fmt_float(margin + (x - x_lo) * scale)
+
+    def sy(y):
+        return fmt_float(height - margin - (y - y_lo) * scale)  # y grows upward
+
+    colors = family_colors(
+        [p[3] for p in points] + [cs.family for cs in contour_sets])
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for cs in contour_sets:
+        color = colors.get(cs.family, "#333333")
+        for polyline in cs.polylines:
+            vertices = " ".join(f"{sx(float(x))},{sy(float(y))}" for x, y in polyline)
+            out.append(
+                f'<polyline points="{vertices}" fill="none" stroke="{color}" '
+                f'stroke-width="1.5" opacity="0.8"/>')
+    for code, x, y, family in points:
+        color = colors.get(family, "#333333")
+        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="{color}"/>')
+        out.append(
+            f'<text x="{fmt_float(float(sx(x)) + 6)}" y="{sy(y)}" '
+            f'font-size="11" font-family="sans-serif">{escape(code, quote=False)}</text>')
+    for i, family in enumerate(sorted(colors)):
+        y = margin + 16 * i
+        out.append(
+            f'<rect x="{margin}" y="{y - 9}" width="10" height="10" '
+            f'fill="{colors[family]}"/>')
+        out.append(
+            f'<text x="{margin + 14}" y="{y}" font-size="12" '
+            f'font-family="sans-serif">{escape(family, quote=False)}</text>')
+    out.append("</svg>")
+    write_lines(path, out)
 
 
 def random_family(n, seed):
@@ -465,3 +536,71 @@ class TestContoursJsonExact:
             sets.append(extract_contours(grid, level, family=f"fam{n}"))
         assert all(cs.polylines for cs in sets)
         self.assert_same_bytes(sets, tmp_path)
+
+
+class TestRenderSvgExact:
+    def assert_same_bytes(self, points, contour_sets, tmp_path, **size):
+        """points: [(code, family, x, y)]."""
+        reg = Registry([LanguageRecord(code, code, family, None, 1.0)
+                        for code, family, _, _ in points])
+        codes = [p[0] for p in points]
+        coords = np.array([p[2:] for p in points], dtype=float).reshape(-1, 2)
+        render_svg(codes, coords, reg, contour_sets, tmp_path / "got.svg", **size)
+        render_svg_oracle(codes, coords, reg, contour_sets, tmp_path / "want.svg",
+                          **size)
+        got = (tmp_path / "got.svg").read_bytes()
+        assert got == (tmp_path / "want.svg").read_bytes()
+        ET.fromstring(got)
+
+    def test_nothing_to_draw(self, tmp_path):
+        self.assert_same_bytes([], [], tmp_path)
+
+    def test_points_without_sets(self, tmp_path):
+        self.assert_same_bytes([("a", "f", 0.5, -2.0), ("b", "g", 3.25, 1.0)], [],
+                               tmp_path)
+
+    def test_empty_and_one_vertex_polylines(self, tmp_path):
+        line = np.array([[0.1, 0.2], [1.7, -0.4], [0.1, 0.2]])
+        sets = [ContourSet("f", 0.1, [line[:0], line[:1], line]),
+                ContourSet("g", 0.1, [line[:1] * 3.0])]
+        self.assert_same_bytes([("a", "f", 1.0, 1.0)], sets, tmp_path)
+        self.assert_same_bytes([], [ContourSet("f", 0.1, [line[:1]])], tmp_path)
+        self.assert_same_bytes([], [ContourSet("f", 0.1, [line[:0]])], tmp_path)
+
+    def test_degenerate_extent(self, tmp_path):
+        points = [("a", "f", 2.0, -1.0), ("b", "f", 2.0, 0.5), ("c", "g", 2.0, 3.0)]
+        self.assert_same_bytes(points, [], tmp_path)
+        self.assert_same_bytes(points[:1], [], tmp_path)
+        line = np.array([[2.0, -1.0], [2.0, 4.0]])
+        self.assert_same_bytes(points, [ContourSet("f", 0.1, [line])], tmp_path)
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros(self, zeros, tmp_path):
+        z, nz = zeros
+        points = [("a", "f", z, nz), ("b", "f", nz, z)]
+        self.assert_same_bytes(points, [], tmp_path)
+        line = np.array([[nz, z], [z, nz], [nz, 1.5], [-2.0, nz]])
+        self.assert_same_bytes(points, [ContourSet("f", 0.1, [line])], tmp_path)
+        self.assert_same_bytes([], [ContourSet("f", 0.1, [line[:2]])], tmp_path)
+
+    @pytest.mark.parametrize("size", [{}, {"width": 640, "height": 480, "margin": 30}])
+    def test_rasterized_families(self, size, tmp_path):
+        points, sets = [], []
+        for n in (1, 5, 16):
+            coords, params = random_family(n, seed=n)
+            grid = rasterize(coords, params, resolution=96)
+            level = 0.3 * float(grid.values.max())
+            sets.append(extract_contours(grid, level, family=f"fam{n}"))
+            points += [(f"l{n}x{i}", f"fam{n}", x, y)
+                       for i, (x, y) in enumerate(coords.tolist())]
+        assert all(cs.polylines for cs in sets)
+        self.assert_same_bytes(points, sets, tmp_path, **size)
+
+    def test_many_vertices(self, tmp_path):
+        # Enough values that a last-bit change in the screen arithmetic
+        # reaches a 12th digit somewhere.
+        rng = np.random.default_rng(7)
+        line = rng.normal(size=(20000, 2)) * [3.0, 1.7] + [0.3, -0.2]
+        self.assert_same_bytes([("a", "f", 0.0, 0.0)],
+                               [ContourSet("f", 0.1, [line, line[::-7] * 0.5])],
+                               tmp_path)

@@ -1,12 +1,16 @@
 import csv
 import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonosim.errors import ParseError
-from phonosim.formats import csv_rows, data_lines, parse_bool, write_lines
+from phonosim.formats import (csv_cell, csv_rows, data_lines, fmt_float, fmt_floats,
+                              json_floats, parse_bool, round_float,
+                              write_lines)
 from phonosim.pca import read_coords_csv
 from phonosim.registry import load_registry
 from phonosim.stats import read_matrix_csv
@@ -71,6 +75,79 @@ class TestCsvRows:
         p = tmp_path_factory.mktemp("csv") / "f.csv"
         p.write_bytes(buf.getvalue().encode("utf-8"))
         assert csv_rows(p) == expected
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+# The forms a %.12g token can take: -0.0, subnormals, integral values,
+# values a hair from an integer (which round to one at 12 digits or not),
+# the edges of the positional range, exponent forms and non-finite values.
+bulk_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, SMALLEST_NORMAL, 1e-4,
+                     9.99999999999995e-05, 1e11, 99999999999.5, 1e12,
+                     999999999999.5, 1e15, 1e16, 1e17, 1e300, -1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-SMALLEST_NORMAL, max_value=SMALLEST_NORMAL),
+    st.integers(-10**17, 10**17).map(float),
+    st.floats(min_value=1e11, max_value=1e17),
+    st.builds(lambda k, r: k * (1.0 + r), st.integers(-10**11, 10**11),
+              st.floats(min_value=-1e-9, max_value=1e-9)),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+class TestBulkFloats:
+    """fmt_floats and json_floats against the scalar fmt_float and
+    repr(round_float(v)) forms."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(bulk_floats, max_size=12))
+    def test_matches_scalar_forms(self, values):
+        a = np.array(values, dtype=float)
+        assert fmt_floats(a).split() == [fmt_float(v) for v in values]
+        assert json_floats(a).split() == [repr(round_float(v)) for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(min_value=1e-4, max_value=1e11, exclude_max=True),
+        st.builds(lambda k, r: k * (1.0 + r), st.integers(1, 10**10),
+                  st.floats(min_value=-1e-9, max_value=1e-9))), max_size=12))
+    def test_positional_range(self, values):
+        a = np.array(values, dtype=float)
+        assert json_floats(a).split() == [repr(round_float(v)) for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(bulk_floats, bulk_floats), max_size=6))
+    def test_row_templates(self, pairs):
+        a = np.array(pairs, dtype=float).reshape(-1, 2)
+        assert fmt_floats(a, "%s,%s") == " ".join(
+            f"{fmt_float(x)},{fmt_float(y)}" for x, y in pairs)
+        assert json_floats(a, "[%s, %s]", ",\n") == ",\n".join(
+            f"[{round_float(x)!r}, {round_float(y)!r}]" for x, y in pairs)
+
+    def test_empty(self):
+        assert fmt_floats(np.empty(0)) == json_floats(np.empty(0)) == ""
+        assert json_floats(np.empty((0, 2)), "%s,%s") == ""
+
+    def test_negative_zero(self):
+        a = np.array([-0.0, 0.0, -1.5])
+        assert fmt_floats(a) == "0 0 -1.5"
+        assert json_floats(a) == "0.0 0.0 -1.5"
+
+
+class TestCsvCell:
+    @pytest.mark.parametrize("text, cell", [
+        ("plain", "plain"), ("", ""), ("a b", "a b"), ("a,b", '"a,b"'),
+        ('say "x"', '"say ""x"""'), ("a\rb", '"a\rb"'), ("a\nb", '"a\nb"')])
+    def test_quoting(self, text, cell):
+        assert csv_cell(text) == cell
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet='a ,"\r\nʃ', max_size=5), min_size=2, max_size=4))
+    def test_matches_csv_module(self, cells):
+        line = ",".join(map(csv_cell, cells))
+        assert next(csv.reader(io.StringIO(line, newline=""))) == cells
 
 
 class TestWriteLines:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phonosim.errors import DataError, ParseError
+from phonosim.formats import csv_rows
 from phonosim.pca import (Projection2D, pca_project, read_coords_csv,
                           write_coords_csv)
 
@@ -137,6 +138,19 @@ class TestCsv:
         assert lines[0] == "id,x,y,ev1,ev2,family"
         assert lines[1].endswith(",F1")
         assert lines[2].endswith(",")
+
+    @pytest.mark.parametrize("family", ["Indo,European", 'say "a"', "cr\rlf\n", "plain"])
+    def test_family_cell_round_trips(self, tmp_path, family):
+        proj = Projection2D(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            (0.7, 0.3))
+        path = tmp_path / "coords.csv"
+        write_coords_csv(proj, path, families={"a": family, "b": "F2"})
+        rows = [cells for _, cells in csv_rows(path)]
+        assert [len(cells) for cells in rows] == [6, 6, 6]
+        assert [cells[5] for cells in rows] == ["family", family, "F2"]
+        codes, coords = read_coords_csv(path)
+        assert codes == ("a", "b")
+        assert np.array_equal(coords, proj.coords)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_rejected(self, tmp_path, value):

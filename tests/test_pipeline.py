@@ -129,6 +129,20 @@ class TestFailures:
         assert "aba" in str(exc.value)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("family", ["Gamma\x01ic", '"Gam\tma\nic"'])
+    def test_control_character_in_family_fails_registry_stage(
+            self, toy_dir, tmp_path, family):
+        registry = tmp_path / "registry.csv"
+        registry.write_text(
+            (toy_dir / "registry.csv").read_text(encoding="utf-8")
+            .replace("Alphaic", family),
+            encoding="utf-8")
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(toy_config(toy_dir, tmp_path / "out", registry=registry))
+        assert exc.value.stage == "registry"
+        assert "control character" in str(exc.value)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_target_fails_registry_stage(self, toy_dir, tmp_path):
         cfg = toy_config(toy_dir, tmp_path / "out", target="zzz")
         with pytest.raises(PipelineError) as exc:

@@ -138,6 +138,31 @@ class TestLoadErrors:
                                              r"contains a comma, a double quote"):
             load_registry(p)
 
+    @pytest.mark.parametrize("cell", ["x\x01y", "x\x7fy", "\x1bx", "x\x9fy"])
+    def test_code_with_control_character_names_the_line(self, tmp_path, cell):
+        p = tmp_path / "reg.csv"
+        p.write_text(f"code,name,family,branch,hours\nxx,X,F,,1\n{cell},Y,F,,2\n",
+                     encoding="utf-8")
+        with pytest.raises(ParseError, match=r"reg\.csv:3: language code .* "
+                                             r"contains a control character"):
+            load_registry(p)
+
+    @pytest.mark.parametrize("cell", ["Gamma\x01ic", '"Gam\tma\nic"', "Gam\x7fma",
+                                      "Gam\x85ma", "Gam\ufffema", "Gam\uffff"])
+    def test_family_with_control_character_names_the_line(self, tmp_path, cell):
+        p = tmp_path / "reg.csv"
+        p.write_text(f"code,name,family,branch,hours\nxx,X,F,,1\nyy,Y,{cell},,2\n",
+                     encoding="utf-8")
+        with pytest.raises(ParseError, match=r"reg\.csv:3: family .* of 'yy' "
+                                             r"contains a control character"):
+            load_registry(p)
+
+    def test_family_with_other_characters_kept(self, tmp_path):
+        p = tmp_path / "reg.csv"
+        p.write_text('code,name,family,branch,hours\nxx,X,"Indo,European ǃ ""x""",,1\n',
+                     encoding="utf-8")
+        assert load_registry(p).get("xx").family == 'Indo,European ǃ "x"'
+
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "reg.csv"
         p.write_text("code,name,family,branch,hours\nxx,X,F,1\n",

@@ -61,6 +61,12 @@ class TestLoading:
         with pytest.raises(ParseError):
             load_feature_matrix(p)
 
+    @pytest.mark.parametrize("cell", ['"a,a"', '"a""b"', "a b", '"a\nb"', "a\x01b", ""])
+    def test_id_that_cannot_be_a_code_names_the_line(self, tmp_path, cell):
+        p = write_features(tmp_path, f"lang,f1\nl1,0\n{cell},1\n")
+        with pytest.raises(ParseError, match=r"features\.csv:3: "):
+            load_feature_matrix(p)
+
     def test_everything_missing_rejected(self, tmp_path):
         p = write_features(tmp_path, "lang,f1\nl1,?\n")
         with pytest.warns(UserWarning), pytest.raises(ParseError):
