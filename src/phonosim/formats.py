@@ -11,16 +11,13 @@ fmt_floats gives the same text for a whole numpy array with one C-level
 and adding 0.0 first turns -0.0 into 0.0, the one value fmt_float
 rewrites, while leaving every other value as it is. json_floats gives
 repr(round_float(v)), the form json.dumps writes for an exported float,
-from the same call. For 1e-4 <= |v| < 1e11 the `%.12g` form t is
-positional, and a decimal of at most 15 significant digits round-trips
-through a double, so repr(float(t)) writes t's digits and differs from t
-only by the ".0" it adds to an integral value. When rounding to 12
-digits gives an integer, v lies within 5e-12 |v| of one, so an array
-whose values all lie in that range and farther than 1e-10 |v| from every
-integer is written by fmt_floats as it is; any other array goes token by
-token, taking repr(float(t)) for the exponent forms, inf and nan.
-fmt_float and round_float stay the scalar forms, and the bulk forms'
-test oracle.
+from those tokens: a token t with a point and no exponent is used as it
+is, any other token (integral, exponent form, inf, nan) as
+repr(float(t)). That is exact because a positional `%.12g` token has at
+most 12 significant digits and a decimal of at most 15 significant
+digits round-trips through a double, so repr(float(t)) writes t's
+digits, positionally, and adds ".0" only to an integral t. fmt_float
+and round_float stay the scalar forms, and the bulk forms' test oracle.
 
 Rounding hides most last-bit differences but not all: a value next to a
 rounding boundary still changes its 12th digit, and a last-bit change in
@@ -60,12 +57,8 @@ def fmt_floats(a, row="%s", sep=" "):
 
 def json_floats(a, row="%s", sep=" "):
     """fmt_floats with each number as json.dumps writes round_float(v),
-    that is repr(round_float(v)); the module docstring says why the fast
-    first branch is exact."""
-    m = abs(a)
-    if ((m >= 1e-4) & (m < 1e11)).all() and (abs(a - a.round()) > 1e-10 * m).all():
-        return fmt_floats(a, row, sep)
-    tokens = [repr(float(t)) if "e" in t or "n" in t else t if "." in t else t + ".0"
+    that is repr(round_float(v)); the module docstring says why."""
+    tokens = [t if "." in t and "e" not in t else repr(float(t))
               for t in fmt_floats(a.ravel()).split()]
     return sep.join([row] * len(a)) % tuple(tokens)
 

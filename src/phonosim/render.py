@@ -51,11 +51,12 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
     scale = min((width - 2 * margin) / (x_hi - x_lo),
                 (height - 2 * margin) / (y_hi - y_lo))
 
+    # Screen coordinates of a float or a numpy array of floats.
     def sx(x):
-        return fmt_float(margin + (x - x_lo) * scale)
+        return margin + (x - x_lo) * scale
 
     def sy(y):
-        return fmt_float(height - margin - (y - y_lo) * scale)  # y grows upward
+        return height - margin - (y - y_lo) * scale  # y grows upward
 
     colors = family_colors(
         [p[3] for p in points] + [cs.family for cs in contour_sets])
@@ -68,19 +69,19 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
     for cs, cs_lines in zip(contour_sets, lines):
         color = colors.get(cs.family, "#333333")
         for line in cs_lines:
-            # sx and sy over the whole polyline: same IEEE operations, same order
             screen = np.empty_like(line)
-            screen[:, 0] = margin + (line[:, 0] - x_lo) * scale
-            screen[:, 1] = height - margin - (line[:, 1] - y_lo) * scale
+            screen[:, 0] = sx(line[:, 0])
+            screen[:, 1] = sy(line[:, 1])
             vertices = fmt_floats(screen, "%s,%s")
             out.append(
                 f'<polyline points="{vertices}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5" opacity="0.8"/>')
     for code, x, y, family in points:
         color = colors.get(family, "#333333")
-        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="4" fill="{color}"/>')
+        cx, cy = fmt_float(sx(x)), fmt_float(sy(y))
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
         out.append(
-            f'<text x="{fmt_float(float(sx(x)) + 6)}" y="{sy(y)}" '
+            f'<text x="{fmt_float(float(cx) + 6)}" y="{cy}" '
             f'font-size="11" font-family="sans-serif">{escape(code, quote=False)}</text>')
     for i, family in enumerate(sorted(colors)):
         y = margin + 16 * i
