@@ -21,13 +21,14 @@ from .per import corpus_per
 from .pipeline import (PipelineConfig, compute_family_contours,
                        convert_corpora, corpus_languages, load_config,
                        phoneme_distributions, run_pipeline)
-from .registry import load_registry
+from .registry import DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS, load_registry
 from .render import render_svg
 from .selection import (Strategy, select_strategy, selection_report,
                         write_selection_report)
 from .stats import (read_matrix_csv, similarity_matrix,
                     write_distributions_csv, write_matrix_csv)
-from .typology import impute, load_feature_matrix, project_typology
+from .typology import (IMPUTE_METHODS, impute, load_feature_matrix,
+                       project_typology)
 
 STRATEGY_CHOICES = tuple(s.value for s in Strategy)
 
@@ -188,8 +189,9 @@ def build_parser() -> _Parser:
     rsub = p.add_subparsers(dest="subcommand", parser_class=_Parser)
     v = rsub.add_parser("validate", help="load a registry and print a summary")
     v.add_argument("path")
-    v.add_argument("--threshold", type=float, default=15.0,
-                   help="low-resource threshold in hours (default 15)")
+    v.add_argument("--threshold", type=float,
+                   default=DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS,
+                   help="low-resource threshold in hours (default %(default)g)")
     v.set_defaults(func=_cmd_registry_validate)
 
     p = sub.add_parser("ipa", help="IPA utilities")
@@ -224,10 +226,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("contours", help="family KDE contours from coordinates")
     p.add_argument("--coords", required=True, help="coordinates CSV")
     p.add_argument("--registry", required=True)
-    p.add_argument("--level", type=float, default=0.1)
+    p.add_argument("--level", type=float, default=PipelineConfig.level)
     p.add_argument("--relative", action="store_true",
                    help="treat level as a fraction of each family's peak")
-    p.add_argument("--resolution", type=int, default=512)
+    p.add_argument("--resolution", type=int, default=PipelineConfig.resolution)
     p.add_argument("--robust-bandwidth", action="store_true",
                    help="use the min(sigma, IQR/1.34) bandwidth variant")
     p.add_argument("--out", required=True, help=".json or .svg")
@@ -235,7 +237,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("typology", help="PCA of a binary feature matrix")
     p.add_argument("--features", required=True)
-    p.add_argument("--impute", choices=("none", "column_mode"), default="none")
+    p.add_argument("--impute", choices=IMPUTE_METHODS, default="none")
     p.add_argument("--registry", help="adds a family column to the output")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_typology)
@@ -243,7 +245,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select", help="pick source languages for a target")
     p.add_argument("--target", required=True)
     p.add_argument("--strategy", choices=STRATEGY_CHOICES, required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=PipelineConfig.k)
     p.add_argument("--registry", required=True)
     p.add_argument("--matrix", help="similarity matrix CSV (corpus_sim)")
     p.add_argument("--out", help="write the report here instead of stdout")

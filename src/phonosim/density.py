@@ -392,10 +392,6 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
 
     n = v.shape[1]
     inside, i, j = _mixed_cells(v, level)
-    if i.size == 0:
-        # every sample is on the same side of the level (e.g. the whole
-        # grid sits above it); there is no crossing to trace
-        return ContourSet(family, level, [], below_level=False)
 
     f00, f10 = inside[i, j], inside[i + 1, j]
     f01, f11 = inside[i, j + 1], inside[i + 1, j + 1]

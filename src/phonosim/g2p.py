@@ -38,7 +38,7 @@ class G2PRule:
 
 @dataclass(frozen=True)
 class _Pattern:
-    units: tuple          # literal chars and frozenset classes
+    units: tuple          # one frozenset per position; a literal c is frozenset(c)
     anchored: bool        # '#' present at the outer end
 
 
@@ -74,22 +74,16 @@ def _parse_pattern(text, side, path=None, line=None):
         elif c == "]":
             raise ParseError("stray ']' in context pattern", path, line)
         else:
-            units.append(c)
+            units.append(frozenset(c))
             i += 1
     return _Pattern(tuple(units), anchored)
-
-
-def _unit_match(unit, ch):
-    if isinstance(unit, frozenset):
-        return ch in unit
-    return ch == unit
 
 
 def _match_left(pat, word, pos):
     j = pos
     for unit in reversed(pat.units):
         j -= 1
-        if j < 0 or not _unit_match(unit, word[j]):
+        if j < 0 or word[j] not in unit:
             return False
     return not pat.anchored or j == 0
 
@@ -97,7 +91,7 @@ def _match_left(pat, word, pos):
 def _match_right(pat, word, pos):
     j = pos
     for unit in pat.units:
-        if j >= len(word) or not _unit_match(unit, word[j]):
+        if j >= len(word) or word[j] not in unit:
             return False
         j += 1
     return not pat.anchored or j == len(word)
@@ -267,12 +261,11 @@ def load_ruleset(path) -> Ruleset:
     Lines are `grapheme<TAB>ipa_output<TAB>left<TAB>right<TAB>priority`
     with trailing fields optional and empty fields allowed (an empty
     output marks a silent grapheme). Full-line `#` comments are skipped.
-    `@language`, `@case_fold` and `@punctuation_strip` directives override
-    the defaults (file stem, on, on).
+    `@language` sets the language code (default: the file stem);
+    `@case_fold` and `@punctuation_strip` override the Ruleset defaults.
     """
     language = None
-    case_fold = True
-    punctuation_strip = True
+    directives = {}
     rules = []
     first_line = {}
 
@@ -283,10 +276,8 @@ def load_ruleset(path) -> Ruleset:
             value = parts[1].strip() if len(parts) > 1 else ""
             if key == "language":
                 language = value
-            elif key == "case_fold":
-                case_fold = parse_bool(value, path, line_no)
-            elif key == "punctuation_strip":
-                punctuation_strip = parse_bool(value, path, line_no)
+            elif key in ("case_fold", "punctuation_strip"):
+                directives[key] = parse_bool(value, path, line_no)
             else:
                 raise ParseError(f"unknown directive @{key}", path, line_no)
             continue
@@ -321,6 +312,6 @@ def load_ruleset(path) -> Ruleset:
         stem = stem[stem.rfind("/") + 1:]
         language = stem.split(".")[0]
     try:
-        return Ruleset(language, rules, case_fold, punctuation_strip)
+        return Ruleset(language, rules, **directives)
     except DataError as e:
         raise ParseError(str(e), path) from e

@@ -11,11 +11,12 @@ configurable set of diacritics, then maps whole segments through a merge
 table (e.g. sʲ → ʃ). All strings are kept in Unicode canonical
 composition (NFC) so equal sounds compare equal.
 
-Two caches keep this work proportional to what is distinct. tokenize_ipa
-classifies each code point once per process (separator, tie bar, prefix
-mark, combining mark, modifier letter or base) in a module-level table.
-normalize maps each distinct segment once per policy, through a memo that
-the policy builds at construction; a dropped segment is cached as ''.
+Two caches keep this work proportional to what is distinct. One
+module-level table classifies each code point once per process (separator,
+tie bar, prefix mark, combining mark, modifier letter or base); tokenize_ipa
+and every base-letter test in normalization read it. normalize maps each
+distinct segment once per policy, through a memo that the policy builds at
+construction; a dropped segment is cached as ''.
 """
 
 import unicodedata
@@ -47,36 +48,26 @@ DEFAULT_STRIP_DIACRITICS = frozenset({SYLLABLE_BREAK})
 DEFAULT_MERGE_PAIRS = {"sʲ": "ʃ", "zʲ": "ʒ"}  # sʲ→ʃ, zʲ→ʒ
 
 
-def _is_combining(ch):
-    return unicodedata.category(ch).startswith("M")
-
-
-def _is_modifier(ch):
-    return unicodedata.category(ch) in ("Lm", "Sk")
-
-
-def _is_base(ch):
-    return not (_is_combining(ch) or _is_modifier(ch) or ch in PREFIX_MARKS)
-
-
 _SEPARATOR, _TIE, _PREFIX, _COMBINING, _MODIFIER, _BASE = range(6)
 
 
 class _KindTable(dict):
     """Character -> its kind in tokenize_ipa, decided once per code point by
     the tests in this order: separator (whitespace or undertie), tie bar,
-    prefix mark, combining mark, modifier letter, base."""
+    prefix mark, combining mark (category M*), modifier letter (Lm or Sk),
+    base."""
 
     def __missing__(self, ch):
+        category = unicodedata.category(ch)
         if ch.isspace() or ch in WORD_SEPARATORS:
             kind = _SEPARATOR
         elif ch in TIE_BARS:
             kind = _TIE
         elif ch in PREFIX_MARKS:
             kind = _PREFIX
-        elif _is_combining(ch):
+        elif category[0] == "M":
             kind = _COMBINING
-        elif _is_modifier(ch):
+        elif category in ("Lm", "Sk"):
             kind = _MODIFIER
         else:
             kind = _BASE
@@ -85,6 +76,11 @@ class _KindTable(dict):
 
 
 _KINDS = _KindTable()
+
+
+def _is_base(ch):
+    """True unless `ch` is a mark; a separator counts as a base."""
+    return _KINDS[ch] in (_BASE, _SEPARATOR)
 
 
 def tokenize_ipa(s: str) -> PhonemeSequence:
@@ -282,22 +278,18 @@ def load_policy(path) -> NormalizationPolicy:
 
     Format: `key = value` lines (strip_stress, strip_voqs,
     strip_diacritics as space-separated codepoints or U+XXXX escapes),
-    then an optional `[merge]` section of `source<TAB>target` lines.
-    A `[merge]` section replaces the default merge table entirely.
+    then optional `[merge]` sections of `source<TAB>target` lines.
+    Settings the file leaves out keep the NormalizationPolicy defaults;
+    `[merge]` sections together replace the default merge table entirely.
     """
-    strip_stress = True
-    strip_voqs = True
-    strip_diacritics = set(DEFAULT_STRIP_DIACRITICS)
-    merge_pairs: dict = {}
-    merge_given = False
-    in_merge = False
+    settings = {}
+    merge_pairs = None
 
     for line_no, line in data_lines(path):
         if line.strip() == "[merge]":
-            in_merge = True
-            merge_given = True
+            merge_pairs = settings.setdefault("merge_pairs", {})
             continue
-        if in_merge:
+        if merge_pairs is not None:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip():
                 raise ParseError(
@@ -309,25 +301,16 @@ def load_policy(path) -> NormalizationPolicy:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key == "strip_stress":
-            strip_stress = parse_bool(value, path, line_no)
-        elif key == "strip_voqs":
-            strip_voqs = parse_bool(value, path, line_no)
+        if key in ("strip_stress", "strip_voqs"):
+            settings[key] = parse_bool(value, path, line_no)
         elif key == "strip_diacritics":
-            strip_diacritics = {
+            settings[key] = {
                 _parse_codepoint(tok, path, line_no) for tok in value.split()
             }
         else:
             raise ParseError(f"unknown policy key {key!r}", path, line_no)
 
-    if not merge_given:
-        merge_pairs = dict(DEFAULT_MERGE_PAIRS)
     try:
-        return NormalizationPolicy(
-            strip_stress=strip_stress,
-            strip_voqs=strip_voqs,
-            strip_diacritics=frozenset(strip_diacritics),
-            merge_pairs=merge_pairs,
-        )
+        return NormalizationPolicy(**settings)
     except DataError as e:
         raise ParseError(str(e), path) from e

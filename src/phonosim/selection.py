@@ -111,41 +111,25 @@ def build_inventory(scope, per_language_sets) -> PhonemeInventory:
     return PhonemeInventory(tuple(scope), tuple(sorted(union)))
 
 
-def emit_manifest(selection: SelectionResult, corpora, reg: Registry,
-                  inventory=None) -> TrainingManifest:
+def emit_manifest(selection: SelectionResult, corpora, reg: Registry) -> TrainingManifest:
     """Assemble the training manifest for a selection.
 
     corpora maps language code -> list of (audio_path, phoneme list).
     Utterances are grouped by language, target first then sources in
-    selection order. Every transcription is validated against the
-    inventory (built from the corpora unless one is supplied).
+    selection order. The inventory is the union of these languages'
+    phonemes, so every transcription is written in it by construction.
     """
     languages = (selection.target,) + selection.source_codes()
     for code in languages:
         if code not in corpora:
             raise DataError(f"no corpus available for language {code!r}")
-    if inventory is None:
-        sets = {
-            code: {ph for _, seq in corpora[code] for ph in seq}
-            for code in languages
-        }
-        inventory = build_inventory(languages, sets)
-    known = set(inventory.phonemes)
-
-    utterances = []
-    for code in languages:
-        for audio_path, seq in corpora[code]:
-            for ph in seq:
-                if ph not in known:
-                    raise DataError(
-                        f"utterance {audio_path!r} ({code}) contains phoneme "
-                        f"{ph!r} outside the inventory")
-            utterances.append((code, audio_path, list(seq)))
-
+    sets = {code: {ph for _, seq in corpora[code] for ph in seq} for code in languages}
+    utterances = [(code, audio_path, list(seq))
+                  for code in languages for audio_path, seq in corpora[code]]
     total_hours = sum(reg.get(code).recording_hours for code in languages)
     return TrainingManifest(
         selection.target, selection.strategy, languages, selection.sources,
-        utterances, inventory, float(total_hours))
+        utterances, build_inventory(languages, sets), float(total_hours))
 
 
 def selection_report(selection: SelectionResult) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
-from .formats import csv_rows, fmt_float, write_lines
+from .formats import csv_cell, csv_rows, fmt_float, write_lines
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def family_mean_similarities(matrix: SimilarityMatrix, families) -> list:
 
 
 def write_distributions_csv(dists, vocab: Vocabulary, path):
-    lines = ["code," + ",".join(vocab.phonemes)]
+    lines = ["code," + ",".join(map(csv_cell, vocab.phonemes))]
     for d in dists:
         lines.append(d.language_code + "," + ",".join(fmt_float(p) for p in d.probabilities))
     write_lines(path, lines)

@@ -8,8 +8,10 @@ import pytest
 
 from phonosim import cli
 from phonosim.formats import csv_rows
+from phonosim.ipa import default_policy
 from phonosim.pca import read_coords_csv
-from phonosim.pipeline import ARTIFACT_NAMES, PipelineConfig
+from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig, convert_corpora,
+                               corpus_languages, phoneme_distributions)
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
@@ -159,6 +161,39 @@ class TestAnalysisCommands:
         golden = toy_dir / "golden"
         assert matrix_csv.read_bytes() == (golden / "similarity.csv").read_bytes()
         assert dists_csv.read_bytes() == (golden / "distributions.csv").read_bytes()
+
+    def test_distributions_csv_quotes_phoneme_cells(self, toy_dir, tmp_path, capsys):
+        # rule outputs `,` and `"` become phonemes of their own
+        rules = tmp_path / "rules"
+        shutil.copytree(toy_dir / "rules", rules)
+        for name, line, output in (("aaa", "m\tm", ","), ("aab", "b\tb", '"')):
+            path = rules / f"{name}.rules"
+            text = path.read_text(encoding="utf-8")
+            assert f"\n{line}\n" in text
+            path.write_text(text.replace(f"\n{line}\n", f"\n{line[0]}\t{output}\n"),
+                            encoding="utf-8")
+        codes = corpus_languages(toy_dir / "corpus")
+        vocab, _ = phoneme_distributions(
+            convert_corpora(codes, toy_dir / "corpus", rules, default_policy()))
+        assert {",", '"'} <= set(vocab.phonemes)
+
+        out = tmp_path / "out"
+        dists_csv = tmp_path / "dists.csv"
+        assert cli.main([
+            "pipeline", "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(rules), "--registry", str(toy_dir / "registry.csv"),
+            "--target", "aaa", "--out", str(out),
+        ]) == 0
+        assert cli.main([
+            "sim", "matrix", "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(rules), "--out", str(tmp_path / "matrix.csv"),
+            "--distributions", str(dists_csv),
+        ]) == 0
+        for path in (out / "distributions.csv", dists_csv):
+            rows = [cells for _, cells in csv_rows(path)]
+            assert rows[0] == ["code", *vocab.phonemes]
+            assert [row[0] for row in rows[1:]] == list(codes)
+            assert all(len(row) == len(vocab.phonemes) + 1 for row in rows)
 
     def test_warning_printed_plainly(self, toy_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus"

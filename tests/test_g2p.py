@@ -109,6 +109,18 @@ class TestContexts:
         rs = make_ruleset(("t", "d", None, "#", 1), ("t", "t"), ("a", "a"))
         assert transliterate("tat", rs, PLAIN) == ["t", "a", "d"]
 
+    def test_literal_and_class_hold_the_same_character(self):
+        # `k` and `[kg]` both hold k; each position tests only its own unit
+        rs = make_ruleset(("n", "ŋ", None, "k[kg]", 1), ("n", "n"),
+                          ("a", "x", "[ab]b", None, 1), ("a", "a"),
+                          ("b", "b"), ("g", "g"), ("k", "k"))
+        assert transliterate("ankk ankg", rs, PLAIN) == [
+            "a", "ŋ", "k", "k", "a", "ŋ", "k", "g"]
+        assert transliterate("angk ank", rs, PLAIN) == [
+            "a", "n", "g", "k", "a", "n", "k"]
+        assert transliterate("bba aba", rs, PLAIN) == ["b", "b", "x", "a", "b", "x"]
+        assert transliterate("baa ba", rs, PLAIN) == ["b", "a", "a", "b", "a"]
+
     def test_context_requires_presence(self):
         rs = make_ruleset(("a", "x", "[b]", None, 1), ("a", "a"), ("b", "b"))
         # word-initial 'a' has no left neighbor, so the context rule skips

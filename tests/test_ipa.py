@@ -247,6 +247,38 @@ class TestPolicyFile:
         p.write_text("strip_stress = true\n", encoding="utf-8")
         assert load_policy(p).merge_pairs == DEFAULT_MERGE_PAIRS
 
+    def test_merge_sections_accumulate(self, tmp_path):
+        p = tmp_path / "policy.txt"
+        p.write_text("[merge]\nsʲ\tʃ\n[merge]\nzʲ\tʒ\nkʲ\tc\n", encoding="utf-8")
+        assert load_policy(p).merge_pairs == {"sʲ": "ʃ", "zʲ": "ʒ", "kʲ": "c"}
+
+    def test_empty_merge_section_means_no_merges(self, tmp_path):
+        p = tmp_path / "policy.txt"
+        p.write_text("strip_voqs = false\n[merge]\n", encoding="utf-8")
+        policy = load_policy(p)
+        assert policy.merge_pairs == {}
+        assert normalize(["sʲ"], policy) == ["sʲ"]
+
+    @pytest.mark.parametrize("line, field, value", [
+        ("strip_stress = no", "strip_stress", False),
+        ("strip_voqs = off", "strip_voqs", False),
+        ("strip_diacritics = U+02D0", "strip_diacritics", frozenset({"ː"})),
+    ])
+    def test_one_setting_keeps_other_defaults(self, tmp_path, line, field, value):
+        p = tmp_path / "policy.txt"
+        p.write_text(line + "\n", encoding="utf-8")
+        assert load_policy(p) == NormalizationPolicy(**{field: value})
+
+    def test_repeated_key_last_wins(self, tmp_path):
+        p = tmp_path / "policy.txt"
+        p.write_text("strip_stress = false\nstrip_diacritics = U+02D0\n"
+                     "strip_stress = true\nstrip_diacritics = U+0303\n"
+                     "[merge]\nsʲ\tʃ\nsʲ\tɕ\n", encoding="utf-8")
+        policy = load_policy(p)
+        assert policy.strip_stress is True
+        assert policy.strip_diacritics == frozenset({"\u0303"})
+        assert policy.merge_pairs == {"sʲ": "ɕ"}
+
     def test_unknown_key_errors_with_line(self, tmp_path):
         p = tmp_path / "policy.txt"
         p.write_text("bogus = 1\n", encoding="utf-8")

@@ -192,13 +192,15 @@ class TestTokenizeExact:
 
     def test_every_bmp_code_point(self):
         # each code point alone, after a base and between a tie bar and a
-        # base: every kind and every error message
+        # base: every kind and every error message; and the base test that
+        # normalization reads off the same table
         for cp in range(0x10000):
             ch = chr(cp)
             if 0xD800 <= cp < 0xE000:
                 continue
             for text in (ch, "a" + ch, "t͡" + ch + "a"):
                 assert outcome(tokenize_ipa, text) == outcome(oracle_tokenize_ipa, text)
+            assert ipa._is_base(ch) == _is_base(ch), hex(cp)
 
     def test_chain_order_when_mark_sets_overlap(self, monkeypatch):
         # no prefix mark is a combining mark today; one that is must still

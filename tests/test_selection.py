@@ -230,14 +230,6 @@ class TestManifest:
             emit_manifest(sel, corpora, small_registry())
         assert "s2" in str(exc.value)
 
-    def test_explicit_inventory_validation(self):
-        sel = select_strategy("t", "monolingual", small_registry())
-        inv = build_inventory(("t",), {"t": {"a", "b"}})  # missing t͡ʃ
-        with pytest.raises(DataError) as exc:
-            emit_manifest(sel, small_corpora(), small_registry(), inventory=inv)
-        message = str(exc.value)
-        assert "t͡ʃ" in message and "t2.mp3" in message
-
     def test_tsv_format(self, tmp_path):
         matrix = SimilarityMatrix(
             ("t", "s1", "s2"),
