@@ -24,10 +24,8 @@ from .registry import LanguageRecord, Registry, load_registry
 from .selection import (PhonemeInventory, SelectionResult, Strategy,
                         TrainingManifest, build_inventory, emit_manifest,
                         select_strategy, select_top_k)
-from .stats import (PhonemeDistribution, SimilarityMatrix, Vocabulary,
-                    build_vocabulary, cosine_similarity,
-                    family_mean_similarities, similarity_matrix,
-                    to_distribution)
+from .stats import (Distributions, SimilarityMatrix, family_mean_similarities,
+                    phoneme_distributions, similarity_matrix)
 from .typology import FeatureMatrix, impute, load_feature_matrix, project_typology
 
 __all__ = [
@@ -44,9 +42,8 @@ __all__ = [
     "LanguageRecord", "Registry", "load_registry",
     "PhonemeInventory", "SelectionResult", "Strategy", "TrainingManifest",
     "build_inventory", "emit_manifest", "select_strategy", "select_top_k",
-    "PhonemeDistribution", "SimilarityMatrix", "Vocabulary",
-    "build_vocabulary", "cosine_similarity",
-    "family_mean_similarities", "similarity_matrix", "to_distribution",
+    "Distributions", "SimilarityMatrix", "family_mean_similarities",
+    "phoneme_distributions", "similarity_matrix",
     "FeatureMatrix", "impute", "load_feature_matrix", "project_typology",
     "__version__",
 ]

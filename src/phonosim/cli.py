@@ -20,12 +20,12 @@ from .pca import pca_project, read_coords_csv, write_coords_csv
 from .per import corpus_per
 from .pipeline import (PipelineConfig, compute_family_contours,
                        convert_corpora, corpus_languages, load_config,
-                       phoneme_distributions, run_pipeline)
+                       run_pipeline)
 from .registry import DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS, load_registry
 from .render import render_svg
 from .selection import (Strategy, select_strategy, selection_report,
                         write_selection_report)
-from .stats import (read_matrix_csv, similarity_matrix,
+from .stats import (phoneme_distributions, read_matrix_csv, similarity_matrix,
                     write_distributions_csv, write_matrix_csv)
 from .typology import (IMPUTE_METHODS, impute, load_feature_matrix,
                        project_typology)
@@ -81,11 +81,11 @@ def _cmd_sim_matrix(args):
     codes = corpus_languages(args.corpus_dir)
     converted = convert_corpora(codes, args.corpus_dir, args.rules_dir, policy,
                                 mode=args.mode)
-    vocab, dists = phoneme_distributions(converted)
+    dists = phoneme_distributions(converted)
     matrix = similarity_matrix(dists)
     write_matrix_csv(matrix, args.out)
     if args.distributions:
-        write_distributions_csv(dists, vocab, args.distributions)
+        write_distributions_csv(dists, args.distributions)
     print(f"wrote {len(matrix.codes)}x{len(matrix.codes)} matrix to {args.out}")
     return 0
 

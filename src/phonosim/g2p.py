@@ -19,6 +19,7 @@ offsets are exactly those of a single pass.
 import re
 import unicodedata
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import DataError, ParseError, PhonosimError, UnmatchedGraphemeError
 from .formats import data_lines, parse_bool
@@ -308,9 +309,7 @@ def load_ruleset(path) -> Ruleset:
     if not rules:
         raise ParseError("rule file contains no rules", path)
     if language is None:
-        stem = str(path)
-        stem = stem[stem.rfind("/") + 1:]
-        language = stem.split(".")[0]
+        language = Path(path).stem
     try:
         return Ruleset(language, rules, **directives)
     except DataError as e:

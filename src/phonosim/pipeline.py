@@ -9,7 +9,9 @@ succeeded.
 Corpus layout: `<corpus_dir>/<code>.tsv` with `audio_path<TAB>text` lines,
 rule files at `<rules_dir>/<code>.rules`. Languages present in both the
 registry and the corpus directory are analyzed; a corpus without a rule
-file aborts the G2P stage naming the language.
+file, or whose rule file declares another `@language`, aborts the G2P
+stage naming the language. Counting and similarity live in `stats`
+(`phoneme_distributions`, `similarity_matrix`), shared with `sim matrix`.
 """
 
 import configparser
@@ -18,7 +20,6 @@ import math
 import os
 import tempfile
 import warnings
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -33,9 +34,8 @@ from .registry import Registry, code_problem, load_registry
 from .render import render_svg
 from .selection import (Strategy, emit_manifest, select_strategy,
                         write_manifest_tsv, write_selection_report)
-from .stats import (build_vocabulary, family_mean_similarities,
-                    similarity_matrix, to_distribution,
-                    write_distributions_csv, write_matrix_csv)
+from .stats import (family_mean_similarities, phoneme_distributions,
+                    similarity_matrix, write_distributions_csv, write_matrix_csv)
 from .formats import data_lines, fmt_float, parse_bool, write_lines
 
 ARTIFACT_NAMES = (
@@ -150,7 +150,8 @@ def corpus_languages(corpus_dir):
 
 def convert_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
     """Code -> [(audio_path, phonemes)] from `<corpus_dir>/<code>.tsv` and
-    `<rules_dir>/<code>.rules`; G2P errors name the language and utterance."""
+    `<rules_dir>/<code>.rules`; G2P errors name the language and utterance,
+    and a rule file whose `@language` is not `<code>` is an error."""
     converted = {}
     for code in codes:
         rules_path = Path(rules_dir) / f"{code}.rules"
@@ -158,6 +159,9 @@ def convert_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
             raise DataError(f"missing rules file for language {code!r} "
                             f"(expected {rules_path})")
         rs = load_ruleset(rules_path)
+        if rs.language_code != code:
+            raise DataError(f"{rules_path}: @language {rs.language_code!r} "
+                            f"does not match corpus code {code!r}")
         utterances = read_corpus_tsv(Path(corpus_dir) / f"{code}.tsv")
         seqs = []
         for n, (audio, text) in enumerate(utterances, 1):
@@ -167,25 +171,6 @@ def convert_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
                 raise DataError(f"{code}: utterance {n}: {e}") from e
         converted[code] = seqs
     return converted
-
-
-def phoneme_distributions(converted):
-    """(vocabulary, distributions) in `converted` order. Languages without
-    phonemes are dropped with a warning; fewer than 2 left is an error."""
-    counts = {}
-    for code, seqs in converted.items():
-        c = Counter()
-        for _, seq in seqs:
-            c.update(seq)
-        if not c:
-            warnings.warn(f"language {code!r} has an empty corpus; excluded")
-            continue
-        counts[code] = c
-    if len(counts) < 2:
-        raise DataError("need at least 2 languages with nonempty corpora")
-    vocab = build_vocabulary(counts.values())
-    return vocab, [to_distribution(c, vocab, language_code=code)
-                   for code, c in counts.items()]
 
 
 @contextmanager
@@ -230,8 +215,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         with _stage("distributions"):
             if not any(seq for _, seq in converted[cfg.target]):
                 raise DataError(f"target {cfg.target!r} corpus produced no phonemes")
-            vocab, dists = phoneme_distributions(converted)
-            write_distributions_csv(dists, vocab, tmp_dir / "distributions.csv")
+            dists = phoneme_distributions(converted)
+            write_distributions_csv(dists, tmp_dir / "distributions.csv")
 
         with _stage("similarity"):
             matrix = similarity_matrix(dists)

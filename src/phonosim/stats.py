@@ -1,12 +1,13 @@
-"""Per-language phoneme statistics and pairwise cosine similarity.
+"""Per-language phoneme distributions and pairwise cosine similarity.
 
-Counting is unigram: the corpus is converted to phoneme sequences and
-token frequencies become probability vectors over a shared, codepoint-
-sorted vocabulary. Similarity between two languages is the cosine of
-their distribution vectors, so the measure is invariant to corpus size.
+Counting is unigram: each language's phoneme tokens become one row of
+probabilities over a shared, codepoint-sorted phoneme axis
+(`Distributions`). Similarity between two languages is the cosine of
+their rows, so the measure is invariant to corpus size.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,35 +17,27 @@ from .formats import csv_cell, csv_rows, fmt_float, write_lines
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    """Sorted global phoneme axis shared by all distribution vectors."""
+class Distributions:
+    """Unigram phoneme probabilities: row i is language codes[i], column j
+    is phonemes[j] (the shared, codepoint-sorted phoneme axis)."""
 
+    codes: tuple
     phonemes: tuple
+    probabilities: np.ndarray
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.phonemes)))
-        if ordered != tuple(self.phonemes):
+        if tuple(sorted(set(self.phonemes))) != tuple(self.phonemes):
             raise DataError("vocabulary must be sorted and duplicate-free")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.phonemes)})
-
-    def __len__(self):
-        return len(self.phonemes)
-
-    def __contains__(self, phoneme):
-        return phoneme in self._index
-
-    def index(self, phoneme):
-        try:
-            return self._index[phoneme]
-        except KeyError:
-            raise DataError(f"phoneme {phoneme!r} not in vocabulary") from None
-
-
-@dataclass(frozen=True)
-class PhonemeDistribution:
-    language_code: str
-    probabilities: np.ndarray
-    total_count: int
+        probabilities = np.asarray(self.probabilities, dtype=float)
+        shape = (len(self.codes), len(self.phonemes))
+        if probabilities.shape != shape:
+            raise DataError(f"distributions use different vocabularies "
+                            f"(shape {probabilities.shape}, expected {shape})")
+        for code, row in zip(self.codes, probabilities):
+            if not row.any():
+                raise DataError("similarity undefined: zero phoneme vector "
+                                f"for language {code!r}")
+        object.__setattr__(self, "probabilities", probabilities)
 
 
 @dataclass(frozen=True)
@@ -54,6 +47,9 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.codes)})
+        if len(self._index) != len(self.codes):
+            duplicate = next(c for c in self.codes if self.codes.count(c) > 1)
+            raise DataError(f"duplicate language code {duplicate!r}")
 
     def index(self, code):
         try:
@@ -62,60 +58,46 @@ class SimilarityMatrix:
             raise DataError(f"unknown language code {code!r}") from None
 
 
-def build_vocabulary(count_maps) -> Vocabulary:
-    keys = set()
-    for counts in count_maps:
-        keys.update(counts.keys())
-    return Vocabulary(tuple(sorted(keys)))
+def phoneme_distributions(converted) -> Distributions:
+    """Distributions of `converted` (code -> [(audio_path, phonemes)]), in
+    its order. Languages without phonemes are dropped with a warning;
+    fewer than 2 left is an error."""
+    counts = {}
+    for code, seqs in converted.items():
+        c = Counter()
+        for _, seq in seqs:
+            c.update(seq)
+        if not c:
+            warnings.warn(f"language {code!r} has an empty corpus; excluded")
+            continue
+        counts[code] = c
+    if len(counts) < 2:
+        raise DataError("need at least 2 languages with nonempty corpora")
+    phonemes = tuple(sorted(set().union(*counts.values())))
+    column = {p: j for j, p in enumerate(phonemes)}
+    probabilities = np.zeros((len(counts), len(phonemes)))
+    for row, c in zip(probabilities, counts.values()):
+        total = sum(c.values())
+        for phoneme, n in c.items():
+            row[column[phoneme]] = n / total
+    return Distributions(tuple(counts), phonemes, probabilities)
 
 
-def to_distribution(counts, vocab: Vocabulary, language_code="") -> PhonemeDistribution:
-    """Probability vector aligned to the vocabulary; zero vector when empty."""
-    vec = np.zeros(len(vocab))
-    total = sum(counts.values())
-    if total > 0:
-        for phoneme, count in counts.items():
-            vec[vocab.index(phoneme)] = count / total
-    else:
-        for phoneme in counts:
-            vocab.index(phoneme)  # still reject out-of-vocabulary keys
-    return PhonemeDistribution(language_code, vec, int(total))
-
-
-def cosine_similarity(a: PhonemeDistribution, b: PhonemeDistribution) -> float:
-    """cos(p_A, p_B) = p_A·p_B / (||p_A|| ||p_B||), clamped into [0, 1]."""
-    va, vb = a.probabilities, b.probabilities
-    if va.shape != vb.shape:
-        raise DataError(
-            f"distributions use different vocabularies "
-            f"({va.shape[0]} vs {vb.shape[0]} phonemes)")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        empty = a.language_code if na == 0.0 else b.language_code
-        raise DataError(
-            f"similarity undefined: zero phoneme vector for language {empty!r}")
-    value = float(np.dot(va, vb) / (na * nb))
-    return min(1.0, max(0.0, value))
-
-
-def similarity_matrix(dists) -> SimilarityMatrix:
-    """Symmetric cosine matrix; each pair computed once and mirrored."""
-    dists = list(dists)
-    if len(dists) < 2:
+def similarity_matrix(dists: Distributions) -> SimilarityMatrix:
+    """Symmetric matrix of cos(p_A, p_B) = p_A·p_B / (||p_A|| ||p_B||),
+    clamped into [0, 1]; each norm and each pair computed once."""
+    n = len(dists.codes)
+    if n < 2:
         raise DataError("similarity matrix needs at least 2 languages")
-    codes = tuple(d.language_code for d in dists)
-    if len(set(codes)) != len(codes):
-        raise DataError("duplicate language codes among distributions")
-    n = len(dists)
+    rows = dists.probabilities
+    norms = [float(np.linalg.norm(row)) for row in rows]
     values = np.zeros((n, n))
     for i in range(n):
         values[i, i] = 1.0
         for j in range(i + 1, n):
-            v = cosine_similarity(dists[i], dists[j])
-            values[i, j] = v
-            values[j, i] = v
-    return SimilarityMatrix(codes, values)
+            v = float(np.dot(rows[i], rows[j]) / (norms[i] * norms[j]))
+            values[i, j] = values[j, i] = min(1.0, max(0.0, v))
+    return SimilarityMatrix(dists.codes, values)
 
 
 def family_mean_similarities(matrix: SimilarityMatrix, families) -> list:
@@ -144,10 +126,10 @@ def family_mean_similarities(matrix: SimilarityMatrix, families) -> list:
     return rows
 
 
-def write_distributions_csv(dists, vocab: Vocabulary, path):
-    lines = ["code," + ",".join(map(csv_cell, vocab.phonemes))]
-    for d in dists:
-        lines.append(d.language_code + "," + ",".join(fmt_float(p) for p in d.probabilities))
+def write_distributions_csv(dists: Distributions, path):
+    lines = ["code," + ",".join(map(csv_cell, dists.phonemes))]
+    for code, row in zip(dists.codes, dists.probabilities):
+        lines.append(code + "," + ",".join(fmt_float(p) for p in row))
     write_lines(path, lines)
 
 
@@ -181,4 +163,7 @@ def read_matrix_csv(path) -> SimilarityMatrix:
             raise ParseError("non-numeric matrix entry", path, line_no) from None
         if not np.isfinite(values[i]).all():
             raise ParseError("non-finite matrix entry", path, line_no)
-    return SimilarityMatrix(codes, values)
+    try:
+        return SimilarityMatrix(codes, values)
+    except DataError as e:  # a repeated code
+        raise ParseError(str(e), path) from e

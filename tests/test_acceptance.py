@@ -27,10 +27,8 @@ from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig,
                                run_pipeline)
 from phonosim.registry import load_registry
 from phonosim.selection import select_top_k
-from phonosim.stats import (PhonemeDistribution, SimilarityMatrix,
-                            build_vocabulary, cosine_similarity,
-                            family_mean_similarities, similarity_matrix,
-                            to_distribution)
+from phonosim.stats import (Distributions, SimilarityMatrix,
+                            family_mean_similarities, similarity_matrix)
 
 from genutil import random_ipa_string, random_policy, random_ruleset
 
@@ -68,16 +66,17 @@ def test_c02_cosine_oracle():
             x[rng.randrange(dim)] = rng.random() + 0.1
         if not any(y):
             y[rng.randrange(dim)] = rng.random() + 0.1
-        a = PhonemeDistribution("a", np.array(x), 1)
-        b = PhonemeDistribution("b", np.array(y), 1)
-        got = cosine_similarity(a, b)
+        phonemes = tuple(f"p{j:02d}" for j in range(dim))
+        pair = Distributions(("a", "b"), phonemes, np.array([x, y]))
+        got = similarity_matrix(pair).values[0, 1]
         dot = sum(p * q for p, q in zip(x, y))
         oracle = dot / (math.sqrt(sum(p * p for p in x))
                         * math.sqrt(sum(q * q for q in y)))
         worst = max(worst, abs(got - oracle))
         assert abs(got - oracle) <= 1e-12
         assert 0.0 <= got <= 1.0
-        assert abs(cosine_similarity(a, a) - 1.0) <= 1e-12
+        itself = similarity_matrix(Distributions(("a", "b"), phonemes, np.array([x, x])))
+        assert abs(itself.values[0, 1] - 1.0) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _pass("C02", f"cosine similarity oracle: 1000 pairs within 1e-12 "
@@ -90,19 +89,18 @@ def test_c03_similarity_matrix_properties():
     for _ in range(20):
         n = rng.randint(2, 8)
         dim = rng.randint(2, 10)
-        dists = [
-            PhonemeDistribution(
-                f"l{i}", np.array([rng.random() + 0.01 for _ in range(dim)]), 1)
-            for i in range(n)
-        ]
-        m = similarity_matrix(dists)
+        codes = tuple(f"l{i}" for i in range(n))
+        phonemes = tuple(f"p{j}" for j in range(dim))
+        rows = np.array([[rng.random() + 0.01 for _ in range(dim)] for _ in range(n)])
+        m = similarity_matrix(Distributions(codes, phonemes, rows))
         assert np.array_equal(m.values, m.values.T)
         assert all(abs(m.values[i, i] - 1.0) <= 1e-12 for i in range(n))
         assert all(m.values[i, i] == 1.0 for i in range(n))
 
         perm = list(range(n))
         rng.shuffle(perm)
-        permuted = similarity_matrix([dists[p] for p in perm])
+        permuted = similarity_matrix(
+            Distributions(tuple(codes[p] for p in perm), phonemes, rows[perm]))
         expected = m.values[np.ix_(perm, perm)]
         assert np.array_equal(permuted.values, expected)
     _pass("C03", "similarity matrix: exact symmetry, unit diagonal, "
@@ -267,11 +265,10 @@ def test_c08_top_k_oracle():
                               for c in rng.sample(vocab_letters, 5)})
             for i in range(7)
         }
-        vocab = build_vocabulary(counts.values())
 
         def matrix_of(cts):
-            return similarity_matrix(
-                [to_distribution(cts[code], vocab, code) for code in sorted(cts)])
+            return similarity_matrix(phoneme_distributions(
+                {code: [("u.mp3", list(cts[code].elements()))] for code in sorted(cts)}))
 
         base = select_top_k("l0", matrix_of(counts), k=3).source_codes()
         factor = {code: rng.randint(2, 17) for code in counts}
@@ -403,8 +400,7 @@ def test_c13_qualitative_family_report(toy_dir):
     reg = load_registry(toy_dir / "registry.csv")
     converted = convert_corpora(("aaa", "aab", "aba", "abb"),
                                 toy_dir / "corpus", toy_dir / "rules", policy)
-    _, dists = phoneme_distributions(converted)
-    matrix = similarity_matrix(dists)
+    matrix = similarity_matrix(phoneme_distributions(converted))
     rows = family_mean_similarities(matrix, reg.families())
     assert rows, "report should not be empty"
     print("intra-family mean similarity report (toy corpus):")

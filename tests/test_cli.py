@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import phonosim
 from phonosim import cli
 from phonosim.formats import csv_rows
 from phonosim.ipa import default_policy
@@ -41,6 +42,12 @@ class TestExitCodes:
 
     def test_version(self, capsys):
         assert cli.main(["--version"]) == 0
+
+    def test_public_api_resolves(self):
+        namespace = {}
+        exec("from phonosim import *", namespace)
+        for name in phonosim.__all__:
+            assert namespace[name] is getattr(phonosim, name)
 
 
 class TestRegistry:
@@ -173,9 +180,9 @@ class TestAnalysisCommands:
             path.write_text(text.replace(f"\n{line}\n", f"\n{line[0]}\t{output}\n"),
                             encoding="utf-8")
         codes = corpus_languages(toy_dir / "corpus")
-        vocab, _ = phoneme_distributions(
-            convert_corpora(codes, toy_dir / "corpus", rules, default_policy()))
-        assert {",", '"'} <= set(vocab.phonemes)
+        phonemes = phoneme_distributions(
+            convert_corpora(codes, toy_dir / "corpus", rules, default_policy())).phonemes
+        assert {",", '"'} <= set(phonemes)
 
         out = tmp_path / "out"
         dists_csv = tmp_path / "dists.csv"
@@ -191,9 +198,9 @@ class TestAnalysisCommands:
         ]) == 0
         for path in (out / "distributions.csv", dists_csv):
             rows = [cells for _, cells in csv_rows(path)]
-            assert rows[0] == ["code", *vocab.phonemes]
+            assert rows[0] == ["code", *phonemes]
             assert [row[0] for row in rows[1:]] == list(codes)
-            assert all(len(row) == len(vocab.phonemes) + 1 for row in rows)
+            assert all(len(row) == len(phonemes) + 1 for row in rows)
 
     def test_warning_printed_plainly(self, toy_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -223,6 +230,41 @@ class TestAnalysisCommands:
         assert (f"{bad}: language code 'x,y' contains a comma, a double quote "
                 "or whitespace" in capsys.readouterr().err)
         assert not (tmp_path / "m.csv").exists()
+
+    def test_rules_declaring_another_language_exit_2(self, toy_dir, tmp_path, capsys):
+        rules = tmp_path / "rules"
+        shutil.copytree(toy_dir / "rules", rules)
+        path = rules / "aaa.rules"
+        text = path.read_text(encoding="utf-8")
+        assert "\n@language aaa\n" in text
+        path.write_text(text.replace("\n@language aaa\n", "\n@language zzz\n"),
+                        encoding="utf-8")
+        message = f"{path}: @language 'zzz' does not match corpus code 'aaa'"
+        assert cli.main([
+            "sim", "matrix", "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(rules), "--out", str(tmp_path / "m.csv"),
+        ]) == 2
+        assert f"phonosim: error: {message}\n" in capsys.readouterr().err
+        assert cli.main([
+            "pipeline", "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(rules), "--registry", str(toy_dir / "registry.csv"),
+            "--target", "aab", "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert f"phonosim: error: [g2p] {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_select_matrix_with_repeated_code_exit_2(self, toy_dir, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",aab,aab,aaa\naab,1,1,0.5\naab,1,1,0.5\naaa,0.5,0.5,1\n",
+                          encoding="utf-8")
+        assert cli.main([
+            "select", "--target", "aaa", "--strategy", "corpus_sim", "--k", "2",
+            "--registry", str(toy_dir / "registry.csv"), "--matrix", str(matrix),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"phonosim: error: {matrix}: duplicate language code 'aab'\n" in captured.err
 
     def test_contours_non_finite_level_exit_2(self, toy_dir, tmp_path, capsys):
         coords = tmp_path / "coords.csv"

@@ -224,6 +224,12 @@ class TestRuleFile:
         assert len(rs.rules) == 3
         assert rs.language_code == "x"
 
+    def test_language_defaults_to_whole_stem(self, tmp_path):
+        # corpus codes are file stems, and a code may contain a dot
+        p = tmp_path / "zh.cn.rules"
+        p.write_text("a\tA\n", encoding="utf-8")
+        assert load_ruleset(p).language_code == "zh.cn"
+
     def test_duplicate_line_errors(self, tmp_path):
         p = tmp_path / "x.rules"
         p.write_text("a\tA\na\tB\n", encoding="utf-8")

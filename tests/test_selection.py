@@ -259,7 +259,7 @@ class TestScaleInvariance:
     def test_selection_stable_under_count_rescaling(self):
         from collections import Counter
 
-        from phonosim.stats import build_vocabulary, to_distribution
+        from phonosim.stats import phoneme_distributions
 
         rng = random.Random(53)
         for _ in range(20):
@@ -268,12 +268,11 @@ class TestScaleInvariance:
                                   for c in rng.sample("abcdefgh", 5)})
                 for i in range(6)
             }
-            vocab = build_vocabulary(counts.values())
 
             def matrix_from(cts):
-                dists = [to_distribution(cts[code], vocab, code)
-                         for code in sorted(cts)]
-                return similarity_matrix(dists)
+                converted = {code: [("u.mp3", list(cts[code].elements()))]
+                             for code in sorted(cts)}
+                return similarity_matrix(phoneme_distributions(converted))
 
             base = select_top_k("l0", matrix_from(counts), k=3).source_codes()
             factors = {code: rng.randint(2, 9) for code in counts}
