@@ -10,19 +10,18 @@ hours with weights_from_hours(). Bandwidths come from the per-axis
 Gaussian-reference rule 1.06 * sigma_w * N^(-1/5), with a robust
 min(sigma, IQR/1.34) variant behind a flag.
 
-Contours are extracted by marching squares over a rasterized grid, with
-linear interpolation along cell edges and saddle cells disambiguated by
-the cell-center sample (mean of the four corners).
+Contours are extracted by marching squares, with linear interpolation
+along cell edges and saddle cells disambiguated by the cell-center sample
+(mean of the four corners).
 
-rasterize() sums every cell exactly, on one thread, one block of rows at
-a time. contour_grid() returns the same grid for one contour level at a
-fraction of the cost: it estimates all cells with one matrix product and
-keeps rasterize's exact value only in the cells marching squares reads
-(the maximum, cells near the level, and the corners of every cell the
-level crosses), each found through a rigorous bound on the estimate's
-rounding error. Its contract is that extract_contours() on its grid
-returns exactly what it returns on rasterize's grid; the other cells hold
-the estimate.
+rasterize() sums every cell of the grid exactly, on one thread, one block
+of rows at a time, and extract_contours() traces a level over such a grid.
+kde_contours() returns what the two give together without holding the
+grid: it estimates one block of rows at a time with a matrix product and
+sums a cell exactly only where marching squares reads it and the estimate
+cannot decide, found through a rigorous bound on the estimate's rounding
+error. Both feed one tracer with the same sparse input: the cells the
+level crosses, their corner flags and the exact values at their corners.
 """
 
 import json
@@ -45,8 +44,10 @@ _FALLBACK_SCALE = 1e-3
 PADDING_BANDWIDTHS = 3.0
 # size of the product buffer that an exact fill or gather works through
 _BLOCK_BYTES = 4 << 20
+# size of the block of grid rows that kde_contours estimates at a time
+_STRIP_BYTES = 1 << 20
 # |estimate - exact| <= _ERROR_FACTOR * (N + 2) * (_UNIT_ROUNDOFF * estimate
-# + _NORMAL_MIN * (1 + 1/norm)) for contour_grid's matmul estimate
+# + _NORMAL_MIN * (1 + 1/norm)) for kde_contours' matmul estimate
 _ERROR_FACTOR = 4
 _UNIT_ROUNDOFF = 2.0 ** -53
 _NORMAL_MIN = 2.0 ** -1022
@@ -61,7 +62,15 @@ def weights_from_hours(hours) -> np.ndarray:
         raise DataError("hours must be finite")
     if (arr <= 0).any():
         raise DataError("weights require strictly positive hours")
-    return arr.size * arr / arr.sum()
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+        if not math.isfinite(total):
+            raise DataError("recording hours sum to more than the largest float")
+        weights = arr.size * arr / total
+    if not np.isfinite(weights).all():
+        raise DataError("recording hours times the number of languages "
+                        "exceed the largest float")
+    return weights
 
 
 @dataclass
@@ -164,6 +173,11 @@ def kde_density(point, coords, params: KDEParams) -> float:
     return float((params.weights * kernel).sum() / _norm(params))
 
 
+def _centers(lo, hi, resolution):
+    """The centres of `resolution` equal cells between lo and hi."""
+    return lo + (np.arange(resolution) + 0.5) * ((hi - lo) / resolution)
+
+
 @dataclass
 class DensityGrid:
     x_min: float
@@ -183,19 +197,20 @@ class DensityGrid:
 
     @property
     def x_centers(self):
-        return self.x_min + (np.arange(self.resolution) + 0.5) * self.cell_width
+        return _centers(self.x_min, self.x_max, self.resolution)
 
     @property
     def y_centers(self):
-        return self.y_min + (np.arange(self.resolution) + 0.5) * self.cell_height
+        return _centers(self.y_min, self.y_max, self.resolution)
 
     def integrated_mass(self):
         return float(self.values.sum() * self.cell_width * self.cell_height)
 
 
 def _grid_and_kernels(coords, params: KDEParams, resolution):
-    """The padded grid (values unset) and the per-axis kernel factors
-    kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j - y_n)/h_y)."""
+    """The padded extent (x_min, x_max, y_min, y_max) and the per-axis
+    kernel factors kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j -
+    y_n)/h_y) at the cell centres."""
     resolution = int(resolution)
     if resolution < 16:
         raise DataError("resolution must be at least 16")
@@ -209,54 +224,51 @@ def _grid_and_kernels(coords, params: KDEParams, resolution):
     x_max = float(pts[:, 0].max()) + PADDING_BANDWIDTHS * params.h_x
     y_min = float(pts[:, 1].min()) - PADDING_BANDWIDTHS * params.h_y
     y_max = float(pts[:, 1].max()) + PADDING_BANDWIDTHS * params.h_y
-
-    grid = DensityGrid(x_min, x_max, y_min, y_max, resolution,
-                       np.empty((resolution, resolution)))
-    kx = _gaussian_kernel(grid.x_centers, pts[:, 0], params.h_x)
-    ky = _gaussian_kernel(grid.y_centers, pts[:, 1], params.h_y)
-    return grid, kx, ky
+    kx = _gaussian_kernel(_centers(x_min, x_max, resolution), pts[:, 0], params.h_x)
+    ky = _gaussian_kernel(_centers(y_min, y_max, resolution), pts[:, 1], params.h_y)
+    return (x_min, x_max, y_min, y_max), kx, ky
 
 
-def _fill_exact(grid, kx, ky, params: KDEParams):
-    """Every cell of grid.values: sum_n weights[n] * kx[i, n] * ky[j, n] /
-    norm, through one (rows, R, N) buffer of about _BLOCK_BYTES.
+def _fill_exact(kx, ky, params: KDEParams, out):
+    """out[i, j] = sum_n weights[n] * kx[i, n] * ky[j, n] / norm for every
+    row of kx, through one (rows, R, N) buffer of about _BLOCK_BYTES.
 
     Each cell reduces the same N products with the same np.sum over a
-    contiguous points axis as _set_exact, so a cell does not depend on
+    contiguous points axis as _exact_at, so a cell does not depend on
     which of the two computed it.
     """
-    values = grid.values
-    rows = max(1, min(grid.resolution, _BLOCK_BYTES // ky.nbytes))
+    rows = max(1, min(len(kx), _BLOCK_BYTES // ky.nbytes))
     buf = np.empty((rows,) + ky.shape)
-    for lo in range(0, grid.resolution, rows):
-        block = buf[:min(rows, grid.resolution - lo)]
+    for lo in range(0, len(kx), rows):
+        block = buf[:min(rows, len(kx) - lo)]
         np.multiply(kx[lo:lo + len(block), None, :], ky[None], out=block)
         np.multiply(params.weights, block, out=block)
-        np.sum(block, axis=-1, out=values[lo:lo + len(block)])
-    values /= _norm(params)
+        np.sum(block, axis=-1, out=out[lo:lo + len(block)])
+    out /= _norm(params)
 
 
 def rasterize(coords, params: KDEParams, resolution=512) -> DensityGrid:
     """Sample the density at cell centers over the data extent padded by
     PADDING_BANDWIDTHS bandwidths per axis."""
-    grid, kx, ky = _grid_and_kernels(coords, params, resolution)
-    _fill_exact(grid, kx, ky, params)
-    return grid
+    extent, kx, ky = _grid_and_kernels(coords, params, resolution)
+    values = np.empty((len(kx), len(ky)))
+    _fill_exact(kx, ky, params, values)
+    return DensityGrid(*extent, len(kx), values)
 
 
-def _set_exact(grid, kx, ky, params: KDEParams, cells):
-    """Overwrite the flat cell indices `cells` of grid.values with the
-    values rasterize writes there: the same N products, the same np.sum
-    over a contiguous points axis, the same division."""
-    flat = grid.values.reshape(-1)
-    norm = _norm(params)
+def _exact_at(kx, ky, params: KDEParams, i, j):
+    """The values rasterize writes at the cells (i[k], j[k]): the same N
+    products, the same np.sum over a contiguous points axis, the same
+    division."""
+    out = np.empty(i.size)
     step = max(1, _BLOCK_BYTES // kx[0].nbytes)
-    for lo in range(0, cells.size, step):
-        chunk = cells[lo:lo + step]
-        i, j = np.divmod(chunk, grid.resolution)
-        block = kx[i] * ky[j]
+    for lo in range(0, i.size, step):
+        block = kx[i[lo:lo + step]]
+        np.multiply(block, ky[j[lo:lo + step]], out=block)
         np.multiply(params.weights, block, out=block)
-        flat[chunk] = np.sum(block, axis=-1) / norm
+        np.sum(block, axis=-1, out=out[lo:lo + step])
+    out /= _norm(params)
+    return out
 
 
 def _band(x, rel, floor):
@@ -272,78 +284,6 @@ def _band(x, rel, floor):
     return (x - 3 * floor) * (1 - 3 * rel), (x + 3 * floor) * (1 + 3 * rel)
 
 
-def contour_grid(coords, params: KDEParams, resolution=512, level=0.1,
-                 relative=False):
-    """The grid rasterize builds, exact wherever extract_contours reads,
-    and the cutoff to extract at: `level`, or `level` times the grid
-    maximum when `relative`.
-
-    The whole grid is first estimated with one matrix product, E = (kx *
-    w) @ ky.T / norm. Every term is nonnegative, so in any summation
-    order (and with fused multiply-adds) E and the exact value V each lie
-    within gamma_(N+2) = (N+2) u / (1 - (N+2) u) of the real density, u =
-    2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., ch. 3-4). Hence |E - V| <= c (N+2) (u E + floor) with c = 4,
-    where floor = 2**-1022 (1 + 1/norm) bounds gradual underflow. Cells
-    are then overwritten with V, computed as rasterize computes it, where
-    E alone cannot decide:
-
-    1. cells whose E is within the bound of max(E), so the grid maximum
-       (used for `relative` and the below-level check) is exact;
-    2. cells whose E is within the bound of the cutoff, so every cell is
-       on the same side of it as in rasterize's grid;
-    3. all four corners of every cell that is then mixed (some corners
-       above the cutoff, some not): the crossing-edge endpoints and the
-       saddle centres.
-
-    extract_contours(grid, cutoff) reads nothing else, so its result is
-    identical to the one on rasterize's grid. Every other cell holds the
-    estimate. Steps 2-3 are skipped when the cutoff is not finite and
-    positive (extract_contours rejects it) or exceeds the maximum (it
-    reads only the maximum). A grid outside the range of the bound (norm
-    below the smallest normal float, or an estimate that is not finite or
-    near overflow) is computed whole, as rasterize does. A tiny level over
-    a grid of zero densities puts nearly every cell in step 2, and
-    gathering them costs up to about twice a rasterize.
-    """
-    grid, kx, ky = _grid_and_kernels(coords, params, resolution)
-    norm = _norm(params)
-    values = grid.values
-    np.matmul(kx * params.weights, ky.T, out=values)
-    row_peaks = values.max(axis=1)
-    if norm < _NORMAL_MIN or not math.isfinite(2 * float(row_peaks.max()) / norm):
-        _fill_exact(grid, kx, ky, params)
-        return grid, level * float(values.max()) if relative else level
-    # dividing by norm > 0 is monotone: row_peaks stay the row maxima
-    values /= norm
-    row_peaks /= norm
-    peak = float(row_peaks.max())
-
-    n = params.n_points
-    rel = _ERROR_FACTOR * (n + 2) * _UNIT_ROUNDOFF
-    floor = _ERROR_FACTOR * (n + 2) * _NORMAL_MIN * (1.0 + 1.0 / norm)
-    lo = _band(peak, rel, floor)[0]
-    rows = np.flatnonzero(row_peaks >= lo)
-    r, c = np.nonzero(values[rows] >= lo)
-    _set_exact(grid, kx, ky, params, rows[r] * grid.resolution + c)
-    # every other cell's estimate is below the exact maximum
-    top = float(values[rows].max())
-    cutoff = level * top if relative else level
-    cut = float(cutoff)
-    if not (math.isfinite(cut) and 0 < cut <= top):
-        return grid, cutoff
-
-    lo, hi = _band(cut, rel, floor)
-    flat = values.reshape(-1)
-    _set_exact(grid, kx, ky, params, np.flatnonzero((flat >= lo) & (flat <= hi)))
-    _, i, j = _mixed_cells(values, cut)
-    node = i * grid.resolution + j
-    corners = np.unique(np.concatenate(
-        [node, node + 1, node + grid.resolution, node + grid.resolution + 1]))
-    _set_exact(grid, kx, ky, params, corners)
-    return grid, cutoff
-
-
 @dataclass
 class ContourSet:
     family: str
@@ -352,10 +292,118 @@ class ContourSet:
     below_level: bool = False
 
 
-def _mixed_cells(values, level):
-    """The mask values > level and the (i, j) of every cell whose corners
-    (i, j), (i+1, j), (i, j+1), (i+1, j+1) are not all on one side."""
-    inside = values > level
+def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
+                 relative=False, family="") -> ContourSet:
+    """What extract_contours returns on rasterize's grid, at `level`, or
+    `level` times the grid maximum when `relative`, without holding the
+    grid: rows are computed one block at a time.
+
+    Each block of rows is first estimated with one matrix product, E =
+    (kx * (w / norm)) @ ky.T. Every term is nonnegative and each goes
+    through N + 2 roundings, as in the exact value V = sum(w * kx * ky) /
+    norm, so in any summation order (and with fused multiply-adds) E and V
+    each lie within gamma_(N+2) = (N+2) u / (1 - (N+2) u) of the real
+    density, u = 2**-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3-4). Hence |E - V| <= c (N+2) (u E + floor)
+    with c = 4, where floor = 2**-1022 (1 + 1/norm) bounds gradual
+    underflow. V, computed as rasterize computes it, is summed only where
+    E alone cannot decide:
+
+    1. pass 1 keeps each row's maximum estimate, then sums the cells whose
+       E is within the bound of the largest, so the grid maximum (used for
+       `relative` and the below-level check) is exact;
+    2. pass 2 takes blocks of rows lo .. lo + B that share their last row
+       with the next block. It sums the cells whose E is within the bound
+       of the cutoff, so every cell is on the same side of it as in
+       rasterize's grid, and then the four corners of every cell that is
+       mixed (some corners above the cutoff, some not): the crossing-edge
+       endpoints and the saddle centres.
+
+    Marching squares reads a cell's four corners and nothing else, so the
+    polylines, their order, the cutoff and the warning are those of
+    extract_contours on rasterize's grid, however the blocks estimate a
+    shared row. Only the mixed cells, their corner flags and the exact
+    values at their corners outlive a block. Outside the range of the
+    bound (norm below the smallest normal float, or an estimate that could
+    overflow) every block is summed exactly instead. A tiny level over a
+    grid of zero densities puts nearly every cell in the band, and
+    summing them costs up to about twice a rasterize.
+    """
+    extent, kx, ky = _grid_and_kernels(coords, params, resolution)
+    size = len(kx)
+    norm = _norm(params)
+    n = params.n_points
+    # the weights average one, so no estimate exceeds about n / norm
+    exact = norm < _NORMAL_MIN or not math.isfinite(2 * n / norm)
+    rel = 0.0 if exact else _ERROR_FACTOR * (n + 2) * _UNIT_ROUNDOFF
+    floor = 0.0 if exact else _ERROR_FACTOR * (n + 2) * _NORMAL_MIN * (1.0 + 1.0 / norm)
+    # kx * (w / norm) for the estimate; w / norm may overflow otherwise
+    factors = kx if exact else kx * (params.weights / norm)
+    height = max(1, _STRIP_BYTES // (8 * size))
+    buf = np.empty((height + 1, size))
+
+    def rows(index):
+        """Grid rows `index`: V, or E when the bound holds."""
+        part = factors[index]
+        out = buf[:len(part)]
+        if exact:
+            _fill_exact(part, ky, params, out)
+        else:
+            np.matmul(part, ky.T, out=out)
+        return out
+
+    row_peaks = np.concatenate([rows(slice(start, start + height)).max(axis=1)
+                                for start in range(0, size, height)])
+    lo = _band(float(row_peaks.max()), rel, floor)[0]
+    near = np.flatnonzero(row_peaks >= lo)
+    top = -math.inf
+    for start in range(0, near.size, height):
+        index = near[start:start + height]
+        r, c = np.divmod(np.flatnonzero(rows(index) >= lo), size)
+        # every other cell's estimate is below the exact maximum
+        top = max(top, float(_exact_at(kx, ky, params, index[r], c).max()))
+    cut = float(level * top if relative else level)
+    empty = _below_level(top, cut, family)
+    if empty is not None:
+        return empty
+
+    lo, hi = _band(cut, rel, floor)
+    cells, flags, nodes, values = [], [], [], []
+    for start in range(0, size - 1, height):
+        block = rows(slice(start, start + height + 1))
+        inside = block > hi
+        r, c = np.divmod(np.flatnonzero((block >= lo) != inside), size)
+        inside[r, c] = _exact_at(kx, ky, params, start + r, c) > cut
+        block_cells, block_flags = _mixed_cells(inside)
+        corners = _corners(block_cells, size) + start * size
+        cells.append(block_cells + start * size)
+        flags.append(block_flags)
+        nodes.append(corners)
+        values.append(_exact_at(kx, ky, params, *np.divmod(corners, size)))
+    # a corner on a shared row is summed by both of its blocks, to one value
+    nodes, first = np.unique(np.concatenate(nodes), return_index=True)
+    return _trace(np.concatenate(cells), np.concatenate(flags), nodes,
+                  np.concatenate(values)[first], _centers(*extent[:2], size),
+                  _centers(*extent[2:], size), cut, family)
+
+
+def _below_level(top, level, family):
+    """Reject a level that is not finite and positive. When it exceeds the
+    grid maximum `top`, warn and return the flagged empty ContourSet;
+    otherwise None."""
+    if not (math.isfinite(level) and level > 0):
+        raise DataError("contour level must be finite and positive")
+    if top >= level:
+        return None
+    warnings.warn(f"maximum density {top:.6g} is below contour level {level:g}"
+                  + (f" for family {family!r}" if family else ""))
+    return ContourSet(family, level, [], below_level=True)
+
+
+def _mixed_cells(inside):
+    """The cells of the mask `inside` whose corners (i, j), (i+1, j), (i,
+    j+1), (i+1, j+1) are not all on one side, as node ids i*n + j (n
+    columns), and their (M, 4) corner flags in that order."""
     # corners not all equal: (i, j) differs from (i, j+1), or a column
     # edge (i, j)-(i+1, j) or (i, j+1)-(i+1, j+1) is crossed
     crossed = inside[:-1] != inside[1:]
@@ -364,7 +412,16 @@ def _mixed_cells(values, level):
     mixed |= inside[:-1, :-1] != inside[:-1, 1:]
     # flatnonzero is several times faster than a 2D nonzero, same order
     i, j = np.divmod(np.flatnonzero(mixed), mixed.shape[1])
-    return inside, i, j
+    n = inside.shape[1]
+    cells = i * n + j
+    flat = inside.reshape(-1)
+    return cells, np.stack([flat[cells], flat[cells + n], flat[cells + 1],
+                            flat[cells + n + 1]], axis=1)
+
+
+def _corners(cells, n):
+    """Sorted node ids of every corner of the cells (node ids, n columns)."""
+    return np.unique(np.concatenate([cells, cells + 1, cells + n, cells + n + 1]))
 
 
 def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
@@ -372,6 +429,22 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
 
     Polylines are closed unless clipped at the grid boundary. When the
     grid maximum is below the level the result is empty and flagged.
+    """
+    level = float(level)
+    v = grid.values
+    empty = _below_level(float(v.max()), level, family)
+    if empty is not None:
+        return empty
+    cells, flags = _mixed_cells(v > level)
+    nodes = _corners(cells, v.shape[1])
+    return _trace(cells, flags, nodes, v.reshape(-1)[nodes], grid.x_centers,
+                  grid.y_centers, level, family)
+
+
+def _trace(cells, flags, nodes, values, xc, yc, level, family):
+    """The polylines of extract_contours through the mixed cells (node ids
+    i*n + j of their (i, j) corner, n = yc.size) with their corner flags,
+    reading grid values only at `nodes` (sorted ids of every corner).
 
     A crossing vertex lies on the edge between grid nodes (i1, j1) and
     (i2, j2) and has the id 2*(i1*n + j1) + 1 on an x-edge (i2 = i1 + 1)
@@ -380,26 +453,16 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
     closed loops, each from its smallest vertex towards the smaller of its
     two neighbours; both in vertex id order.
     """
-    level = float(level)
-    if not (math.isfinite(level) and level > 0):
-        raise DataError("contour level must be finite and positive")
-    v = grid.values
-    if float(v.max()) < level:
-        warnings.warn(
-            f"maximum density {v.max():.6g} is below contour level {level:g}"
-            + (f" for family {family!r}" if family else ""))
-        return ContourSet(family, level, [], below_level=True)
+    n = yc.size
 
-    n = v.shape[1]
-    inside, i, j = _mixed_cells(v, level)
+    def at(node):
+        return values[np.searchsorted(nodes, node)]
 
-    f00, f10 = inside[i, j], inside[i + 1, j]
-    f01, f11 = inside[i, j + 1], inside[i + 1, j + 1]
-    node = i * n + j
-    ex0 = 2 * node + 1        # (i, j)-(i+1, j)
-    ex1 = 2 * node + 3        # (i, j+1)-(i+1, j+1)
-    ey0 = 2 * node            # (i, j)-(i, j+1)
-    ey1 = 2 * (node + n)      # (i+1, j)-(i+1, j+1)
+    f00, f10, f01, f11 = flags.T
+    ex0 = 2 * cells + 1        # (i, j)-(i+1, j)
+    ex1 = 2 * cells + 3        # (i, j+1)-(i+1, j+1)
+    ey0 = 2 * cells            # (i, j)-(i, j+1)
+    ey1 = 2 * (cells + n)      # (i+1, j)-(i+1, j+1)
 
     # a plain mixed cell crosses exactly two edges: one segment
     plain = ~((f00 == f11) & (f10 == f01) & (f00 != f10))
@@ -409,23 +472,21 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
 
     # saddle: two segments, paired by the cell-center sample
     s = ~plain
-    si, sj = i[s], j[s]
-    center = (v[si, sj] + v[si + 1, sj] + v[si, sj + 1] + v[si + 1, sj + 1]) / 4.0
+    c = cells[s]
+    center = (at(c) + at(c + n) + at(c + 1) + at(c + n + 1)) / 4.0
     keep = (center > level) == f00[s]
     ends_a = np.concatenate([pairs[:, 0], ex0[s], ex1[s]])
     ends_b = np.concatenate([pairs[:, 1], np.where(keep, ey1[s], ey0[s]),
                              np.where(keep, ey0[s], ey1[s])])
 
     ids = np.unique(np.concatenate([ends_a, ends_b]))
-    cell, on_x = np.divmod(ids, 2)
-    i1, j1 = np.divmod(cell, n)
+    node, on_x = np.divmod(ids, 2)
+    i1, j1 = np.divmod(node, n)
     i2 = i1 + on_x
     j2 = j1 + 1 - on_x
-    v1 = v[i1, j1].astype(float)
-    v2 = v[i2, j2].astype(float)
+    v1 = at(node).astype(float)
+    v2 = at(i2 * n + j2).astype(float)
     t = (level - v1) / (v2 - v1)
-    xc = grid.x_centers
-    yc = grid.y_centers
     positions = np.column_stack((xc[i1] + t * (xc[i2] - xc[i1]),
                                  yc[j1] + t * (yc[j2] - yc[j1])))
 

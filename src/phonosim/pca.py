@@ -82,7 +82,7 @@ def read_coords_csv(path):
     if not rows or rows[0][1][:3] != ["id", "x", "y"]:
         raise ParseError("expected header starting with id,x,y", path,
                          rows[0][0] if rows else 1)
-    codes = []
+    first_line = {}
     points = []
     for line_no, row in rows[1:]:
         if len(row) < 3:
@@ -93,6 +93,11 @@ def read_coords_csv(path):
             raise ParseError("non-numeric coordinate", path, line_no) from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError("non-finite coordinate", path, line_no)
-        codes.append(row[0].strip())
+        code = row[0].strip()
+        if code in first_line:
+            raise ParseError(
+                f"duplicate language code {code!r} (first seen on line {first_line[code]})",
+                path, line_no)
+        first_line[code] = line_no
         points.append((x, y))
-    return tuple(codes), np.array(points, dtype=float)
+    return tuple(first_line), np.array(points, dtype=float)

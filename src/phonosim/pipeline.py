@@ -23,9 +23,8 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
-from .density import (KDEParams, contour_grid, extract_contours,
-                      silverman_bandwidths, weights_from_hours,
-                      write_contours_json)
+from .density import (KDEParams, kde_contours, silverman_bandwidths,
+                      weights_from_hours, write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
 from .g2p import load_ruleset, transliterate
 from .ipa import default_policy, load_policy
@@ -297,8 +296,7 @@ def compute_family_contours(codes, coords, reg: Registry, level, resolution,
             weights = weights_from_hours(hours)
         h_x, h_y = silverman_bandwidths(pts, weights, robust=robust)
         params = KDEParams(h_x, h_y, weights)
-        grid, cutoff = contour_grid(pts, params, resolution=resolution,
-                                    level=level, relative=relative)
-        contour_sets.append(extract_contours(grid, cutoff, family=family))
-        del grid  # not alive while the next family's grid is built
+        contour_sets.append(kde_contours(pts, params, resolution=resolution,
+                                         level=level, relative=relative,
+                                         family=family))
     return contour_sets

@@ -5,16 +5,28 @@ polylines in the same color, and a small legend. Geometry uses a single
 uniform scale so distances stay honest.
 """
 
+import math
 from html import escape
 
 import numpy as np
 
+from .errors import DataError
 from .formats import fmt_float, fmt_floats, write_lines
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
     "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
 )
+
+
+_UNDRAWABLE = ("cannot draw: the coordinates are too large or too close "
+               "together for a finite plot extent and scale")
+
+
+def _check_finite(screen):
+    """Raise DataError unless every screen coordinate is finite."""
+    if not np.isfinite(screen).all():
+        raise DataError(_UNDRAWABLE)
 
 
 def family_colors(families):
@@ -48,8 +60,13 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
     y_lo -= pad_y
     y_hi += pad_y
 
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)
+            and x_lo < x_hi and y_lo < y_hi):
+        raise DataError(_UNDRAWABLE)
     scale = min((width - 2 * margin) / (x_hi - x_lo),
                 (height - 2 * margin) / (y_hi - y_lo))
+    if not (math.isfinite(scale) and scale > 0):
+        raise DataError(_UNDRAWABLE)
 
     # Screen coordinates of a float or a numpy array of floats.
     def sx(x):
@@ -72,12 +89,14 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
             screen = np.empty_like(line)
             screen[:, 0] = sx(line[:, 0])
             screen[:, 1] = sy(line[:, 1])
+            _check_finite(screen)
             vertices = fmt_floats(screen, "%s,%s")
             out.append(
                 f'<polyline points="{vertices}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5" opacity="0.8"/>')
     for code, x, y, family in points:
         color = colors.get(family, "#333333")
+        _check_finite((sx(x), sy(y)))
         cx, cy = fmt_float(sx(x)), fmt_float(sy(y))
         out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
         out.append(

@@ -318,6 +318,51 @@ class TestAnalysisCommands:
             f"phonosim: error: {coords}:4: non-finite coordinate\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", [
+        ["aaa,1e308,0", "aba,-1e308,1"],        # extent spans over the largest float
+        ["aaa,0,0", "aba,5e-324,5e-324"],       # scale over the largest float
+        ["aaa,0,0", "aba,1.75e308,0"],          # the 5% padding overflows
+        ["aaa,1e300,0", "aba,1e300,1"],         # the padding vanishes: zero span
+    ])
+    def test_contours_svg_that_cannot_be_drawn_exit_2(self, toy_dir, tmp_path,
+                                                      capsys, points):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\n" + "\n".join(points) + "\n", encoding="utf-8")
+        out = tmp_path / "contours.svg"
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "phonosim: error: cannot draw: the coordinates are too large or too "
+            "close together for a finite plot extent and scale\n")
+        assert not out.exists()
+
+    def test_contours_repeated_id_exit_2(self, toy_dir, tmp_path, capsys):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\naaa,0,0\naab,1,1\naaa,0.5,0.2\n",
+                          encoding="utf-8")
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"phonosim: error: {coords}:4: duplicate language code 'aaa' "
+            "(first seen on line 2)\n")
+        assert not out.exists()
+
+    def test_contours_hours_sum_overflow_exit_2(self, toy_dir, tmp_path, capsys):
+        registry = tmp_path / "registry.csv"
+        registry.write_text("code,name,family,branch,hours\n"
+                            "aaa,A,F,,1e308\naab,B,F,,1e308\n", encoding="utf-8")
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\naaa,0,0\naab,1,1\n", encoding="utf-8")
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(registry), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("phonosim: error: recording hours sum "
+                                           "to more than the largest float\n")
+        assert not out.exists()
+
     def test_contours_bad_extension(self, toy_dir, tmp_path):
         coords = tmp_path / "coords.csv"
         coords.write_text("id,x,y,ev1,ev2\naaa,0,0,1,0\naab,1,1,1,0\n",

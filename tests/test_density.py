@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ class TestWeights:
                 KDEParams(h_x, h_y, np.ones(2))
         with pytest.raises(DataError, match="weights must be finite"):
             KDEParams(1.0, 1.0, np.array([bad, 1.0]))
+
+    def test_hours_too_large_to_weight_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(DataError, match="^recording hours sum to more "
+                               "than the largest float$"):
+                weights_from_hours([1e308, 1e308])
+            with pytest.raises(DataError, match="^recording hours times the "
+                               "number of languages exceed the largest float$"):
+                weights_from_hours([1e308, 1e300])
+        w = weights_from_hours([1e307, 3e307])
+        assert w.tolist() == [2 * 1e307 / 4e307, 2 * 3e307 / 4e307]
 
     def test_params_validation(self):
         with pytest.raises(DataError):

@@ -1,30 +1,31 @@
-"""rasterize, contour_grid, extract_contours, write_contours_json and
+"""rasterize, kde_contours, extract_contours, write_contours_json and
 render_svg against their earlier straightforward forms.
 
 The oracles below are the chunked (chunk, R, N) rasterizer and the per-cell
 marching squares that the vectorized versions replaced. Both versions do
 the same floating-point operations in the same order, so results must be
 equal bit for bit (np.array_equal), not merely close: contours.json and
-the SVG are pinned byte for byte. contour_grid followed by
-extract_contours must give exactly what rasterize followed by
-extract_contours gives. The contours.json oracle is the json.dumps form
-that the hand-written writer replaced, and the render_svg oracle is the
-per-vertex writer that the array form replaced; files must be equal byte
-for byte.
+the SVG are pinned byte for byte. kde_contours must give exactly what
+rasterize followed by extract_contours gives, however its row blocks
+fall. The contours.json oracle is the json.dumps form that the
+hand-written writer replaced, and the render_svg oracle is the per-vertex
+writer that the array form replaced; files must be equal byte for byte.
 """
 
 import json
 import math
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from html import escape
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from phonosim import density
 from phonosim.density import (ContourSet, DensityGrid, KDEParams,
-                              contour_grid, extract_contours, rasterize,
+                              extract_contours, kde_contours, rasterize,
                               write_contours_json)
 from phonosim.errors import DataError
 from phonosim.formats import fmt_float, round_float, write_lines
@@ -326,42 +327,46 @@ class TestContoursExact:
                              extract_contours_oracle(grid, level))
 
 
-def assert_promised_cells_exact(grid, full, cutoff, n_points):
-    """The cells contour_grid promises hold rasterize's values: those near
-    the maximum, those near the cutoff (both judged here from the exact
-    values, inside the band the estimate's bound guarantees) and the
-    corners of every mixed cell; and every cell sits on the same side of
-    the cutoff."""
-    exact, got = full.values, grid.values
-    rel = (n_points + 2) * 2.0 ** -53
-    top = float(exact.max())
-    promised = exact >= top * (1 - rel)
-    cut = float(cutoff)
-    if math.isfinite(cut) and 0 < cut <= top:
-        assert np.array_equal(got > cut, exact > cut)
-        promised |= np.abs(exact - cut) <= rel * exact
-        _, i, j = density._mixed_cells(exact, cut)
-        for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            promised[i + di, j + dj] = True
-    assert promised.any()
-    assert np.array_equal(got[promised], exact[promised])
-    assert float(got.max()) == top
+def assert_reads_exact(top, traced, full, cutoff):
+    """What kde_contours read holds rasterize's values: the grid maximum
+    `top`, and, when it traced, the mixed cells, their corner flags and
+    the values at their corners, as the exact grid gives them."""
+    exact = full.values
+    assert top == float(exact.max())
+    if traced is None:
+        return
+    cells, flags, nodes, values, xc, yc, level, _ = traced
+    assert level == cutoff
+    assert np.array_equal(xc, full.x_centers) and np.array_equal(yc, full.y_centers)
+    inside = exact > cutoff
+    b00, b10 = inside[:-1, :-1], inside[1:, :-1]
+    b01, b11 = inside[:-1, 1:], inside[1:, 1:]
+    i, j = np.nonzero((b00 != b10) | (b00 != b01) | (b00 != b11))
+    node = i * full.resolution + j
+    assert np.array_equal(cells, node)
+    assert np.array_equal(flags, np.stack([b00[i, j], b10[i, j], b01[i, j],
+                                           b11[i, j]], axis=1))
+    assert np.array_equal(nodes, np.unique(np.concatenate(
+        [node, node + 1, node + full.resolution, node + full.resolution + 1])))
+    assert np.array_equal(values, exact.reshape(-1)[nodes])
 
 
 def contours_both_ways(coords, params, resolution, level, relative=False):
-    """contour_grid then extract_contours, checked against rasterize then
-    extract_contours (polylines, flags, cutoff, warning text) and against
-    the per-cell marching squares."""
-    with warnings.catch_warnings(record=True) as got_warnings:
+    """kde_contours checked against rasterize then extract_contours
+    (polylines, flags, cutoff, warning text), against the per-cell
+    marching squares, and for exact values wherever it read."""
+    with warnings.catch_warnings(record=True) as got_warnings, \
+            mock.patch.object(density, "_below_level",
+                              wraps=density._below_level) as below, \
+            mock.patch.object(density, "_trace", wraps=density._trace) as trace:
         warnings.simplefilter("always")
-        grid, cutoff = contour_grid(coords, params, resolution, level, relative)
-        got = extract_contours(grid, cutoff, family="f")
+        got = kde_contours(coords, params, resolution, level, relative, family="f")
     with warnings.catch_warnings(record=True) as want_warnings:
         warnings.simplefilter("always")
         full = rasterize(coords, params, resolution)
         want_cutoff = level * float(full.values.max()) if relative else level
         want = extract_contours(full, want_cutoff, family="f")
-    assert cutoff == want_cutoff
+    assert got.level == want_cutoff
     assert_same_contours(got, want)
     assert [(w.category, str(w.message)) for w in got_warnings] == \
         [(w.category, str(w.message)) for w in want_warnings]
@@ -369,10 +374,10 @@ def contours_both_ways(coords, params, resolution, level, relative=False):
         warnings.simplefilter("ignore")
         assert_same_contours(got, extract_contours_oracle(full, want_cutoff,
                                                           family="f"))
-    assert (grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.resolution) \
-        == (full.x_min, full.x_max, full.y_min, full.y_max, full.resolution)
-    assert_promised_cells_exact(grid, full, cutoff, params.n_points)
-    return got, grid, full
+    assert_reads_exact(below.call_args.args[0],
+                       trace.call_args.args if trace.called else None,
+                       full, want_cutoff)
+    return got, full
 
 
 def two_clusters():
@@ -382,7 +387,15 @@ def two_clusters():
     return coords, KDEParams(1.0, 1.0, [0.5, 1.5, 1.2, 0.8])
 
 
+def block_height(monkeypatch, resolution, rows):
+    """Make kde_contours estimate `rows` grid rows at a time."""
+    monkeypatch.setattr(density, "_STRIP_BYTES", 8 * resolution * rows)
+
+
 class TestContourGridExact:
+    """kde_contours against rasterize then extract_contours (the class
+    keeps the name of the grid function that kde_contours replaced)."""
+
     @pytest.mark.parametrize("resolution", [16, 33, 257])
     @pytest.mark.parametrize("n", [1, 2, 16, 129])
     def test_random_families(self, n, resolution):
@@ -393,7 +406,7 @@ class TestContourGridExact:
 
     def test_pipeline_size(self):
         coords, params = random_family(16, seed=2048)
-        got, _, _ = contours_both_ways(coords, params, 2048, 0.1, relative=True)
+        got, _ = contours_both_ways(coords, params, 2048, 0.1, relative=True)
         assert sum(len(p) for p in got.polylines) > 1000
 
     @pytest.mark.parametrize("family", ["random", "symmetric", "identical"])
@@ -423,7 +436,7 @@ class TestContourGridExact:
         for resolution in (16, 33, 257):
             for level in (0.2, 0.5, 0.999999, 1.0):
                 contours_both_ways(coords, params, resolution, level, True)
-            got, _, _ = contours_both_ways(coords, params, resolution, 1e9)
+            got, _ = contours_both_ways(coords, params, resolution, 1e9)
             assert got.polylines
 
     @pytest.mark.parametrize("level", [5e-324, 1e-320, 2.0 ** -1022, 1e-300])
@@ -431,7 +444,7 @@ class TestContourGridExact:
         coords, params = two_clusters()
         values = rasterize(coords, params, 257).values
         assert (values == 0).any() and ((values > 0) & (values < 2.0 ** -1022)).any()
-        got, _, _ = contours_both_ways(coords, params, 257, level)
+        got, _ = contours_both_ways(coords, params, 257, level)
         assert got.polylines
 
     def test_relative_just_below_one(self):
@@ -444,7 +457,7 @@ class TestContourGridExact:
     def test_all_below(self, relative):
         coords, params = random_family(16, seed=9)
         level = 1.0 + 2.0 ** -52 if relative else 1e6
-        got, _, _ = contours_both_ways(coords, params, 64, level, relative)
+        got, _ = contours_both_ways(coords, params, 64, level, relative)
         assert got.below_level and got.polylines == []
 
     @pytest.mark.parametrize("relative", [False, True])
@@ -458,41 +471,105 @@ class TestContourGridExact:
             level = math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
-            grid, cutoff = contour_grid(coords, params, 64, level, relative)
             with pytest.raises(DataError,
                                match="^contour level must be finite and positive$"):
-                extract_contours(grid, cutoff)
+                kde_contours(coords, params, 64, level, relative)
 
     def test_scale_outside_the_bound_is_computed_whole(self, monkeypatch):
         # h_x * h_y so small that the normalizing constant is subnormal
         coords = np.array([[0.0, 0.0], [5e-150, 1e-159]])
         params = KDEParams(1e-150, 1.59e-159, np.ones(2))
         assert density._norm(params) < 2.0 ** -1022
+        block_height(monkeypatch, 33, 5)
         calls = []
         real = density._fill_exact
         monkeypatch.setattr(density, "_fill_exact",
-                            lambda *args: calls.append(1) or real(*args))
-        _, grid, full = contours_both_ways(coords, params, 33, 0.5, True)
-        assert len(calls) == 2  # contour_grid, then rasterize
-        assert np.array_equal(grid.values, full.values)
-        assert np.isfinite(grid.values).all()
+                            lambda kx, *args: calls.append(len(kx)) or real(kx, *args))
+        _, full = contours_both_ways(coords, params, 33, 0.5, True)
+        assert np.isfinite(full.values).all()
+        # rasterize fills all 33 rows at once; kde_contours sums every
+        # block of at most 5 (+ 1 shared) rows exactly, in both passes
+        assert calls[-1] == 33
+        assert calls[:-1] and max(calls[:-1]) <= 6
+        assert sum(calls[:-1]) >= 33 + 33
 
     def test_wide_band_is_gathered(self, monkeypatch):
         # two points 1000 bandwidths apart: nearly every cell is zero, so
         # the band around a subnormal level holds nearly the whole grid
         coords = np.array([[0.0, 0.0], [1000.0, 1000.0]])
         params = KDEParams(1.0, 1.0, [0.5, 1.5])
-        calls = []
-        real = density._fill_exact
+        fills, gathered = [], []
+        real_fill, real_gather = density._fill_exact, density._exact_at
         monkeypatch.setattr(density, "_fill_exact",
-                            lambda *args: calls.append(1) or real(*args))
-        got, grid, full = contours_both_ways(coords, params, 257, 5e-324)
-        assert len(calls) == 1  # only the rasterize reference
+                            lambda *args: fills.append(1) or real_fill(*args))
+        monkeypatch.setattr(density, "_exact_at",
+                            lambda *args: gathered.append(args[3].size)
+                            or real_gather(*args))
+        got, full = contours_both_ways(coords, params, 257, 5e-324)
+        assert len(fills) == 1  # only the rasterize reference
         # every zero or subnormal cell lies in the band, so it was gathered
         band = full.values < 2.0 ** -1022
         assert band.mean() > 0.99
-        assert np.array_equal(grid.values[band], full.values[band])
+        assert sum(gathered) >= band.sum()
         assert got.polylines
+
+
+class TestKdeContoursBlocks:
+    """Row blocks that share their last row with the next block."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    def test_contours_cross_block_edges(self, monkeypatch, rows):
+        coords, params = random_family(16, seed=5)
+        block_height(monkeypatch, 96, rows)
+        for level, relative in ((0.5, True), (0.95, True), (1.0, True),
+                                (0.02, False)):
+            contours_both_ways(coords, params, 96, level, relative)
+        # the polyline at 0.05 of the maximum spans more rows than a block
+        got, full = contours_both_ways(coords, params, 96, 0.05, True)
+        assert np.ptp(np.concatenate(got.polylines)[:, 0]) > rows * full.cell_width
+
+    @pytest.mark.parametrize("resolution,rows", [(100, 7), (257, 64), (61, 60),
+                                                 (45, 44), (47, 23)])
+    def test_resolution_not_a_multiple_of_the_height(self, monkeypatch,
+                                                     resolution, rows):
+        assert resolution % rows
+        coords, params = random_family(7, seed=resolution)
+        block_height(monkeypatch, resolution, rows)
+        for level, relative in ((0.1, True), (0.6, True), (1.0, True)):
+            contours_both_ways(coords, params, resolution, level, relative)
+
+    def test_grid_smaller_than_one_block(self):
+        assert density._STRIP_BYTES // (8 * 16) > 16
+        for n in (1, 2, 16):
+            coords, params = random_family(n, seed=n + 16)
+            for level in (0.05, 0.5, 1.0):
+                contours_both_ways(coords, params, 16, level, True)
+
+    @pytest.mark.parametrize("rows", [4, 16])
+    def test_level_equal_to_a_value_on_a_shared_row(self, monkeypatch, rows):
+        coords, params = random_family(9, seed=rows)
+        block_height(monkeypatch, 64, rows)
+        values = rasterize(coords, params, 64).values
+        for row in (rows, 2 * rows, 3 * rows):
+            shared = values[row]
+            for col in np.argsort(shared)[-40::8]:
+                contours_both_ways(coords, params, 64, float(shared[col]))
+
+    def test_one_family_never_holds_a_grid(self):
+        coords, params = random_family(16, seed=2048)
+        resolution = 2048
+        tracemalloc.start()
+        try:
+            np.zeros((resolution, resolution))
+            grid_bytes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            got = kde_contours(coords, params, resolution, 0.1, relative=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid_bytes >= 32 << 20  # numpy's buffers are traced
+        assert peak < 12 << 20
+        assert sum(len(p) for p in got.polylines) > 1000
 
 
 class TestContoursJsonExact:

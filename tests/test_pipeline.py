@@ -201,6 +201,20 @@ class TestFailures:
         assert exc.value.stage == "distributions"
         assert "target 'aaa' corpus produced no phonemes" in str(exc.value)
 
+    def test_hours_sum_overflow_fails_contours_stage(self, toy_dir, tmp_path):
+        registry = tmp_path / "registry.csv"
+        registry.write_text(
+            (toy_dir / "registry.csv").read_text(encoding="utf-8")
+            .replace("Alphaic,West,2", "Alphaic,West,1e308")
+            .replace("Alphaic,East,20", "Alphaic,East,1e308"),
+            encoding="utf-8")
+        cfg = toy_config(toy_dir, tmp_path / "out", registry=registry)
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(cfg)
+        assert str(exc.value) == \
+            "[contours] recording hours sum to more than the largest float"
+        assert not (tmp_path / "out").exists()
+
     def test_no_partial_outputs_after_failure(self, toy_dir, tmp_path):
         corpus = tmp_path / "corpus"
         shutil.copytree(toy_dir / "corpus", corpus)
