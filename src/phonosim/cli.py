@@ -92,7 +92,7 @@ def _cmd_sim_matrix(args):
 
 def _cmd_pca(args):
     matrix = read_matrix_csv(getattr(args, "in"))
-    proj = pca_project(matrix.values, matrix.codes, dims=2)
+    proj = pca_project(matrix.values, matrix.codes)
     write_coords_csv(proj, args.out)
     ev1, ev2 = proj.explained_variance[:2]
     print(f"explained variance: {fmt_float(ev1)} {fmt_float(ev2)}")
@@ -268,7 +268,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", choices=STRATEGY_CHOICES)
     p.add_argument("--k", type=int)
     p.add_argument("--level", type=float)
-    p.add_argument("--relative", action="store_const", const="true")
+    p.add_argument("--relative", action="store_const", const=True)
     p.add_argument("--resolution", type=int)
     p.add_argument("--out", type=_absolute)
     p.set_defaults(func=_cmd_pipeline)

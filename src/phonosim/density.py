@@ -14,14 +14,15 @@ Contours are extracted by marching squares, with linear interpolation
 along cell edges and saddle cells disambiguated by the cell-center sample
 (mean of the four corners).
 
-rasterize() sums every cell of the grid exactly, on one thread, one block
-of rows at a time, and extract_contours() traces a level over such a grid.
-kde_contours() returns what the two give together without holding the
-grid: it estimates one block of rows at a time with a matrix product and
-sums a cell exactly only where marching squares reads it and the estimate
-cannot decide, found through a rigorous bound on the estimate's rounding
-error. Both feed one tracer with the same sparse input: the cells the
-level crosses, their corner flags and the exact values at their corners.
+rasterize() sums every cell of the grid exactly, and extract_contours()
+traces a level over such a grid. kde_contours() returns what the two give
+together without holding the grid: it estimates one block of rows at a
+time with a matrix product and sums a cell exactly only where marching
+squares reads it and the estimate cannot decide, found through a rigorous
+bound on the estimate's rounding error. Every exact value comes from one
+function, _exact_at, and both feed one tracer with the same sparse input:
+the cells the level crosses, their corner flags and the values at their
+corners.
 """
 
 import json
@@ -42,10 +43,9 @@ _FALLBACK_MIN = 1e-6
 _FALLBACK_SCALE = 1e-3
 # grid margin beyond the data extent, in bandwidths per axis
 PADDING_BANDWIDTHS = 3.0
-# size of the product buffer that an exact fill or gather works through
-_BLOCK_BYTES = 4 << 20
-# size of the block of grid rows that kde_contours estimates at a time
-_STRIP_BYTES = 1 << 20
+# size of the product buffer of an exact sum, and of the block of grid rows
+# that kde_contours estimates at a time
+_BLOCK_BYTES = 1 << 20
 # |estimate - exact| <= _ERROR_FACTOR * (N + 2) * (_UNIT_ROUNDOFF * estimate
 # + _NORMAL_MIN * (1 + 1/norm)) for kde_contours' matmul estimate
 _ERROR_FACTOR = 4
@@ -229,46 +229,31 @@ def _grid_and_kernels(coords, params: KDEParams, resolution):
     return (x_min, x_max, y_min, y_max), kx, ky
 
 
-def _fill_exact(kx, ky, params: KDEParams, out):
-    """out[i, j] = sum_n weights[n] * kx[i, n] * ky[j, n] / norm for every
-    row of kx, through one (rows, R, N) buffer of about _BLOCK_BYTES.
-
-    Each cell reduces the same N products with the same np.sum over a
-    contiguous points axis as _exact_at, so a cell does not depend on
-    which of the two computed it.
-    """
-    rows = max(1, min(len(kx), _BLOCK_BYTES // ky.nbytes))
-    buf = np.empty((rows,) + ky.shape)
-    for lo in range(0, len(kx), rows):
-        block = buf[:min(rows, len(kx) - lo)]
-        np.multiply(kx[lo:lo + len(block), None, :], ky[None], out=block)
+def _exact_at(kx, ky, params: KDEParams, nodes):
+    """sum_n weights[n] * kx[i, n] * ky[j, n] / norm at the node ids nodes
+    = i*R + j (R = len(ky)), through one (cells, N) buffer of about
+    _BLOCK_BYTES. Each cell reduces its N products with np.sum over a
+    contiguous points axis, so its value does not depend on which other
+    ids share the call, or on their order."""
+    out = np.empty(nodes.size)
+    step = max(1, _BLOCK_BYTES // kx[0].nbytes)
+    for lo in range(0, nodes.size, step):
+        i, j = np.divmod(nodes[lo:lo + step], len(ky))
+        block = kx[i]
+        np.multiply(block, ky[j], out=block)
         np.multiply(params.weights, block, out=block)
-        np.sum(block, axis=-1, out=out[lo:lo + len(block)])
+        np.sum(block, axis=-1, out=out[lo:lo + step])
     out /= _norm(params)
+    return out
 
 
 def rasterize(coords, params: KDEParams, resolution=512) -> DensityGrid:
     """Sample the density at cell centers over the data extent padded by
     PADDING_BANDWIDTHS bandwidths per axis."""
     extent, kx, ky = _grid_and_kernels(coords, params, resolution)
-    values = np.empty((len(kx), len(ky)))
-    _fill_exact(kx, ky, params, values)
-    return DensityGrid(*extent, len(kx), values)
-
-
-def _exact_at(kx, ky, params: KDEParams, i, j):
-    """The values rasterize writes at the cells (i[k], j[k]): the same N
-    products, the same np.sum over a contiguous points axis, the same
-    division."""
-    out = np.empty(i.size)
-    step = max(1, _BLOCK_BYTES // kx[0].nbytes)
-    for lo in range(0, i.size, step):
-        block = kx[i[lo:lo + step]]
-        np.multiply(block, ky[j[lo:lo + step]], out=block)
-        np.multiply(params.weights, block, out=block)
-        np.sum(block, axis=-1, out=out[lo:lo + step])
-    out /= _norm(params)
-    return out
+    size = len(kx)
+    values = _exact_at(kx, ky, params, np.arange(size * size)).reshape(size, size)
+    return DensityGrid(*extent, size, values)
 
 
 def _band(x, rel, floor):
@@ -306,8 +291,8 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     density, u = 2**-53 (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 3-4). Hence |E - V| <= c (N+2) (u E + floor)
     with c = 4, where floor = 2**-1022 (1 + 1/norm) bounds gradual
-    underflow. V, computed as rasterize computes it, is summed only where
-    E alone cannot decide:
+    underflow. V, summed by _exact_at as for rasterize, is summed only
+    where E alone cannot decide:
 
     1. pass 1 keeps each row's maximum estimate, then sums the cells whose
        E is within the bound of the largest, so the grid maximum (used for
@@ -325,9 +310,9 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     shared row. Only the mixed cells, their corner flags and the exact
     values at their corners outlive a block. Outside the range of the
     bound (norm below the smallest normal float, or an estimate that could
-    overflow) every block is summed exactly instead. A tiny level over a
-    grid of zero densities puts nearly every cell in the band, and
-    summing them costs up to about twice a rasterize.
+    overflow) every cell of every block is summed exactly instead. A tiny
+    level over a grid of zero densities puts nearly every cell in the
+    band, and summing them costs up to about twice a rasterize.
     """
     extent, kx, ky = _grid_and_kernels(coords, params, resolution)
     size = len(kx)
@@ -338,19 +323,17 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     rel = 0.0 if exact else _ERROR_FACTOR * (n + 2) * _UNIT_ROUNDOFF
     floor = 0.0 if exact else _ERROR_FACTOR * (n + 2) * _NORMAL_MIN * (1.0 + 1.0 / norm)
     # kx * (w / norm) for the estimate; w / norm may overflow otherwise
-    factors = kx if exact else kx * (params.weights / norm)
-    height = max(1, _STRIP_BYTES // (8 * size))
+    factors = None if exact else kx * (params.weights / norm)
+    height = max(1, _BLOCK_BYTES // (8 * size))
     buf = np.empty((height + 1, size))
 
     def rows(index):
         """Grid rows `index`: V, or E when the bound holds."""
-        part = factors[index]
-        out = buf[:len(part)]
         if exact:
-            _fill_exact(part, ky, params, out)
-        else:
-            np.matmul(part, ky.T, out=out)
-        return out
+            nodes = np.arange(size)[index, None] * size + np.arange(size)
+            return _exact_at(kx, ky, params, nodes.reshape(-1)).reshape(nodes.shape)
+        part = factors[index]
+        return np.matmul(part, ky.T, out=buf[:len(part)])
 
     row_peaks = np.concatenate([rows(slice(start, start + height)).max(axis=1)
                                 for start in range(0, size, height)])
@@ -361,7 +344,7 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
         index = near[start:start + height]
         r, c = np.divmod(np.flatnonzero(rows(index) >= lo), size)
         # every other cell's estimate is below the exact maximum
-        top = max(top, float(_exact_at(kx, ky, params, index[r], c).max()))
+        top = max(top, float(_exact_at(kx, ky, params, index[r] * size + c).max()))
     cut = float(level * top if relative else level)
     empty = _below_level(top, cut, family)
     if empty is not None:
@@ -372,14 +355,14 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     for start in range(0, size - 1, height):
         block = rows(slice(start, start + height + 1))
         inside = block > hi
-        r, c = np.divmod(np.flatnonzero((block >= lo) != inside), size)
-        inside[r, c] = _exact_at(kx, ky, params, start + r, c) > cut
+        band = np.flatnonzero((block >= lo) != inside)
+        inside.reshape(-1)[band] = _exact_at(kx, ky, params, band + start * size) > cut
         block_cells, block_flags = _mixed_cells(inside)
         corners = _corners(block_cells, size) + start * size
         cells.append(block_cells + start * size)
         flags.append(block_flags)
         nodes.append(corners)
-        values.append(_exact_at(kx, ky, params, *np.divmod(corners, size)))
+        values.append(_exact_at(kx, ky, params, corners))
     # a corner on a shared row is summed by both of its blocks, to one value
     nodes, first = np.unique(np.concatenate(nodes), return_index=True)
     return _trace(np.concatenate(cells), np.concatenate(flags), nodes,

@@ -15,16 +15,19 @@ import numpy as np
 from .errors import DataError, ParseError
 from .formats import csv_cell, csv_rows, fmt_float, write_lines
 
+# the components every projection keeps: a map's x and y
+_DIMS = 2
+
 
 @dataclass(frozen=True)
 class Projection2D:
     codes: tuple
-    coords: np.ndarray           # (N, dims)
+    coords: np.ndarray           # (N, 2)
     explained_variance: tuple    # fraction of total variance per component
 
 
-def pca_project(rows, ids, dims=2) -> Projection2D:
-    """Project N x D rows to the top `dims` principal components.
+def pca_project(rows, ids) -> Projection2D:
+    """Project N x D rows to the top two principal components.
 
     Degenerate input (all rows identical) yields all-zero coordinates and
     zero explained variance rather than an error.
@@ -38,21 +41,21 @@ def pca_project(rows, ids, dims=2) -> Projection2D:
         raise DataError(f"got {len(ids)} ids for {n} rows")
     if n < 2:
         raise DataError("PCA needs at least 2 rows")
-    if d < dims:
-        raise DataError(f"cannot extract {dims} components from {d} columns")
+    if d < _DIMS:
+        raise DataError(f"cannot extract {_DIMS} components from {d} columns")
     if not np.isfinite(X).all():
         raise DataError("input contains non-finite values")
 
     centered = X - X.mean(axis=0)
     if not centered.any():
-        return Projection2D(ids, np.zeros((n, dims)), (0.0,) * dims)
+        return Projection2D(ids, np.zeros((n, _DIMS)), (0.0,) * _DIMS)
 
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    coords = centered @ vt[:dims].T
+    coords = centered @ vt[:_DIMS].T
     total = float((s ** 2).sum())
-    explained = tuple(float(v) for v in (s[:dims] ** 2) / total)
+    explained = tuple(float(v) for v in (s[:_DIMS] ** 2) / total)
 
-    for c in range(dims):
+    for c in range(_DIMS):
         col = coords[:, c]
         peak = int(np.argmax(np.abs(col)))  # first index on ties
         if col[peak] < 0:

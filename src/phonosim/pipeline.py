@@ -75,6 +75,12 @@ class PipelineConfig:
         self.k = _number(int, "k", self.k)
         self.resolution = _number(int, "resolution", self.resolution)
         self.level = _number(float, "level", self.level)
+        if isinstance(self.relative, str):
+            try:
+                self.relative = parse_bool(self.relative, None, None)
+            except ParseError:
+                raise DataError("setting 'relative' must be a boolean, "
+                                f"got {self.relative!r}") from None
         if self.k < 1:
             raise DataError("k must be at least 1")
         if not (math.isfinite(self.level) and self.level > 0):
@@ -107,7 +113,11 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     unknown = set(section) - {f.name for f in fields}
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}", path)
-    section.update(overrides or {})
+    overrides = overrides or {}
+    if "relative" in section and "relative" not in overrides:
+        # the file's own value, parsed here so that an error names the file
+        section["relative"] = parse_bool(section["relative"], path, None)
+    section.update(overrides)
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and not section.get(f.name)]
     if missing:
@@ -115,8 +125,6 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     for f in fields:
         if f.type in (Path, Path | None) and section.get(f.name):
             section[f.name] = base / section[f.name]
-    if "relative" in section:
-        section["relative"] = parse_bool(section["relative"], path, None)
     return PipelineConfig(**section)
 
 
@@ -228,7 +236,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             write_lines(tmp_dir / "family_report.txt", lines)
 
         with _stage("pca"):
-            proj = pca_project(matrix.values, matrix.codes, dims=2)
+            proj = pca_project(matrix.values, matrix.codes)
             write_coords_csv(proj, tmp_dir / "pca.csv")
 
         with _stage("contours"):

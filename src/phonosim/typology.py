@@ -89,7 +89,7 @@ def load_feature_matrix(path) -> FeatureMatrix:
     return FeatureMatrix(tuple(language_ids), tuple(feature_ids), matrix)
 
 
-def impute(fm: FeatureMatrix, method="column_mode") -> np.ndarray:
+def impute(fm: FeatureMatrix, method) -> np.ndarray:
     """A complete binary copy of the matrix.
 
     'none' demands completeness and reports how many cells are missing.
@@ -122,4 +122,4 @@ def project_typology(values, ids) -> Projection2D:
     values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
         raise DataError("projection requires a complete matrix; impute first")
-    return pca_project(values, ids, dims=2)
+    return pca_project(values, ids)

@@ -252,6 +252,22 @@ class TestRasterizeExact:
             (want.x_min, want.x_max, want.y_min, want.y_max)
         assert np.array_equal(got.values, want.values)
 
+    @pytest.mark.parametrize("n", [1, 16, 129])
+    def test_a_cell_does_not_depend_on_the_other_ids(self, monkeypatch, n):
+        # every exact value kde_contours reads comes from _exact_at on some
+        # subset of node ids, in some order, split into buffer steps
+        coords, params = random_family(n, seed=n + 300)
+        resolution = 65
+        want = rasterize(coords, params, resolution).values
+        _, kx, ky = density._grid_and_kernels(coords, params, resolution)
+        rng = np.random.default_rng(n)
+        ids = rng.permutation(want.size)
+        for block_bytes in (8 * n, 8 * n * 3, 8 * n * 1000, 1 << 20):
+            monkeypatch.setattr(density, "_BLOCK_BYTES", block_bytes)
+            for nodes in (ids, ids[:500], ids[-1:]):
+                got = density._exact_at(kx, ky, params, nodes)
+                assert np.array_equal(got, want.flat[nodes])
+
 
 class TestContoursExact:
     @pytest.mark.parametrize("seed", range(6))
@@ -387,9 +403,22 @@ def two_clusters():
     return coords, KDEParams(1.0, 1.0, [0.5, 1.5, 1.2, 0.8])
 
 
+def bands_and_sums(monkeypatch, *args):
+    """kde_contours(*args) alone: the (rel, floor) of each _band call and
+    the number of cells of each _exact_at call."""
+    bands, sums = [], []
+    real_band, real_exact = density._band, density._exact_at
+    monkeypatch.setattr(density, "_band", lambda x, rel, floor:
+                        bands.append((rel, floor)) or real_band(x, rel, floor))
+    monkeypatch.setattr(density, "_exact_at", lambda kx, ky, params, nodes:
+                        sums.append(nodes.size) or real_exact(kx, ky, params, nodes))
+    kde_contours(*args)
+    return bands, sums
+
+
 def block_height(monkeypatch, resolution, rows):
     """Make kde_contours estimate `rows` grid rows at a time."""
-    monkeypatch.setattr(density, "_STRIP_BYTES", 8 * resolution * rows)
+    monkeypatch.setattr(density, "_BLOCK_BYTES", 8 * resolution * rows)
 
 
 class TestContourGridExact:
@@ -481,37 +510,27 @@ class TestContourGridExact:
         params = KDEParams(1e-150, 1.59e-159, np.ones(2))
         assert density._norm(params) < 2.0 ** -1022
         block_height(monkeypatch, 33, 5)
-        calls = []
-        real = density._fill_exact
-        monkeypatch.setattr(density, "_fill_exact",
-                            lambda kx, *args: calls.append(len(kx)) or real(kx, *args))
         _, full = contours_both_ways(coords, params, 33, 0.5, True)
         assert np.isfinite(full.values).all()
-        # rasterize fills all 33 rows at once; kde_contours sums every
-        # block of at most 5 (+ 1 shared) rows exactly, in both passes
-        assert calls[-1] == 33
-        assert calls[:-1] and max(calls[:-1]) <= 6
-        assert sum(calls[:-1]) >= 33 + 33
+        bands, sums = bands_and_sums(monkeypatch, coords, params, 33, 0.5, True)
+        # no bound: both bands are the point itself, and every block of
+        # rows is summed exactly in both passes
+        assert bands == [(0.0, 0.0)] * 2
+        assert sum(sums) >= 2 * 33 * 33
 
     def test_wide_band_is_gathered(self, monkeypatch):
         # two points 1000 bandwidths apart: nearly every cell is zero, so
         # the band around a subnormal level holds nearly the whole grid
         coords = np.array([[0.0, 0.0], [1000.0, 1000.0]])
         params = KDEParams(1.0, 1.0, [0.5, 1.5])
-        fills, gathered = [], []
-        real_fill, real_gather = density._fill_exact, density._exact_at
-        monkeypatch.setattr(density, "_fill_exact",
-                            lambda *args: fills.append(1) or real_fill(*args))
-        monkeypatch.setattr(density, "_exact_at",
-                            lambda *args: gathered.append(args[3].size)
-                            or real_gather(*args))
         got, full = contours_both_ways(coords, params, 257, 5e-324)
-        assert len(fills) == 1  # only the rasterize reference
+        assert got.polylines
+        bands, sums = bands_and_sums(monkeypatch, coords, params, 257, 5e-324)
+        assert bands and all(rel > 0 for rel, _ in bands)  # the estimate ran
         # every zero or subnormal cell lies in the band, so it was gathered
         band = full.values < 2.0 ** -1022
         assert band.mean() > 0.99
-        assert sum(gathered) >= band.sum()
-        assert got.polylines
+        assert sum(sums) >= band.sum()
 
 
 class TestKdeContoursBlocks:
@@ -539,7 +558,7 @@ class TestKdeContoursBlocks:
             contours_both_ways(coords, params, resolution, level, relative)
 
     def test_grid_smaller_than_one_block(self):
-        assert density._STRIP_BYTES // (8 * 16) > 16
+        assert density._BLOCK_BYTES // (8 * 16) > 16
         for n in (1, 2, 16):
             coords, params = random_family(n, seed=n + 16)
             for level in (0.05, 0.5, 1.0):

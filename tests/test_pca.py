@@ -92,13 +92,6 @@ class TestProjection:
                 mass = float(((centered @ q) ** 2).sum())
                 assert pca_mass >= mass - 1e-9
 
-    def test_higher_dims_allowed(self):
-        rng = np.random.default_rng(23)
-        rows = rng.normal(size=(6, 5))
-        proj = pca_project(rows, [f"r{i}" for i in range(6)], dims=3)
-        assert proj.coords.shape == (6, 3)
-        assert len(proj.explained_variance) == 3
-
 
 class TestValidation:
     def test_non_finite_rejected(self):

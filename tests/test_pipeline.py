@@ -241,6 +241,19 @@ class TestConfig:
         with pytest.raises(DataError):
             toy_config(toy_dir, tmp_path, strategy="bogus")
 
+    def test_relative_strings_parsed(self, toy_dir, tmp_path):
+        # like k, level and resolution, a string is converted, not kept
+        for value, want in (("false", False), ("Off", False), ("0", False),
+                            ("true", True), (" YES ", True), (False, False)):
+            assert toy_config(toy_dir, tmp_path, relative=value).relative is want
+        for value in ("tru", "", "2"):
+            with pytest.raises(DataError, match="^setting 'relative' must be "
+                                                f"a boolean, got {value!r}$"):
+                toy_config(toy_dir, tmp_path, relative=value)
+        overrides = {"corpus_dir": "c", "rules_dir": "r", "registry": "g",
+                     "out": "o", "target": "aaa", "relative": "false"}
+        assert load_config(None, overrides).relative is False
+
     def test_load_config_with_overrides(self, toy_dir, tmp_path):
         cfg_file = tmp_path / "pipeline.ini"
         cfg_file.write_text(

@@ -147,7 +147,7 @@ class TestProjection:
         values = rng.choice([0.0, 1.0], size=(7, 6))
         ids = tuple(f"l{i}" for i in range(7))
         a = project_typology(values, ids)
-        b = pca_project(values, ids, dims=2)
+        b = pca_project(values, ids)
         assert np.array_equal(a.coords, b.coords)
         assert a.explained_variance == b.explained_variance
 
