@@ -229,16 +229,18 @@ def _grid_and_kernels(coords, params: KDEParams, resolution):
     return (x_min, x_max, y_min, y_max), kx, ky
 
 
-def _exact_at(kx, ky, params: KDEParams, nodes):
+def _exact_at(kx, ky, params: KDEParams, nodes=None):
     """sum_n weights[n] * kx[i, n] * ky[j, n] / norm at the node ids nodes
-    = i*R + j (R = len(ky)), through one (cells, N) buffer of about
-    _BLOCK_BYTES. Each cell reduces its N products with np.sum over a
-    contiguous points axis, so its value does not depend on which other
-    ids share the call, or on their order."""
-    out = np.empty(nodes.size)
+    = i*R + j (R = len(ky)), or at every node in id order when nodes is
+    None, through one (cells, N) buffer of about _BLOCK_BYTES. Each cell
+    reduces its N products with np.sum over a contiguous points axis, so
+    its value does not depend on the other ids in the call or their order."""
+    count = len(ky) ** 2 if nodes is None else nodes.size
+    out = np.empty(count)
     step = max(1, _BLOCK_BYTES // kx[0].nbytes)
-    for lo in range(0, nodes.size, step):
-        i, j = np.divmod(nodes[lo:lo + step], len(ky))
+    for lo in range(0, count, step):
+        ids = np.arange(lo, min(lo + step, count)) if nodes is None else nodes[lo:lo + step]
+        i, j = np.divmod(ids, len(ky))
         block = kx[i]
         np.multiply(block, ky[j], out=block)
         np.multiply(params.weights, block, out=block)
@@ -252,8 +254,7 @@ def rasterize(coords, params: KDEParams, resolution=512) -> DensityGrid:
     PADDING_BANDWIDTHS bandwidths per axis."""
     extent, kx, ky = _grid_and_kernels(coords, params, resolution)
     size = len(kx)
-    values = _exact_at(kx, ky, params, np.arange(size * size)).reshape(size, size)
-    return DensityGrid(*extent, size, values)
+    return DensityGrid(*extent, size, _exact_at(kx, ky, params).reshape(size, size))
 
 
 def _band(x, rel, floor):

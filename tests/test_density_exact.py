@@ -264,6 +264,7 @@ class TestRasterizeExact:
         ids = rng.permutation(want.size)
         for block_bytes in (8 * n, 8 * n * 3, 8 * n * 1000, 1 << 20):
             monkeypatch.setattr(density, "_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(density._exact_at(kx, ky, params), want.reshape(-1))
             for nodes in (ids, ids[:500], ids[-1:]):
                 got = density._exact_at(kx, ky, params, nodes)
                 assert np.array_equal(got, want.flat[nodes])
@@ -514,9 +515,11 @@ class TestContourGridExact:
         assert np.isfinite(full.values).all()
         bands, sums = bands_and_sums(monkeypatch, coords, params, 33, 0.5, True)
         # no bound: both bands are the point itself, and every block of
-        # rows is summed exactly in both passes
+        # rows is summed exactly in both passes, one block (plus the row it
+        # shares with the next) at a time, never the whole grid at once
         assert bands == [(0.0, 0.0)] * 2
         assert sum(sums) >= 2 * 33 * 33
+        assert max(sums) <= 6 * 33
 
     def test_wide_band_is_gathered(self, monkeypatch):
         # two points 1000 bandwidths apart: nearly every cell is zero, so
