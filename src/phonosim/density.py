@@ -16,13 +16,15 @@ along cell edges and saddle cells disambiguated by the cell-center sample
 
 rasterize() sums every cell of the grid exactly, and extract_contours()
 traces a level over such a grid. kde_contours() returns what the two give
-together without holding the grid: it estimates one block of rows at a
-time with a matrix product and sums a cell exactly only where marching
-squares reads it and the estimate cannot decide, found through a rigorous
-bound on the estimate's rounding error. Every exact value comes from one
-function, _exact_at, and both feed one tracer with the same sparse input:
-the cells the level crosses, their corner flags and the values at their
-corners.
+together without holding the grid: it bounds the density over square
+tiles of cells with per-tile kernel minima and maxima, estimates with
+batched matrix products only the tiles that a branch and bound for the
+grid maximum visits and the tiles the level can cross, and sums a cell
+exactly only where marching squares reads it and the estimate cannot
+decide, found through a rigorous bound on the estimate's rounding error.
+Every exact value comes from one function, _exact_at, and both feed one
+tracer with the same sparse input: the cells the level crosses, their
+corner flags and the values at their corners.
 """
 
 import json
@@ -43,9 +45,11 @@ _FALLBACK_MIN = 1e-6
 _FALLBACK_SCALE = 1e-3
 # grid margin beyond the data extent, in bandwidths per axis
 PADDING_BANDWIDTHS = 3.0
-# size of the product buffer of an exact sum, and of the block of grid rows
+# size of the product buffer of an exact sum, and of the batch of tiles
 # that kde_contours estimates at a time
 _BLOCK_BYTES = 1 << 20
+# cells per side of the square tiles that kde_contours bounds and estimates
+_TILE = 16
 # |estimate - exact| <= _ERROR_FACTOR * (N + 2) * (_UNIT_ROUNDOFF * estimate
 # + _NORMAL_MIN * (1 + 1/norm)) for kde_contours' matmul estimate
 _ERROR_FACTOR = 4
@@ -282,37 +286,50 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
                  relative=False, family="") -> ContourSet:
     """What extract_contours returns on rasterize's grid, at `level`, or
     `level` times the grid maximum when `relative`, without holding the
-    grid: rows are computed one block at a time.
+    grid: only the tiles of cells that the level can cross are computed.
 
-    Each block of rows is first estimated with one matrix product, E =
-    (kx * (w / norm)) @ ky.T. Every term is nonnegative and each goes
-    through N + 2 roundings, as in the exact value V = sum(w * kx * ky) /
-    norm, so in any summation order (and with fused multiply-adds) E and V
-    each lie within gamma_(N+2) = (N+2) u / (1 - (N+2) u) of the real
-    density, u = 2**-53 (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 3-4). Hence |E - V| <= c (N+2) (u E + floor)
-    with c = 4, where floor = 2**-1022 (1 + 1/norm) bounds gradual
-    underflow. V, summed by _exact_at as for rasterize, is summed only
-    where E alone cannot decide:
+    The estimate of a node is E = (kx * (w / norm)) @ ky.T. Every term is
+    nonnegative and each goes through N + 2 roundings, as in the exact
+    value V = sum(w * kx * ky) / norm, so in any summation order (and with
+    fused multiply-adds) E and V each lie within gamma_(N+2) = (N+2) u /
+    (1 - (N+2) u) of the real density, u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3-4). Hence |E - V| <=
+    c (N+2) (u E + floor) with c = 4, where floor = 2**-1022 (1 + 1/norm)
+    bounds gradual underflow, and _band(x, rel, floor) holds every E whose
+    V may lie on the other side of x.
 
-    1. pass 1 keeps each row's maximum estimate, then sums the cells whose
-       E is within the bound of the largest, so the grid maximum (used for
-       `relative` and the below-level check) is exact;
-    2. pass 2 takes blocks of rows lo .. lo + B that share their last row
-       with the next block. It sums the cells whose E is within the bound
-       of the cutoff, so every cell is on the same side of it as in
-       rasterize's grid, and then the four corners of every cell that is
-       mixed (some corners above the cutoff, some not): the crossing-edge
-       endpoints and the saddle centres.
+    The R - 1 cells per side split into tiles of _TILE cells, each with
+    its _TILE + 1 node rows and columns (clipped at the grid edge), so
+    tiles share edge nodes and every cell lies in exactly one tile. Per
+    tile, the column maxima of kx * (w / norm) and of ky over its nodes
+    give U and the minima give L, one (tiles, N) @ (N, tiles) product
+    each. Rounding is monotone, so U is the estimate at a point whose
+    kernel values are those maxima: it has the same terms and roundings as
+    E, and its real value bounds the real density of every node of the
+    tile (L likewise from below). So a tile with U < _band(x)[0] holds no
+    V at or above x, and one with L > _band(x)[1] none at or below it. V,
+    summed by _exact_at as for rasterize, is summed only where E alone
+    cannot decide:
 
-    Marching squares reads a cell's four corners and nothing else, so the
-    polylines, their order, the cutoff and the warning are those of
-    extract_contours on rasterize's grid, however the blocks estimate a
-    shared row. Only the mixed cells, their corner flags and the exact
-    values at their corners outlive a block. Outside the range of the
-    bound (norm below the smallest normal float, or an estimate that could
-    overflow) every cell of every block is summed exactly instead. A tiny
-    level over a grid of zero densities puts nearly every cell in the
+    1. pass 1 finds the exact grid maximum (for `relative` and the
+       below-level check) by branch and bound: it estimates tiles in
+       decreasing U, sums the nodes whose E may reach the best maximum so
+       far, and stops once the next U is below the band of the best;
+    2. pass 2 estimates the tiles with U >= lo and L <= hi, (lo, hi) =
+       _band(cutoff); any other tile has all its nodes on one side. It
+       sums the nodes whose E is in the band, so every node is on the
+       same side of the cutoff as in rasterize's grid, then the four
+       corners of every mixed cell (corners on both sides): the
+       crossing-edge endpoints and the saddle centres.
+
+    Tiles are estimated in batches of about _BLOCK_BYTES, one batched
+    matrix product each. Marching squares reads a cell's four corners and
+    nothing else, so the polylines, their order, the cutoff and the
+    warning are those of extract_contours on rasterize's grid, however two
+    tiles estimate a shared node. Outside the range of the bound (norm
+    below the smallest normal float, or an estimate that could overflow)
+    U = inf, L = -inf and every node is summed exactly instead. A tiny
+    level over a grid of zero densities puts nearly every node in the
     band, and summing them costs up to about twice a rasterize.
     """
     extent, kx, ky = _grid_and_kernels(coords, params, resolution)
@@ -325,49 +342,69 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     floor = 0.0 if exact else _ERROR_FACTOR * (n + 2) * _NORMAL_MIN * (1.0 + 1.0 / norm)
     # kx * (w / norm) for the estimate; w / norm may overflow otherwise
     factors = None if exact else kx * (params.weights / norm)
-    height = max(1, _BLOCK_BYTES // (8 * size))
-    buf = np.empty((height + 1, size))
+    count = -(-(size - 1) // _TILE)
+    edges = np.minimum(np.arange(count)[:, None] * _TILE + np.arange(_TILE + 1),
+                       size - 1)  # the node rows (and columns) of each tile
+    if exact:
+        upper = np.full((count, count), math.inf)
+        lower = -upper
+    else:
+        # per tile: (count, _TILE + 1, N) row factors, (count, N, _TILE + 1) columns
+        fx, fy = factors[edges], np.ascontiguousarray(ky[edges].transpose(0, 2, 1))
+        upper = fx.max(axis=1) @ fy.max(axis=2).T
+        lower = fx.min(axis=1) @ fy.min(axis=2).T
+    batch = max(1, _BLOCK_BYTES // (8 * (_TILE + 1) * max(_TILE + 1, n)))
 
-    def rows(index):
-        """Grid rows `index`: V, or E when the bound holds."""
+    def tiles(ids):
+        """Node ids and values (E, or V out of the bound's range) of the
+        tiles `ids` = a * count + b, as (tiles, _TILE + 1, _TILE + 1)."""
+        a, b = np.divmod(ids, count)
+        nodes = edges[a][:, :, None] * size + edges[b][:, None, :]
         if exact:
-            nodes = np.arange(size)[index, None] * size + np.arange(size)
-            return _exact_at(kx, ky, params, nodes.reshape(-1)).reshape(nodes.shape)
-        part = factors[index]
-        return np.matmul(part, ky.T, out=buf[:len(part)])
+            return nodes, _exact_at(kx, ky, params, nodes.reshape(-1)).reshape(nodes.shape)
+        return nodes, np.matmul(fx[a], fy[b])
 
-    row_peaks = np.concatenate([rows(slice(start, start + height)).max(axis=1)
-                                for start in range(0, size, height)])
-    lo = _band(float(row_peaks.max()), rel, floor)[0]
-    near = np.flatnonzero(row_peaks >= lo)
-    top = -math.inf
-    for start in range(0, near.size, height):
-        index = near[start:start + height]
-        r, c = np.divmod(np.flatnonzero(rows(index) >= lo), size)
-        # every other cell's estimate is below the exact maximum
-        top = max(top, float(_exact_at(kx, ky, params, index[r] * size + c).max()))
+    # the tile with the largest L holds a V that no tile whose U is below
+    # its band can reach; visit the others in decreasing U
+    reach = np.flatnonzero(upper >= _band(float(lower.max()), rel, floor)[0])
+    order = reach[np.argsort(-upper.reshape(-1)[reach], kind="stable")]
+    peaks = upper.reshape(-1)[order]
+    top, start = -math.inf, 0
+    while start < order.size:
+        # every later tile's U is below the band of the exact top so far
+        stop = start + np.count_nonzero(
+            peaks[start:start + batch] >= _band(top, rel, floor)[0])
+        if stop == start:
+            break
+        nodes, block = tiles(order[start:stop])
+        near = block >= _band(max(top, float(block.max())), rel, floor)[0]
+        top = float(_exact_at(kx, ky, params, nodes[near]).max(initial=top))
+        start = stop
     cut = float(level * top if relative else level)
     empty = _below_level(top, cut, family)
     if empty is not None:
         return empty
 
     lo, hi = _band(cut, rel, floor)
-    cells, flags, nodes, values = [], [], [], []
-    for start in range(0, size - 1, height):
-        block = rows(slice(start, start + height + 1))
+    live = np.flatnonzero((upper >= lo) & (lower <= hi))
+    cells, flags = [np.empty(0, dtype=np.intp)], [np.empty((0, 4), dtype=bool)]
+    for start in range(0, live.size, batch):
+        nodes, block = tiles(live[start:start + batch])
+        nodes = nodes.reshape(-1)
         inside = block > hi
         band = np.flatnonzero((block >= lo) != inside)
-        inside.reshape(-1)[band] = _exact_at(kx, ky, params, band + start * size) > cut
-        block_cells, block_flags = _mixed_cells(inside)
-        corners = _corners(block_cells, size) + start * size
-        cells.append(block_cells + start * size)
-        flags.append(block_flags)
-        nodes.append(corners)
-        values.append(_exact_at(kx, ky, params, corners))
-    # a corner on a shared row is summed by both of its blocks, to one value
-    nodes, first = np.unique(np.concatenate(nodes), return_index=True)
-    return _trace(np.concatenate(cells), np.concatenate(flags), nodes,
-                  np.concatenate(values)[first], _centers(*extent[:2], size),
+        inside.reshape(-1)[band] = _exact_at(kx, ky, params, nodes[band]) > cut
+        local, batch_flags = _mixed_cells(inside)
+        # a tail tile's clipped rows and columns repeat the grid's last
+        # one, and the cells between the repeats are not grid cells
+        i, j = np.divmod(nodes[local], size)
+        real = (i < size - 1) & (j < size - 1)
+        cells.append(nodes[local[real]])
+        flags.append(batch_flags[real])
+    cells = np.concatenate(cells)
+    corners = _corners(cells, size)
+    return _trace(cells, np.concatenate(flags), corners,
+                  _exact_at(kx, ky, params, corners), _centers(*extent[:2], size),
                   _centers(*extent[2:], size), cut, family)
 
 
@@ -385,19 +422,21 @@ def _below_level(top, level, family):
 
 
 def _mixed_cells(inside):
-    """The cells of the mask `inside` whose corners (i, j), (i+1, j), (i,
-    j+1), (i+1, j+1) are not all on one side, as node ids i*n + j (n
-    columns), and their (M, 4) corner flags in that order."""
+    """The cells of the masks `inside` (..., rows, n) whose corners (i, j),
+    (i+1, j), (i, j+1), (i+1, j+1) are not all on one side, as the flat
+    index into `inside` of their (i, j) corner (i*n + j for one mask), and
+    their (M, 4) corner flags in that order."""
     # corners not all equal: (i, j) differs from (i, j+1), or a column
     # edge (i, j)-(i+1, j) or (i, j+1)-(i+1, j+1) is crossed
-    crossed = inside[:-1] != inside[1:]
-    mixed = crossed[:, :-1] | crossed[:, 1:]
+    crossed = inside[..., :-1, :] != inside[..., 1:, :]
+    mixed = crossed[..., :-1] | crossed[..., 1:]
     del crossed  # at most three masks alive at once
-    mixed |= inside[:-1, :-1] != inside[:-1, 1:]
-    # flatnonzero is several times faster than a 2D nonzero, same order
-    i, j = np.divmod(np.flatnonzero(mixed), mixed.shape[1])
-    n = inside.shape[1]
-    cells = i * n + j
+    mixed |= inside[..., :-1, :-1] != inside[..., :-1, 1:]
+    rows, n = inside.shape[-2:]
+    # flatnonzero is several times faster than nonzero, same order; a row
+    # of `mixed` has n - 1 cells, and each mask rows - 1 rows of them
+    i, j = np.divmod(np.flatnonzero(mixed), n - 1)
+    cells = (i + i // (rows - 1)) * n + j
     flat = inside.reshape(-1)
     return cells, np.stack([flat[cells], flat[cells + n], flat[cells + 1],
                             flat[cells + n + 1]], axis=1)
@@ -405,7 +444,16 @@ def _mixed_cells(inside):
 
 def _corners(cells, n):
     """Sorted node ids of every corner of the cells (node ids, n columns)."""
-    return np.unique(np.concatenate([cells, cells + 1, cells + n, cells + n + 1]))
+    return _unique(np.concatenate([cells, cells + 1, cells + n, cells + n + 1]))
+
+
+def _unique(ids):
+    """np.unique(ids) for integer ids, from one sort: several times faster
+    than np.unique's hash table on the id arrays of a contour."""
+    ids = np.sort(ids)
+    first = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return ids[first]
 
 
 def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
@@ -427,8 +475,9 @@ def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
 
 def _trace(cells, flags, nodes, values, xc, yc, level, family):
     """The polylines of extract_contours through the mixed cells (node ids
-    i*n + j of their (i, j) corner, n = yc.size) with their corner flags,
-    reading grid values only at `nodes` (sorted ids of every corner).
+    i*n + j of their (i, j) corner, n = yc.size, in any order) with their
+    corner flags, reading grid values only at `nodes` (sorted ids of every
+    corner).
 
     A crossing vertex lies on the edge between grid nodes (i1, j1) and
     (i2, j2) and has the id 2*(i1*n + j1) + 1 on an x-edge (i2 = i1 + 1)
@@ -463,7 +512,7 @@ def _trace(cells, flags, nodes, values, xc, yc, level, family):
     ends_b = np.concatenate([pairs[:, 1], np.where(keep, ey1[s], ey0[s]),
                              np.where(keep, ey0[s], ey1[s])])
 
-    ids = np.unique(np.concatenate([ends_a, ends_b]))
+    ids = _unique(np.concatenate([ends_a, ends_b]))
     node, on_x = np.divmod(ids, 2)
     i1, j1 = np.divmod(node, n)
     i2 = i1 + on_x

@@ -99,7 +99,9 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
 
     Keys are the PipelineConfig field names; overrides (key -> value) win
     over the file. Relative paths resolve against the file's directory
-    (the cwd without a file); fields without a default are required.
+    (the cwd without a file); fields without a default are required. The
+    file's own values are converted first, so that an error in one of
+    them names the file and an override replaces a bad file value.
     """
     section, base = {}, Path()
     if path is not None:
@@ -114,18 +116,24 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}", path)
     overrides = overrides or {}
-    if "relative" in section and "relative" not in overrides:
-        # the file's own value, parsed here so that an error names the file
-        section["relative"] = parse_bool(section["relative"], path, None)
-    section.update(overrides)
+    settings = {**section, **overrides}
     missing = [f.name for f in fields
-               if f.default is dataclasses.MISSING and not section.get(f.name)]
+               if f.default is dataclasses.MISSING and not settings.get(f.name)]
     if missing:
         raise DataError(f"missing required settings: {', '.join(missing)}")
     for f in fields:
-        if f.type in (Path, Path | None) and section.get(f.name):
-            section[f.name] = base / section[f.name]
-    return PipelineConfig(**section)
+        if f.type in (Path, Path | None) and settings.get(f.name):
+            settings[f.name] = base / settings[f.name]
+    # the file's values, with the required ones it lacks (which convert
+    # without error) from the overrides
+    own = {f.name: settings[f.name] for f in fields
+           if (f.name in section and f.name not in overrides)
+           or f.default is dataclasses.MISSING}
+    try:
+        config = PipelineConfig(**own)
+    except DataError as e:
+        raise DataError(f"{e} (in {path})") from None
+    return dataclasses.replace(config, **{k: settings[k] for k in overrides})
 
 
 def read_corpus_tsv(path):

@@ -169,6 +169,30 @@ class TestAnalysisCommands:
         assert matrix_csv.read_bytes() == (golden / "similarity.csv").read_bytes()
         assert dists_csv.read_bytes() == (golden / "distributions.csv").read_bytes()
 
+    def test_pca_matches_golden(self, toy_dir, tmp_path, capsys):
+        # the matrix is read back from its CSV, so the coordinates differ
+        # from the pipeline's pca.csv in the last digits
+        out = tmp_path / "pca.csv"
+        golden = toy_dir / "golden"
+        assert cli.main(["pca", "--in", str(golden / "similarity.csv"),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ("explained variance: 0.953200616276 "
+                                           "0.0406324967201\n")
+        assert out.read_bytes() == (golden / "cli_pca.csv").read_bytes()
+
+    @pytest.mark.parametrize("suffix", [".json", ".svg"])
+    def test_contours_match_golden(self, toy_dir, tmp_path, capsys, suffix):
+        # relative level and R = 300: the branch and bound for the maximum
+        # runs, and the last tile is not whole
+        out = tmp_path / f"contours{suffix}"
+        golden = toy_dir / "golden"
+        assert cli.main(["contours", "--coords", str(golden / "cli_pca.csv"),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--relative", "--level", "0.3", "--resolution", "300",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 family contour set(s) to {out}\n"
+        assert out.read_bytes() == (golden / f"cli_contours{suffix}").read_bytes()
+
     def test_distributions_csv_quotes_phoneme_cells(self, toy_dir, tmp_path, capsys):
         # rule outputs `,` and `"` become phonemes of their own
         rules = tmp_path / "rules"
@@ -546,7 +570,8 @@ class TestPipelineCommand:
 
         typo = config("typo", "tru")
         assert cli.main(["pipeline", "--config", typo]) == 2
-        assert f"{typo}: expected a boolean, got 'tru'" in capsys.readouterr().err
+        assert (f"error: setting 'relative' must be a boolean, got 'tru' (in {typo})"
+                in capsys.readouterr().err)
         # the flag overrides the file's value and turns the option on
         assert cli.main(["pipeline", "--config", typo, "--relative"]) == 0
         assert cli.main(["pipeline", "--config", config("on", "Yes")]) == 0
@@ -554,6 +579,33 @@ class TestPipelineCommand:
         contours = {name: (tmp_path / name / "contours.json").read_bytes()
                     for name in ("typo", "on", "off")}
         assert contours["typo"] == contours["on"] != contours["off"]
+
+    def test_config_errors_name_their_source(self, toy_dir, tmp_path, capsys):
+        config = tmp_path / "pipeline.ini"
+        config.write_text(
+            "[pipeline]\n"
+            f"corpus_dir = {toy_dir / 'corpus'}\n"
+            f"rules_dir = {toy_dir / 'rules'}\n"
+            f"registry = {toy_dir / 'registry.csv'}\n"
+            "target = aaa\n"
+            "k = three\n"
+            "out = out\n",
+            encoding="utf-8")
+        # a bad value in the file names the file
+        assert cli.main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "phonosim: error: setting 'k' must be an integer, got 'three' "
+            f"(in {config})\n")
+        # a bad flag does not blame the file, and a flag replaces a bad
+        # file value
+        for flags, message in ((["--k", "0"], "k must be at least 1"),
+                               (["--k", "2", "--level", "inf"],
+                                "setting 'level' must be finite and positive, "
+                                "got inf")):
+            assert cli.main(["pipeline", "--config", str(config), *flags]) == 2
+            assert capsys.readouterr().err == f"phonosim: error: {message}\n"
+        assert cli.main(["pipeline", "--config", str(config), "--k", "2"]) == 0
+        assert (tmp_path / "out" / "contours.json").exists()
 
     def test_missing_required_flags(self, capsys):
         assert cli.main(["pipeline", "--target", "aaa"]) == 2

@@ -6,10 +6,10 @@ marching squares that the vectorized versions replaced. Both versions do
 the same floating-point operations in the same order, so results must be
 equal bit for bit (np.array_equal), not merely close: contours.json and
 the SVG are pinned byte for byte. kde_contours must give exactly what
-rasterize followed by extract_contours gives, however its row blocks
-fall. The contours.json oracle is the json.dumps form that the
-hand-written writer replaced, and the render_svg oracle is the per-vertex
-writer that the array form replaced; files must be equal byte for byte.
+rasterize followed by extract_contours gives, however its tiles fall.
+The contours.json oracle is the json.dumps form that the hand-written
+writer replaced, and the render_svg oracle is the per-vertex writer that
+the array form replaced; files must be equal byte for byte.
 """
 
 import json
@@ -360,9 +360,10 @@ def assert_reads_exact(top, traced, full, cutoff):
     b01, b11 = inside[:-1, 1:], inside[1:, 1:]
     i, j = np.nonzero((b00 != b10) | (b00 != b01) | (b00 != b11))
     node = i * full.resolution + j
-    assert np.array_equal(cells, node)
-    assert np.array_equal(flags, np.stack([b00[i, j], b10[i, j], b01[i, j],
-                                           b11[i, j]], axis=1))
+    order = np.argsort(cells)  # _trace takes the cells in any order
+    assert np.array_equal(cells[order], node)
+    assert np.array_equal(flags[order], np.stack([b00[i, j], b10[i, j],
+                                                  b01[i, j], b11[i, j]], axis=1))
     assert np.array_equal(nodes, np.unique(np.concatenate(
         [node, node + 1, node + full.resolution, node + full.resolution + 1])))
     assert np.array_equal(values, exact.reshape(-1)[nodes])
@@ -417,9 +418,37 @@ def bands_and_sums(monkeypatch, *args):
     return bands, sums
 
 
-def block_height(monkeypatch, resolution, rows):
-    """Make kde_contours estimate `rows` grid rows at a time."""
-    monkeypatch.setattr(density, "_BLOCK_BYTES", 8 * resolution * rows)
+def tile_size(monkeypatch, cells, batch=None, n=1):
+    """Make kde_contours use tiles of `cells` cells per side, and estimate
+    `batch` tiles of a family of n points at a time."""
+    monkeypatch.setattr(density, "_TILE", cells)
+    if batch is not None:
+        monkeypatch.setattr(density, "_BLOCK_BYTES",
+                            8 * (cells + 1) * max(cells + 1, n) * batch)
+
+
+def live_tiles(*args):
+    """kde_contours(*args) alone: the number of tiles and of nodes that
+    pass 2 estimated, read from the masks it hands to _mixed_cells."""
+    with mock.patch.object(density, "_mixed_cells",
+                           wraps=density._mixed_cells) as mixed:
+        kde_contours(*args)
+    shapes = [call.args[0].shape for call in mixed.call_args_list]
+    assert all(shape[1:] == (density._TILE + 1,) * 2 for shape in shapes)
+    return sum(shape[0] for shape in shapes), sum(math.prod(s) for s in shapes)
+
+
+def crossed_tiles(full, cutoff):
+    """The number of tiles whose nodes the exact grid puts on both sides
+    of the cutoff, and of tiles wholly above and wholly below it."""
+    size, tile = full.resolution, density._TILE
+    inside = full.values > cutoff
+    kinds = [0, 0, 0]
+    for a in range(0, size - 1, tile):
+        for b in range(0, size - 1, tile):
+            nodes = inside[a:a + tile + 1, b:b + tile + 1]
+            kinds[0 if nodes.any() != nodes.all() else 1 if nodes.all() else 2] += 1
+    return kinds
 
 
 class TestContourGridExact:
@@ -510,14 +539,15 @@ class TestContourGridExact:
         coords = np.array([[0.0, 0.0], [5e-150, 1e-159]])
         params = KDEParams(1e-150, 1.59e-159, np.ones(2))
         assert density._norm(params) < 2.0 ** -1022
-        block_height(monkeypatch, 33, 5)
+        tile_size(monkeypatch, 5, batch=5, n=2)
         _, full = contours_both_ways(coords, params, 33, 0.5, True)
         assert np.isfinite(full.values).all()
+        assert live_tiles(coords, params, 33, 0.5, True)[0] == 7 * 7
         bands, sums = bands_and_sums(monkeypatch, coords, params, 33, 0.5, True)
-        # no bound: both bands are the point itself, and every block of
-        # rows is summed exactly in both passes, one block (plus the row it
-        # shares with the next) at a time, never the whole grid at once
-        assert bands == [(0.0, 0.0)] * 2
+        # no bound: every band is the point itself, and every tile is
+        # summed exactly in both passes, one batch of 5 tiles (36 nodes
+        # each) at a time, never the whole grid at once
+        assert len(bands) >= 2 and set(bands) == {(0.0, 0.0)}
         assert sum(sums) >= 2 * 33 * 33
         assert max(sums) <= 6 * 33
 
@@ -537,61 +567,123 @@ class TestContourGridExact:
 
 
 class TestKdeContoursBlocks:
-    """Row blocks that share their last row with the next block."""
+    """Square tiles of cells that share their edge nodes with the next
+    tile, in both directions."""
 
-    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
-    def test_contours_cross_block_edges(self, monkeypatch, rows):
+    @pytest.mark.parametrize("cells", [1, 2, 7, 64])
+    def test_contours_cross_block_edges(self, monkeypatch, cells):
         coords, params = random_family(16, seed=5)
-        block_height(monkeypatch, 96, rows)
+        tile_size(monkeypatch, cells)
         for level, relative in ((0.5, True), (0.95, True), (1.0, True),
                                 (0.02, False)):
             contours_both_ways(coords, params, 96, level, relative)
-        # the polyline at 0.05 of the maximum spans more rows than a block
+        # the polyline at 0.05 of the maximum spans more than a tile
         got, full = contours_both_ways(coords, params, 96, 0.05, True)
-        assert np.ptp(np.concatenate(got.polylines)[:, 0]) > rows * full.cell_width
+        points = np.concatenate(got.polylines)
+        assert np.ptp(points[:, 0]) > cells * full.cell_width
+        assert np.ptp(points[:, 1]) > cells * full.cell_height
 
-    @pytest.mark.parametrize("resolution,rows", [(100, 7), (257, 64), (61, 60),
-                                                 (45, 44), (47, 23)])
+    @pytest.mark.parametrize("resolution,cells", [(100, 7), (257, 64), (61, 60),
+                                                  (45, 44), (47, 23)])
     def test_resolution_not_a_multiple_of_the_height(self, monkeypatch,
-                                                     resolution, rows):
-        assert resolution % rows
+                                                     resolution, cells):
+        # the grid's R - 1 cells per side fill whole tiles except at
+        # R = 100, where the last tile holds 99 % 7 = 1 cell
+        assert resolution % cells
         coords, params = random_family(7, seed=resolution)
-        block_height(monkeypatch, resolution, rows)
+        tile_size(monkeypatch, cells)
         for level, relative in ((0.1, True), (0.6, True), (1.0, True)):
             contours_both_ways(coords, params, resolution, level, relative)
 
     def test_grid_smaller_than_one_block(self):
-        assert density._BLOCK_BYTES // (8 * 16) > 16
+        assert density._TILE >= 15
         for n in (1, 2, 16):
             coords, params = random_family(n, seed=n + 16)
             for level in (0.05, 0.5, 1.0):
                 contours_both_ways(coords, params, 16, level, True)
 
-    @pytest.mark.parametrize("rows", [4, 16])
-    def test_level_equal_to_a_value_on_a_shared_row(self, monkeypatch, rows):
-        coords, params = random_family(9, seed=rows)
-        block_height(monkeypatch, 64, rows)
+    @pytest.mark.parametrize("cells", [4, 16])
+    def test_level_equal_to_a_value_on_a_shared_row(self, monkeypatch, cells):
+        coords, params = random_family(9, seed=cells)
+        tile_size(monkeypatch, cells)
         values = rasterize(coords, params, 64).values
-        for row in (rows, 2 * rows, 3 * rows):
-            shared = values[row]
-            for col in np.argsort(shared)[-40::8]:
-                contours_both_ways(coords, params, 64, float(shared[col]))
+        for edge in (cells, 2 * cells, 3 * cells):
+            for shared in (values[edge], values[:, edge]):
+                for node in np.argsort(shared)[-40::8]:
+                    contours_both_ways(coords, params, 64, float(shared[node]))
 
-    def test_one_family_never_holds_a_grid(self):
+    @pytest.mark.parametrize("resolution,cells", [(100, 16), (100, 7), (40, 16)])
+    def test_tail_tile_at_tiny_levels(self, monkeypatch, resolution, cells):
+        # (R - 1) % cells != 0: the last tile's clipped node rows and
+        # columns repeat the grid's last one; levels that cross that row
+        # and column must not make cells between the repeats
+        assert (resolution - 1) % cells
+        tile_size(monkeypatch, cells)
+        coords, params = random_family(16, seed=resolution + cells)
+        values = rasterize(coords, params, resolution).values
+        for level in (1e-6, float(np.median(values[-1])),
+                      float(np.median(values[:, -1])), float(values[-1, -1])):
+            got, _ = contours_both_ways(coords, params, resolution, level)
+            assert got.polylines
+
+    def test_one_tile_inside_one_outside_one_crossed(self, monkeypatch):
+        # for one point the tile bounds are the extreme nodes' estimates,
+        # so at a level away from every node value the live tiles are
+        # exactly the tiles that the level crosses
+        coords, params = np.array([[0.3, -0.2]]), KDEParams(1.0, 0.7, [1.0])
+        tile_size(monkeypatch, 4)
+        got, full = contours_both_ways(coords, params, 33, 0.05, True)
+        crossed, above, below = crossed_tiles(full, got.level)
+        assert crossed and above and below
+        assert live_tiles(coords, params, 33, 0.05, True)[0] == crossed
+
+    def test_bandwidth_far_below_one_tile(self):
+        # tiles 16 bandwidths wide, most holding several points: a tile's
+        # bound adds up peaks that no one node sees, so tiles the level
+        # does not cross are estimated too, and still decide nothing wrong
+        rng = np.random.default_rng(8)
+        coords = rng.uniform(0.0, 100.0, size=(200, 2))
+        params = KDEParams(0.4, 0.4, np.ones(200))
+        resolution = 257
+        full = rasterize(coords, params, resolution)
+        assert density._TILE * full.cell_width > 15 * params.h_x
+        for level in (0.05, 0.5, 0.9):
+            got, full = contours_both_ways(coords, params, resolution, level, True)
+            crossed = crossed_tiles(full, got.level)[0]
+            live = live_tiles(coords, params, resolution, level, True)[0]
+            assert crossed <= live
+        assert live > 10 * crossed  # at 0.9 of the maximum
+
+    def test_pass_2_estimates_a_tenth_of_the_grid(self):
         coords, params = random_family(16, seed=2048)
         resolution = 2048
-        tracemalloc.start()
-        try:
-            np.zeros((resolution, resolution))
-            grid_bytes = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            got = kde_contours(coords, params, resolution, 0.1, relative=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert grid_bytes >= 32 << 20  # numpy's buffers are traced
-        assert peak < 12 << 20
-        assert sum(len(p) for p in got.polylines) > 1000
+        tiles, nodes = live_tiles(coords, params, resolution, 0.1, True)
+        assert 0 < tiles and nodes == tiles * (density._TILE + 1) ** 2
+        assert nodes <= 0.1 * resolution ** 2
+
+    def test_one_family_never_holds_a_grid(self):
+        resolution = 2048
+        count = -(-(resolution - 1) // density._TILE)
+        # a pipeline-sized family, and two points so far apart that each
+        # lights a node or two: every tile holds zeros, so a subnormal
+        # level puts every tile and nearly every node in the band
+        far = (np.array([[0.0, 0.0], [1e5, 1e5]]), KDEParams(1.0, 1.0, [0.5, 1.5]))
+        assert live_tiles(*far, resolution, 5e-324)[0] == count * count
+        for args, vertices in (((*random_family(16, seed=2048), resolution, 0.1,
+                                 True), 1000),
+                               ((*far, resolution, 5e-324), 0)):
+            tracemalloc.start()
+            try:
+                np.zeros((resolution, resolution))
+                grid_bytes = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                got = kde_contours(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert grid_bytes >= 32 << 20  # numpy's buffers are traced
+            assert peak < 12 << 20
+            assert sum(len(p) for p in got.polylines) > vertices
 
 
 class TestContoursJsonExact:
