@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .formats import csv_cell, csv_rows, fmt_float, write_lines
+from .registry import code_rows
 
 # the components every projection keeps: a map's x and y
 _DIMS = 2
@@ -85,22 +86,15 @@ def read_coords_csv(path):
     if not rows or rows[0][1][:3] != ["id", "x", "y"]:
         raise ParseError("expected header starting with id,x,y", path,
                          rows[0][0] if rows else 1)
-    first_line = {}
+    codes = []
     points = []
-    for line_no, row in rows[1:]:
-        if len(row) < 3:
-            raise ParseError("expected at least id,x,y fields", path, line_no)
+    for line_no, code, cells in code_rows(rows[1:], path, 3, at_least=True):
         try:
-            x, y = float(row[1]), float(row[2])
+            x, y = float(cells[0]), float(cells[1])
         except ValueError:
             raise ParseError("non-numeric coordinate", path, line_no) from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError("non-finite coordinate", path, line_no)
-        code = row[0].strip()
-        if code in first_line:
-            raise ParseError(
-                f"duplicate language code {code!r} (first seen on line {first_line[code]})",
-                path, line_no)
-        first_line[code] = line_no
+        codes.append(code)
         points.append((x, y))
-    return tuple(first_line), np.array(points, dtype=float)
+    return tuple(codes), np.array(points, dtype=float)

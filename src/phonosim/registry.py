@@ -3,6 +3,9 @@
 A language counts as low-resource when its validated recording time is
 strictly below the threshold (default 15 hours), so a language at exactly
 the threshold is not low-resource.
+
+code_problem says what a language code may be; code_rows applies it, with
+the field count and repeats, to the code column of every input table.
 """
 
 import math
@@ -31,6 +34,29 @@ def code_problem(code):
     if any(unicodedata.category(ch) == "Cc" for ch in code):
         return f"language code {code!r} contains a control character"
     return None
+
+
+def code_rows(rows, path, width, at_least=False):
+    """Yield (line_no, code, other cells) of csv_rows rows whose first cell
+    is a language code; ParseError on the row's line for other than `width`
+    cells (fewer, when `at_least`), a code code_problem rejects once
+    stripped, or a repeat (naming the line of the first occurrence)."""
+    first_line = {}
+    for line_no, cells in rows:
+        if len(cells) < width or (len(cells) > width and not at_least):
+            expected = f"at least {width}" if at_least else width
+            raise ParseError(f"expected {expected} fields, got {len(cells)}",
+                             path, line_no)
+        code = cells[0].strip()
+        problem = code_problem(code)
+        if problem:
+            raise ParseError(problem, path, line_no)
+        if code in first_line:
+            raise ParseError(
+                f"duplicate language code {code!r} (first seen on line {first_line[code]})",
+                path, line_no)
+        first_line[code] = line_no
+        yield line_no, code, cells[1:]
 
 
 @dataclass(frozen=True)
@@ -115,8 +141,8 @@ def load_registry(path,
                   ) -> Registry:
     """Read a registry CSV: header `code,name,family,branch,hours`.
 
-    A file without nonblank rows yields an empty registry; duplicate codes and
-    malformed rows raise ParseError with the line number.
+    A file without nonblank rows yields an empty registry; malformed rows
+    raise ParseError with the line number (code_rows checks the codes).
     """
     rows = csv_rows(path)
     if not rows:
@@ -128,25 +154,14 @@ def load_registry(path,
             path, header_line)
 
     records = []
-    first_line = {}
-    for line_no, row in rows[1:]:
-        if len(row) != len(REGISTRY_HEADER):
-            raise ParseError(
-                f"expected {len(REGISTRY_HEADER)} fields, got {len(row)}",
-                path, line_no)
-        code, name, family, branch, hours_text = (cell.strip() for cell in row)
+    for line_no, code, cells in code_rows(rows[1:], path, len(REGISTRY_HEADER)):
+        name, family, branch, hours_text = (cell.strip() for cell in cells)
         try:
             hours = float(hours_text)
         except ValueError:
             raise ParseError(f"bad hours value {hours_text!r}", path, line_no) from None
         try:
-            record = LanguageRecord(code, name, family, branch or None, hours)
+            records.append(LanguageRecord(code, name, family, branch or None, hours))
         except DataError as exc:
             raise ParseError(str(exc), path, line_no) from None
-        if code in first_line:
-            raise ParseError(
-                f"duplicate language code {code!r} (first seen on line {first_line[code]})",
-                path, line_no)
-        first_line[code] = line_no
-        records.append(record)
     return Registry(records, low_resource_threshold_hours)

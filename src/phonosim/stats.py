@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .formats import csv_cell, csv_rows, fmt_float, write_lines
+from .registry import code_rows
 
 
 @dataclass(frozen=True)
@@ -150,20 +151,16 @@ def read_matrix_csv(path) -> SimilarityMatrix:
     values = np.zeros((n, n))
     if len(body) != n:
         raise ParseError(f"expected {n} data rows, got {len(body)}", path)
-    for i, (line_no, row) in enumerate(body):
-        if len(row) != n + 1:
-            raise ParseError(f"expected {n + 1} fields", path, line_no)
-        if row[0].strip() != codes[i]:
+    # row labels must equal the header codes, so code_rows checks those too
+    for i, (line_no, code, cells) in enumerate(code_rows(body, path, n + 1)):
+        if code != codes[i]:
             raise ParseError(
-                f"row label {row[0]!r} does not match column label {codes[i]!r}",
+                f"row label {code!r} does not match column label {codes[i]!r}",
                 path, line_no)
         try:
-            values[i] = [float(cell) for cell in row[1:]]
+            values[i] = [float(cell) for cell in cells]
         except ValueError:
             raise ParseError("non-numeric matrix entry", path, line_no) from None
         if not np.isfinite(values[i]).all():
             raise ParseError("non-finite matrix entry", path, line_no)
-    try:
-        return SimilarityMatrix(codes, values)
-    except DataError as e:  # a repeated code
-        raise ParseError(str(e), path) from e
+    return SimilarityMatrix(codes, values)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError, ParseError
 from .formats import csv_rows
 from .pca import Projection2D, pca_project
-from .registry import code_problem
+from .registry import code_rows
 
 IMPUTE_METHODS = ("none", "column_mode")
 
@@ -29,7 +29,7 @@ class FeatureMatrix:
 def load_feature_matrix(path) -> FeatureMatrix:
     """Read a feature CSV: first column language id, header of feature ids.
 
-    Language ids must pass code_problem, as registry codes do. Rows or
+    Language ids are checked by code_rows, as registry codes are. Rows or
     columns that are entirely missing are dropped with a warning; any cell
     outside {0, 1, ?} (empty counts as ?) is an error.
     """
@@ -43,19 +43,9 @@ def load_feature_matrix(path) -> FeatureMatrix:
 
     language_ids = []
     data = []
-    for line_no, row in rows[1:]:
-        if len(row) != len(feature_ids) + 1:
-            raise ParseError(
-                f"expected {len(feature_ids) + 1} fields, got {len(row)}",
-                path, line_no)
-        lang = row[0].strip()
-        problem = code_problem(lang)
-        if problem:
-            raise ParseError(problem, path, line_no)
-        if lang in language_ids:
-            raise ParseError(f"duplicate language id {lang!r}", path, line_no)
+    for line_no, lang, cells in code_rows(rows[1:], path, len(feature_ids) + 1):
         values = []
-        for col, cell in enumerate(row[1:]):
+        for col, cell in enumerate(cells):
             cell = cell.strip()
             if cell in ("", "?"):
                 values.append(np.nan)

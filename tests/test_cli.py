@@ -8,7 +8,8 @@ import pytest
 
 import phonosim
 from phonosim import cli
-from phonosim.formats import csv_rows
+from phonosim.errors import ParseError
+from phonosim.formats import csv_cell, csv_rows
 from phonosim.ipa import default_policy
 from phonosim.pca import read_coords_csv
 from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig, convert_corpora,
@@ -65,6 +66,11 @@ class TestRegistry:
         assert cli.main(["registry", "validate", str(p)]) == 2
         assert "az" in capsys.readouterr().err
 
+    def test_validate_matches_golden(self, toy_dir, capsysbinary):
+        assert cli.main(["registry", "validate", str(toy_dir / "registry.csv")]) == 0
+        assert capsysbinary.readouterr().out == \
+            (toy_dir / "golden" / "cli_registry_validate.txt").read_bytes()
+
 
 class TestIpaAndG2p:
     def test_tokenize_default_policy(self, monkeypatch, capsys):
@@ -104,6 +110,21 @@ class TestIpaAndG2p:
             stdin_text="xaz\n", monkeypatch=monkeypatch)
         assert code == 0
         assert capsys.readouterr().out == "a\n"
+
+    def test_tokenize_matches_golden(self, toy_dir, monkeypatch, capsysbinary):
+        text = (toy_dir / "ipa_input.txt").read_text(encoding="utf-8")
+        assert run_cli(["ipa", "tokenize", "--policy", str(toy_dir / "policy.txt")],
+                       stdin_text=text, monkeypatch=monkeypatch) == 0
+        assert capsysbinary.readouterr().out == \
+            (toy_dir / "golden" / "cli_ipa_tokenize.txt").read_bytes()
+
+    def test_g2p_matches_golden(self, toy_dir, monkeypatch, capsysbinary):
+        text = (toy_dir / "g2p_input.txt").read_text(encoding="utf-8")
+        assert run_cli(["g2p", "--rules", str(toy_dir / "rules" / "aaa.rules"),
+                        "--policy", str(toy_dir / "policy.txt")],
+                       stdin_text=text, monkeypatch=monkeypatch) == 0
+        assert capsysbinary.readouterr().out == \
+            (toy_dir / "golden" / "cli_g2p.txt").read_bytes()
 
 
 class TestAnalysisCommands:
@@ -179,6 +200,17 @@ class TestAnalysisCommands:
         assert capsys.readouterr().out == ("explained variance: 0.953200616276 "
                                            "0.0406324967201\n")
         assert out.read_bytes() == (golden / "cli_pca.csv").read_bytes()
+
+    def test_pca_code_with_comma_exit_2(self, tmp_path, capsys):
+        # the code would make a 6-field row under the 5-field header
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(',"a,b",c\n"a,b",1,0.5\nc,0.5,1\n', encoding="utf-8")
+        out = tmp_path / "pca.csv"
+        assert cli.main(["pca", "--in", str(matrix), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"phonosim: error: {matrix}:2: language code 'a,b' contains a "
+            "comma, a double quote or whitespace\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("suffix", [".json", ".svg"])
     def test_contours_match_golden(self, toy_dir, tmp_path, capsys, suffix):
@@ -288,7 +320,22 @@ class TestAnalysisCommands:
         ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"phonosim: error: {matrix}: duplicate language code 'aab'\n" in captured.err
+        assert captured.err == (f"phonosim: error: {matrix}:3: duplicate language "
+                                "code 'aab' (first seen on line 2)\n")
+
+    def test_select_matrix_code_with_tab_exit_2(self, toy_dir, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",a\tb,aab\na\tb,1,0.5\naab,0.5,1\n", encoding="utf-8")
+        out = tmp_path / "selection.tsv"
+        assert cli.main([
+            "select", "--target", "aab", "--strategy", "corpus_sim", "--k", "1",
+            "--registry", str(toy_dir / "registry.csv"), "--matrix", str(matrix),
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"phonosim: error: {matrix}:2: language code 'a\\tb' contains a "
+            "comma, a double quote or whitespace\n")
+        assert not out.exists()
 
     def test_contours_non_finite_level_exit_2(self, toy_dir, tmp_path, capsys):
         coords = tmp_path / "coords.csv"
@@ -374,6 +421,14 @@ class TestAnalysisCommands:
             "(first seen on line 2)\n")
         assert not out.exists()
 
+    def test_coords_id_with_space_names_its_line(self, tmp_path):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\naaa,0,0\n\na b,1,1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_coords_csv(coords)
+        assert str(exc.value) == (f"{coords}:4: language code 'a b' contains a "
+                                  "comma, a double quote or whitespace")
+
     def test_contours_hours_sum_overflow_exit_2(self, toy_dir, tmp_path, capsys):
         registry = tmp_path / "registry.csv"
         registry.write_text("code,name,family,branch,hours\n"
@@ -452,6 +507,17 @@ class TestAnalysisCommands:
         assert [cells[5] for cells in rows] == ["family", "Indo,European", 'say "b"']
         assert read_coords_csv(out)[0] == ("aaa", "aab")
 
+    def test_typology_matches_golden(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "typology.csv"
+        assert cli.main(["typology", "--features", str(toy_dir / "features.csv"),
+                         "--impute", "column_mode",
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "projected 4 languages over 5 features; explained variance "
+            "0.69607896193 0.266146296758\n")
+        assert out.read_bytes() == (toy_dir / "golden" / "cli_typology.csv").read_bytes()
+
     def test_typology_id_with_comma_exit_2(self, tmp_path, capsys):
         features = tmp_path / "features.csv"
         features.write_text('lang,f1\n"a,a",1\nb,0\n', encoding="utf-8")
@@ -466,6 +532,51 @@ class TestAnalysisCommands:
         assert cli.main(["typology", "--features", str(features),
                          "--impute", "none",
                          "--out", str(tmp_path / "x.csv")]) == 2
+
+
+# a code cell no input table may hold, on line 3 after the code `aab` on
+# line 2, and the message naming it
+BAD_CODE_CELLS = [
+    ("empty", "", "empty language code"),
+    ("comma", "a,b", "language code 'a,b' contains a comma, a double quote "
+                     "or whitespace"),
+    ("quote", 'a"b', "language code 'a\"b' contains a comma, a double quote "
+                     "or whitespace"),
+    ("space", "a b", "language code 'a b' contains a comma, a double quote "
+                     "or whitespace"),
+    ("tab", "a\tb", "language code 'a\\tb' contains a comma, a double quote "
+                    "or whitespace"),
+    ("U+0001", "a\x01b", "language code 'a\\x01b' contains a control character"),
+    ("repeat", "aab", "duplicate language code 'aab' (first seen on line 2)"),
+]
+
+# each reader of a code column: its command, given the table's path and an
+# output path, and the table with `{}` for the line-3 code cell
+CODE_COLUMN_COMMANDS = {
+    "registry validate": (lambda table, out, toy: ["registry", "validate", table],
+                          "code,name,family,branch,hours\naab,B,F,,1\n{},C,F,,2\n"),
+    "pca --in": (lambda table, out, toy: ["pca", "--in", table, "--out", out],
+                 ",aab,{}\naab,1,0.5\n{},0.5,1\n"),
+    "contours --coords": (lambda table, out, toy: [
+                              "contours", "--coords", table, "--out", out + ".json",
+                              "--registry", str(toy / "registry.csv")],
+                          "id,x,y\naab,0,0\n{},1,1\n"),
+    "typology --features": (lambda table, out, toy: [
+                                "typology", "--features", table, "--out", out],
+                            "lang,f1,f2\naab,1,0\n{},0,1\n"),
+}
+
+
+@pytest.mark.parametrize("command", CODE_COLUMN_COMMANDS)
+@pytest.mark.parametrize("cell,message", [case[1:] for case in BAD_CODE_CELLS],
+                         ids=[case[0] for case in BAD_CODE_CELLS])
+def test_bad_code_cell_exit_2(toy_dir, tmp_path, capsys, command, cell, message):
+    argv, template = CODE_COLUMN_COMMANDS[command]
+    table = tmp_path / "table.csv"
+    table.write_text(template.replace("{}", csv_cell(cell)), encoding="utf-8")
+    assert cli.main(argv(str(table), str(tmp_path / "out"), toy_dir)) == 2
+    assert capsys.readouterr() == ("", f"phonosim: error: {table}:3: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
 
 class TestPerCommand:

@@ -686,6 +686,59 @@ class TestKdeContoursBlocks:
             assert sum(len(p) for p in got.polylines) > vertices
 
 
+class _MovedEstimates:
+    """numpy, except that matmul (kde_contours' tile estimates; the bound
+    products use the @ operator) moves each value by (N + 2) 2**-53
+    relative, up when its lowest mantissa bit is set and down otherwise:
+    inside the 4 (N + 2) u that the kde_contours docstring allows, and
+    enough to reorder estimates whose exact values nearly tie."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def matmul(a, b):
+        estimate = np.matmul(a, b)
+        step = (a.shape[-1] + 2) * 2.0 ** -53
+        sign = np.where(estimate.view(np.int64) & 1, 1.0, -1.0)
+        return estimate + sign * (step * estimate)
+
+
+def symmetric_family(pairs, seed):
+    """Points and weights symmetric about the origin: mirror-image nodes
+    of the grid tie up to rounding."""
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=(pairs, 2)) * rng.uniform(0.5, 3.0, size=2)
+    raw = np.tile(rng.uniform(0.2, 5.0, size=pairs), 2)
+    coords = np.concatenate([half, -half])
+    return coords, KDEParams(*density.silverman_bandwidths(coords, raw),
+                             2 * pairs * raw / raw.sum())
+
+
+class TestKdeContoursMovedEstimates:
+    """kde_contours gives rasterize's contours for any estimate within its
+    documented error, not only for the estimate numpy computes. A pass 1
+    that sums only the nodes whose estimate is the batch maximum misses
+    the exact maximum of 8 of these symmetric families."""
+
+    @pytest.mark.parametrize("family", [
+        lambda seed: random_family(2 + seed % 15, seed),
+        lambda seed: symmetric_family(1 + seed % 8, seed)],
+        ids=["random", "symmetric"])
+    def test_relative_levels(self, monkeypatch, family):
+        resolution = 64
+        for seed in range(100):
+            coords, params = family(seed)
+            full = rasterize(coords, params, resolution)
+            with monkeypatch.context() as patch:
+                patch.setattr(density, "np", _MovedEstimates())
+                got = [kde_contours(coords, params, resolution, level, True)
+                       for level in (0.5, 0.9, 0.999)]
+            for level, contours in zip((0.5, 0.9, 0.999), got):
+                assert_same_contours(contours, extract_contours(
+                    full, level * float(full.values.max())))
+
+
 class TestContoursJsonExact:
     def assert_same_bytes(self, contour_sets, tmp_path):
         write_contours_json(contour_sets, tmp_path / "got.json")
