@@ -21,9 +21,8 @@ from .pca import Projection2D, pca_project
 from .per import PERReport, corpus_per, per
 from .pipeline import PipelineConfig, run_pipeline
 from .registry import LanguageRecord, Registry, load_registry
-from .selection import (PhonemeInventory, SelectionResult, Strategy,
-                        TrainingManifest, build_inventory, emit_manifest,
-                        select_strategy, select_top_k)
+from .selection import (SelectionResult, Strategy, TrainingManifest,
+                        emit_manifest, select_strategy, select_top_k)
 from .stats import (Distributions, SimilarityMatrix, family_mean_similarities,
                     phoneme_distributions, similarity_matrix)
 from .typology import FeatureMatrix, impute, load_feature_matrix, project_typology
@@ -40,8 +39,8 @@ __all__ = [
     "PERReport", "corpus_per", "per",
     "PipelineConfig", "run_pipeline",
     "LanguageRecord", "Registry", "load_registry",
-    "PhonemeInventory", "SelectionResult", "Strategy", "TrainingManifest",
-    "build_inventory", "emit_manifest", "select_strategy", "select_top_k",
+    "SelectionResult", "Strategy", "TrainingManifest",
+    "emit_manifest", "select_strategy", "select_top_k",
     "Distributions", "SimilarityMatrix", "family_mean_similarities",
     "phoneme_distributions", "similarity_matrix",
     "FeatureMatrix", "impute", "load_feature_matrix", "project_typology",

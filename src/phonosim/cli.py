@@ -7,6 +7,7 @@ error. All configuration is explicit; no environment variables are read.
 import argparse
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -50,9 +51,7 @@ def _cmd_registry_validate(args):
     reg = load_registry(args.path, low_resource_threshold_hours=args.threshold)
     print(f"languages\t{len(reg)}")
     print("low_resource\t" + " ".join(reg.low_resource_codes()))
-    families = {}
-    for record in reg:
-        families[record.family] = families.get(record.family, 0) + 1
+    families = Counter(reg.families().values())
     print("families\t" + " ".join(f"{fam}:{n}" for fam, n in sorted(families.items())))
     return 0
 
@@ -120,10 +119,7 @@ def _cmd_typology(args):
     fm = load_feature_matrix(args.features)
     values = impute(fm, method=args.impute)
     proj = project_typology(values, fm.language_ids)
-    families = None
-    if args.registry:
-        reg = load_registry(args.registry)
-        families = {r.code: r.family for r in reg}
+    families = load_registry(args.registry).families() if args.registry else None
     write_coords_csv(proj, args.out, families=families)
     ev1, ev2 = proj.explained_variance[:2]
     print(f"projected {len(fm.language_ids)} languages over "

@@ -95,6 +95,13 @@ class KDEParams:
             raise DataError("weights must be strictly positive")
         if abs(float(self.weights.mean()) - 1.0) > 1e-9:
             raise DataError("weights must average 1 (see weights_from_hours)")
+        # the weights average one, so no density exceeds about n / norm;
+        # kde_contours' error bound needs a normal norm and a finite 2 n / norm
+        norm = _norm(self)
+        if norm < _NORMAL_MIN or not math.isfinite(2 * self.n_points / norm):
+            raise DataError(
+                f"the density of {self.n_points} points with bandwidths "
+                f"{self.h_x:g} and {self.h_y:g} does not fit in a float")
 
     @property
     def n_points(self):
@@ -326,42 +333,33 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     matrix product each. Marching squares reads a cell's four corners and
     nothing else, so the polylines, their order, the cutoff and the
     warning are those of extract_contours on rasterize's grid, however two
-    tiles estimate a shared node. Outside the range of the bound (norm
-    below the smallest normal float, or an estimate that could overflow)
-    U = inf, L = -inf and every node is summed exactly instead. A tiny
-    level over a grid of zero densities puts nearly every node in the
-    band, and summing them costs up to about twice a rasterize.
+    tiles estimate a shared node. KDEParams keeps norm and every estimate
+    inside the range of the bound. A tiny level over a grid of zero
+    densities puts nearly every node in the band, and summing them costs
+    up to about twice a rasterize.
     """
     extent, kx, ky = _grid_and_kernels(coords, params, resolution)
     size = len(kx)
     norm = _norm(params)
     n = params.n_points
-    # the weights average one, so no estimate exceeds about n / norm
-    exact = norm < _NORMAL_MIN or not math.isfinite(2 * n / norm)
-    rel = 0.0 if exact else _ERROR_FACTOR * (n + 2) * _UNIT_ROUNDOFF
-    floor = 0.0 if exact else _ERROR_FACTOR * (n + 2) * _NORMAL_MIN * (1.0 + 1.0 / norm)
-    # kx * (w / norm) for the estimate; w / norm may overflow otherwise
-    factors = None if exact else kx * (params.weights / norm)
+    rel = _ERROR_FACTOR * (n + 2) * _UNIT_ROUNDOFF
+    floor = _ERROR_FACTOR * (n + 2) * _NORMAL_MIN * (1.0 + 1.0 / norm)
     count = -(-(size - 1) // _TILE)
     edges = np.minimum(np.arange(count)[:, None] * _TILE + np.arange(_TILE + 1),
                        size - 1)  # the node rows (and columns) of each tile
-    if exact:
-        upper = np.full((count, count), math.inf)
-        lower = -upper
-    else:
-        # per tile: (count, _TILE + 1, N) row factors, (count, N, _TILE + 1) columns
-        fx, fy = factors[edges], np.ascontiguousarray(ky[edges].transpose(0, 2, 1))
-        upper = fx.max(axis=1) @ fy.max(axis=2).T
-        lower = fx.min(axis=1) @ fy.min(axis=2).T
+    # per tile: (count, _TILE + 1, N) row factors kx * (w / norm), and
+    # (count, N, _TILE + 1) columns
+    fx = (kx * (params.weights / norm))[edges]
+    fy = np.ascontiguousarray(ky[edges].transpose(0, 2, 1))
+    upper = fx.max(axis=1) @ fy.max(axis=2).T
+    lower = fx.min(axis=1) @ fy.min(axis=2).T
     batch = max(1, _BLOCK_BYTES // (8 * (_TILE + 1) * max(_TILE + 1, n)))
 
     def tiles(ids):
-        """Node ids and values (E, or V out of the bound's range) of the
-        tiles `ids` = a * count + b, as (tiles, _TILE + 1, _TILE + 1)."""
+        """Node ids and estimates E of the tiles `ids` = a * count + b, as
+        (tiles, _TILE + 1, _TILE + 1)."""
         a, b = np.divmod(ids, count)
         nodes = edges[a][:, :, None] * size + edges[b][:, None, :]
-        if exact:
-            return nodes, _exact_at(kx, ky, params, nodes.reshape(-1)).reshape(nodes.shape)
         return nodes, np.matmul(fx[a], fy[b])
 
     # the tile with the largest L holds a V that no tile whose U is below

@@ -98,6 +98,13 @@ def _match_right(pat, word, pos):
     return not pat.anchored or j == len(word)
 
 
+def _describe(rule):
+    """A rule's grapheme and contexts as written, for messages."""
+    return repr(rule.grapheme) + "".join(
+        f" {side} {context!r}" for side, context
+        in (("left", rule.left_context), ("right", rule.right_context)) if context)
+
+
 class _KeepTable(dict):
     """str.translate table for punctuation_strip: a code point maps to itself
     (kept) or to None (dropped: a P*/S*/N* category, which no whitespace
@@ -123,15 +130,6 @@ class Ruleset:
         rules = tuple(rules)
         if not rules:
             raise DataError("a ruleset needs at least one rule")
-        seen = {}
-        for rule in rules:
-            if not rule.grapheme:
-                raise DataError("rule grapheme must be nonempty")
-            key = (rule.grapheme, rule.left_context, rule.right_context)
-            if key in seen:
-                raise DataError(
-                    f"duplicate rule for grapheme {rule.grapheme!r} with identical contexts")
-            seen[key] = rule
         self.language_code = language_code
         self.rules = rules
         self.case_fold = bool(case_fold)
@@ -139,12 +137,21 @@ class Ruleset:
 
         fold = self._fold
         compiled = []
+        seen = {}
         for idx, rule in enumerate(rules):
+            if not rule.grapheme:
+                raise DataError("rule grapheme must be nonempty")
             g = fold(rule.grapheme)
             left = (_parse_pattern(fold(rule.left_context), "left")
                     if rule.left_context else None)
             right = (_parse_pattern(fold(rule.right_context), "right")
                      if rule.right_context else None)
+            # match_at sees only the folded grapheme and contexts, so a
+            # later rule equal to an earlier one in these could never fire
+            if (g, left, right) in seen:
+                raise DataError(f"rule {_describe(rule)} matches the same text as "
+                                f"rule {_describe(seen[g, left, right])}")
+            seen[g, left, right] = rule
             compiled.append((g, left, right, rule, idx))
         # longest grapheme first, then higher priority, then file order
         compiled.sort(key=lambda item: (-len(item[0]), -item[3].priority, item[4]))

@@ -30,26 +30,25 @@ class SelectionResult:
     target: str
     strategy: Strategy
     sources: tuple   # (code, similarity score or None) pairs, selection order
-    k: int
+
+    @property
+    def k(self):
+        return len(self.sources)
+
+    @property
+    def languages(self):
+        """The training languages: the target first, then the sources in order."""
+        return (self.target,) + self.source_codes()
 
     def source_codes(self):
         return tuple(code for code, _ in self.sources)
 
 
-@dataclass(frozen=True)
-class PhonemeInventory:
-    language_scope: tuple
-    phonemes: tuple  # sorted union over the scope
-
-
 @dataclass
 class TrainingManifest:
-    target: str
-    strategy: Strategy
-    languages: tuple                 # target first, then sources in order
-    sources: tuple                   # (code, score or None), selection order
+    selection: SelectionResult
     utterances: list                 # (language code, audio path, phoneme list)
-    inventory: PhonemeInventory
+    phonemes: tuple                  # sorted union over the utterances
     total_hours: float
 
 
@@ -73,8 +72,7 @@ def select_top_k(target, matrix: SimilarityMatrix, k=3, hours=None) -> Selection
     if k > len(candidates):
         warnings.warn(
             f"k={k} exceeds the {len(candidates)} available languages; truncated")
-        k = len(candidates)
-    return SelectionResult(target, Strategy.CORPUS_SIM, tuple(candidates[:k]), k)
+    return SelectionResult(target, Strategy.CORPUS_SIM, tuple(candidates[:k]))
 
 
 def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> SelectionResult:
@@ -85,30 +83,17 @@ def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> Select
         raise DataError(f"unknown selection strategy {strategy!r}") from None
     record = reg.get(target)
     if strategy is Strategy.MONOLINGUAL:
-        return SelectionResult(target, strategy, (), 0)
+        return SelectionResult(target, strategy, ())
     if strategy is Strategy.FAMILY:
         members = reg.family_members(record.family, exclude=target)
-        return SelectionResult(
-            target, strategy, tuple((r.code, None) for r in members), len(members))
+        return SelectionResult(target, strategy, tuple((r.code, None) for r in members))
     if strategy is Strategy.ALL:
         others = [r.code for r in reg if r.code != target]
-        return SelectionResult(
-            target, strategy, tuple((c, None) for c in others), len(others))
+        return SelectionResult(target, strategy, tuple((c, None) for c in others))
     if matrix is None:
         raise DataError("strategy corpus_sim requires a similarity matrix")
     hours = {r.code: r.recording_hours for r in reg}
     return select_top_k(target, matrix, k=k, hours=hours)
-
-
-def build_inventory(scope, per_language_sets) -> PhonemeInventory:
-    """Sorted union of the per-language phoneme sets over the scope."""
-    union = set()
-    for code in scope:
-        try:
-            union.update(per_language_sets[code])
-        except KeyError:
-            raise DataError(f"no phoneme set for language {code!r}") from None
-    return PhonemeInventory(tuple(scope), tuple(sorted(union)))
 
 
 def emit_manifest(selection: SelectionResult, corpora, reg: Registry) -> TrainingManifest:
@@ -116,20 +101,18 @@ def emit_manifest(selection: SelectionResult, corpora, reg: Registry) -> Trainin
 
     corpora maps language code -> list of (audio_path, phoneme list).
     Utterances are grouped by language, target first then sources in
-    selection order. The inventory is the union of these languages'
+    selection order. The inventory is the union of the utterances'
     phonemes, so every transcription is written in it by construction.
     """
-    languages = (selection.target,) + selection.source_codes()
+    languages = selection.languages
     for code in languages:
         if code not in corpora:
             raise DataError(f"no corpus available for language {code!r}")
-    sets = {code: {ph for _, seq in corpora[code] for ph in seq} for code in languages}
     utterances = [(code, audio_path, list(seq))
                   for code in languages for audio_path, seq in corpora[code]]
+    phonemes = tuple(sorted({ph for _, _, seq in utterances for ph in seq}))
     total_hours = sum(reg.get(code).recording_hours for code in languages)
-    return TrainingManifest(
-        selection.target, selection.strategy, languages, selection.sources,
-        utterances, build_inventory(languages, sets), float(total_hours))
+    return TrainingManifest(selection, utterances, phonemes, float(total_hours))
 
 
 def selection_report(selection: SelectionResult) -> str:
@@ -154,12 +137,12 @@ def write_manifest_tsv(manifest: TrainingManifest, path):
     """Structured header block, then `lang<TAB>audio_path<TAB>ipa` rows."""
     sources = " ".join(
         code if score is None else f"{code}:{fmt_float(score)}"
-        for code, score in manifest.sources)
+        for code, score in manifest.selection.sources)
     lines = [
-        f"#target\t{manifest.target}",
-        f"#strategy\t{manifest.strategy.value}",
+        f"#target\t{manifest.selection.target}",
+        f"#strategy\t{manifest.selection.strategy.value}",
         f"#sources\t{sources}",
-        "#inventory\t" + " ".join(manifest.inventory.phonemes),
+        "#inventory\t" + " ".join(manifest.phonemes),
         f"#total_hours\t{fmt_float(manifest.total_hours)}",
         "lang\taudio_path\tipa",
     ]

@@ -29,9 +29,10 @@ class FeatureMatrix:
 def load_feature_matrix(path) -> FeatureMatrix:
     """Read a feature CSV: first column language id, header of feature ids.
 
-    Language ids are checked by code_rows, as registry codes are. Rows or
-    columns that are entirely missing are dropped with a warning; any cell
-    outside {0, 1, ?} (empty counts as ?) is an error.
+    Language ids are checked by code_rows, as registry codes are; feature
+    ids must be nonempty and unique. Rows or columns that are entirely
+    missing are dropped with a warning; any cell outside {0, 1, ?} (empty
+    counts as ?) is an error.
     """
     rows = csv_rows(path)
     if len(rows) < 2:
@@ -40,6 +41,14 @@ def load_feature_matrix(path) -> FeatureMatrix:
     feature_ids = [c.strip() for c in header[1:]]
     if not feature_ids:
         raise ParseError("no feature columns", path, header_line)
+    first_column = {}
+    for column, feature in enumerate(feature_ids, start=2):
+        if not feature:
+            raise ParseError(f"empty feature id in column {column}", path, header_line)
+        if feature in first_column:
+            raise ParseError(f"duplicate feature id {feature!r} (first seen in column "
+                             f"{first_column[feature]})", path, header_line)
+        first_column[feature] = column
 
     language_ids = []
     data = []

@@ -103,6 +103,21 @@ class TestIpaAndG2p:
             stdin_text="xyz\n", monkeypatch=monkeypatch)
         assert code == 2
 
+    @pytest.mark.parametrize("rules,text,message", [
+        ("a\tx\nA\ty\nss\ts\nß\tz\n", "A ss",
+         "rule 'A' matches the same text as rule 'a'"),
+        ("ss\ts\nß\tz\n", "ss", "rule 'ß' matches the same text as rule 'ss'"),
+        ("k\tk\t\t[A]\nk\tq\t\t[a]\na\ta\n", "ka",
+         "rule 'k' right '[a]' matches the same text as rule 'k' right '[A]'"),
+    ], ids=["case", "sharp-s", "context"])
+    def test_g2p_rules_equal_once_folded_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                rules, text, message):
+        path = tmp_path / "x.rules"
+        path.write_text(rules, encoding="utf-8")
+        assert run_cli(["g2p", "--rules", str(path)], stdin_text=text + "\n",
+                       monkeypatch=monkeypatch) == 2
+        assert capsys.readouterr() == ("", f"phonosim: error: {path}: {message}\n")
+
     def test_g2p_skip_mode(self, toy_dir, monkeypatch, capsys):
         code = run_cli(
             ["g2p", "--rules", str(toy_dir / "rules" / "aaa.rules"),
@@ -408,6 +423,23 @@ class TestAnalysisCommands:
             "close together for a finite plot extent and scale\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--relative", "--level", "0.5"]],
+                             ids=["absolute", "relative"])
+    def test_contours_density_that_cannot_fit_a_float_exit_2(self, toy_dir,
+                                                             tmp_path, capsys, flags):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\naaa,0,0\naab,1e-160,2e-160\n", encoding="utf-8")
+        out = tmp_path / "contours.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow on the way
+            assert cli.main(["contours", "--coords", str(coords),
+                             "--registry", str(toy_dir / "registry.csv"),
+                             "--out", str(out)] + flags) == 2
+        assert capsys.readouterr() == ("", (
+            "phonosim: error: the density of 2 points with bandwidths 2.65856e-161 "
+            "and 5.30921e-161 does not fit in a float\n"))
+        assert not out.exists()
+
     def test_contours_repeated_id_exit_2(self, toy_dir, tmp_path, capsys):
         coords = tmp_path / "coords.csv"
         coords.write_text("id,x,y\naaa,0,0\naab,1,1\naaa,0.5,0.2\n",
@@ -524,6 +556,20 @@ class TestAnalysisCommands:
         assert cli.main(["typology", "--features", str(features),
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert "features.csv:2: language code 'a,a'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("header,message", [
+        ("lang,f1,f1,", "duplicate feature id 'f1' (first seen in column 2)"),
+        ("lang,f1,f2,", "empty feature id in column 4"),
+        ("lang,f1, ,f3", "empty feature id in column 3"),
+    ], ids=["repeat", "empty-last", "blank"])
+    def test_typology_bad_feature_id_exit_2(self, tmp_path, capsys, header, message):
+        features = tmp_path / "features.csv"
+        features.write_text(header + "\naaa,1,0,1\naab,0,1,1\naba,1,1,0\n",
+                            encoding="utf-8")
+        assert cli.main(["typology", "--features", str(features),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr() == ("", f"phonosim: error: {features}:1: {message}\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_typology_none_with_missing_exit_2(self, tmp_path):

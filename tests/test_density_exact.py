@@ -534,22 +534,29 @@ class TestContourGridExact:
                                match="^contour level must be finite and positive$"):
                 kde_contours(coords, params, 64, level, relative)
 
-    def test_scale_outside_the_bound_is_computed_whole(self, monkeypatch):
-        # h_x * h_y so small that the normalizing constant is subnormal
-        coords = np.array([[0.0, 0.0], [5e-150, 1e-159]])
-        params = KDEParams(1e-150, 1.59e-159, np.ones(2))
-        assert density._norm(params) < 2.0 ** -1022
-        tile_size(monkeypatch, 5, batch=5, n=2)
-        _, full = contours_both_ways(coords, params, 33, 0.5, True)
-        assert np.isfinite(full.values).all()
-        assert live_tiles(coords, params, 33, 0.5, True)[0] == 7 * 7
-        bands, sums = bands_and_sums(monkeypatch, coords, params, 33, 0.5, True)
-        # no bound: every band is the point itself, and every tile is
-        # summed exactly in both passes, one batch of 5 tiles (36 nodes
-        # each) at a time, never the whole grid at once
-        assert len(bands) >= 2 and set(bands) == {(0.0, 0.0)}
-        assert sum(sums) >= 2 * 33 * 33
-        assert max(sums) <= 6 * 33
+    def test_scale_outside_the_bound_is_rejected(self):
+        # a subnormal normalizing constant, and a normal one under which
+        # an estimate could overflow
+        for h_x, h_y, n in ((1e-150, 1.59e-159, 2), (1e-154, 1e-155, 16)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on the way
+                with pytest.raises(DataError, match=(
+                        f"^the density of {n} points with bandwidths {h_x:g} "
+                        f"and {h_y:g} does not fit in a float$")):
+                    KDEParams(h_x, h_y, np.ones(n))
+
+    def test_smallest_scale_inside_the_bound(self):
+        # 16 points about 1e-154 apart: 2 n / norm is within a factor of
+        # two of overflowing
+        coords, _ = random_family(16, seed=61)
+        coords = coords * 1e-154
+        params = KDEParams(1e-154, 3e-155, np.ones(16))
+        norm = density._norm(params)
+        assert math.isfinite(2 * 16 / norm) and not math.isfinite(4 * 16 / norm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for level in (0.5, 0.9):
+                contours_both_ways(coords, params, 65, level, True)
 
     def test_wide_band_is_gathered(self, monkeypatch):
         # two points 1000 bandwidths apart: nearly every cell is zero, so

@@ -230,6 +230,16 @@ class TestRuleFile:
         p.write_text("a\tA\n", encoding="utf-8")
         assert load_ruleset(p).language_code == "zh.cn"
 
+    def test_rules_equal_once_folded_are_duplicates(self):
+        precomposed, decomposed = "\u00e9", "e\u0301"
+        with pytest.raises(DataError, match=(
+                f"^rule {decomposed!r} matches the same text as rule {precomposed!r}$")):
+            make_ruleset((precomposed, "e"), (decomposed, "f"), case_fold=False)
+        with pytest.raises(DataError, match=(
+                "^rule 'k' left 'b' matches the same text as rule 'k' left '\\[B\\]'$")):
+            make_ruleset(("k", "k", "[B]"), ("k", "q", "b"))
+        assert len(make_ruleset(("a", "x"), ("A", "y"), case_fold=False).rules) == 2
+
     def test_duplicate_line_errors(self, tmp_path):
         p = tmp_path / "x.rules"
         p.write_text("a\tA\na\tB\n", encoding="utf-8")
@@ -316,22 +326,23 @@ class TestProperties:
             assert out[0] == rule_b.phoneme_output
 
     def test_closure_against_inventory(self, toy_dir):
-        from phonosim.selection import build_inventory
         from phonosim.pipeline import read_corpus_tsv
+        from phonosim.registry import load_registry
+        from phonosim.selection import emit_manifest, select_strategy
 
         policy = default_policy()
-        sets = {}
-        seqs = {}
+        corpora = {}
         for code in ("aaa", "aab"):
             rs = load_ruleset(toy_dir / "rules" / f"{code}.rules")
             utts = read_corpus_tsv(toy_dir / "corpus" / f"{code}.tsv")
-            converted = [transliterate(t, rs, policy) for _, t in utts]
-            seqs[code] = converted
-            sets[code] = {ph for seq in converted for ph in seq}
-        inv = build_inventory(("aaa", "aab"), sets)
-        known = set(inv.phonemes)
-        for code, converted in seqs.items():
-            for seq in converted:
+            corpora[code] = [(audio, transliterate(t, rs, policy)) for audio, t in utts]
+        reg = load_registry(toy_dir / "registry.csv")
+        sel = select_strategy("aaa", "family", reg)
+        assert sel.languages == ("aaa", "aab")
+        man = emit_manifest(sel, corpora, reg)
+        known = set(man.phonemes)
+        for converted in corpora.values():
+            for _, seq in converted:
                 assert set(seq) <= known
 
 

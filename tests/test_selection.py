@@ -5,7 +5,7 @@ import pytest
 
 from phonosim.errors import DataError
 from phonosim.registry import LanguageRecord, Registry, load_registry
-from phonosim.selection import (Strategy, build_inventory, emit_manifest,
+from phonosim.selection import (SelectionResult, Strategy, emit_manifest,
                                 select_strategy, select_top_k,
                                 selection_report, write_manifest_tsv)
 from phonosim.stats import SimilarityMatrix, similarity_matrix
@@ -153,32 +153,37 @@ class TestStrategies:
         assert sel.source_codes() == ("q", "p")
 
 
+def manifest_of(corpora):
+    """emit_manifest over every language of corpora, the first as target."""
+    codes = tuple(corpora)
+    reg = Registry([LanguageRecord(c, c, "F", None, 1.0) for c in codes])
+    sel = SelectionResult(codes[0], Strategy.ALL, tuple((c, None) for c in codes[1:]))
+    return emit_manifest(sel, corpora, reg)
+
+
 class TestInventory:
     def test_union(self):
-        inv = build_inventory(("A", "B"), {"A": {"a", "b"}, "B": {"b", "c"}})
-        assert inv.phonemes == ("a", "b", "c")
-        assert inv.language_scope == ("A", "B")
+        man = manifest_of({"A": [("a.mp3", ["a", "b"])], "B": [("b.mp3", ["b", "c"])]})
+        assert man.phonemes == ("a", "b", "c")
+        assert man.selection.languages == ("A", "B")
 
     def test_single_language_identity(self):
-        inv = build_inventory(("A",), {"A": {"t͡ʃ", "a"}})
-        assert inv.phonemes == ("a", "t͡ʃ")
+        man = manifest_of({"A": [("a1.mp3", ["t͡ʃ", "a"]), ("a2.mp3", ["a"])]})
+        assert man.phonemes == ("a", "t͡ʃ")
 
     def test_matches_set_oracle(self):
         rng = random.Random(47)
         pool = ["a", "b", "c", "d", "ʃ", "ʒ", "t͡ʃ"]
         for _ in range(25):
-            sets = {f"l{i}": {rng.choice(pool) for _ in range(rng.randrange(5))}
-                    for i in range(4)}
-            inv = build_inventory(tuple(sets), sets)
-            expected = set()
-            for s in sets.values():
-                expected |= s
-            assert set(inv.phonemes) == expected
-            assert list(inv.phonemes) == sorted(inv.phonemes)
-
-    def test_missing_code(self):
-        with pytest.raises(DataError):
-            build_inventory(("A", "B"), {"A": {"a"}})
+            corpora = {
+                f"l{i}": [(f"l{i}_{u}.mp3",
+                           [rng.choice(pool) for _ in range(rng.randrange(4))])
+                          for u in range(rng.randrange(3))]
+                for i in range(4)}
+            man = manifest_of(corpora)
+            expected = {ph for utts in corpora.values() for _, seq in utts for ph in seq}
+            assert set(man.phonemes) == expected
+            assert list(man.phonemes) == sorted(man.phonemes)
 
 
 def small_registry():
@@ -201,16 +206,16 @@ class TestManifest:
     def test_monolingual_manifest(self):
         sel = select_strategy("t", "monolingual", small_registry())
         man = emit_manifest(sel, small_corpora(), small_registry())
-        assert man.languages == ("t",)
+        assert man.selection.languages == ("t",)
         assert [u[0] for u in man.utterances] == ["t", "t"]
-        assert man.inventory.phonemes == ("a", "b", "t͡ʃ")
+        assert man.phonemes == ("a", "b", "t͡ʃ")
         assert man.total_hours == 2.0
 
     def test_multisource_order_target_first(self):
         sel = select_strategy("t", "all", small_registry())
         man = emit_manifest(sel, small_corpora(), small_registry())
-        assert man.languages[0] == "t"
-        assert len(man.languages) == 3
+        assert man.selection.languages[0] == "t"
+        assert len(man.selection.languages) == 3
         langs_in_order = [u[0] for u in man.utterances]
         assert langs_in_order == ["t", "t", "s1", "s2"]
         assert man.total_hours == 32.0
@@ -218,7 +223,7 @@ class TestManifest:
     def test_inventory_closure(self):
         sel = select_strategy("t", "all", small_registry())
         man = emit_manifest(sel, small_corpora(), small_registry())
-        known = set(man.inventory.phonemes)
+        known = set(man.phonemes)
         for _, _, seq in man.utterances:
             assert set(seq) <= known
 
