@@ -18,14 +18,14 @@ from .g2p import G2PRule, Ruleset, load_ruleset, transliterate
 from .ipa import (NormalizationPolicy, Phoneme, PhonemeSequence,
                   default_policy, load_policy, normalize, tokenize_ipa)
 from .pca import Projection2D, pca_project
-from .per import PERReport, corpus_per, per
+from .per import PERReport, corpus_per
 from .pipeline import PipelineConfig, run_pipeline
 from .registry import LanguageRecord, Registry, load_registry
 from .selection import (SelectionResult, Strategy, TrainingManifest,
                         emit_manifest, select_strategy, select_top_k)
 from .stats import (Distributions, SimilarityMatrix, family_mean_similarities,
                     phoneme_distributions, similarity_matrix)
-from .typology import FeatureMatrix, impute, load_feature_matrix, project_typology
+from .typology import FeatureMatrix, impute, load_feature_matrix
 
 __all__ = [
     "ContourSet", "DensityGrid", "KDEParams", "extract_contours",
@@ -36,13 +36,13 @@ __all__ = [
     "NormalizationPolicy", "Phoneme", "PhonemeSequence", "default_policy",
     "load_policy", "normalize", "tokenize_ipa",
     "Projection2D", "pca_project",
-    "PERReport", "corpus_per", "per",
+    "PERReport", "corpus_per",
     "PipelineConfig", "run_pipeline",
     "LanguageRecord", "Registry", "load_registry",
     "SelectionResult", "Strategy", "TrainingManifest",
     "emit_manifest", "select_strategy", "select_top_k",
     "Distributions", "SimilarityMatrix", "family_mean_similarities",
     "phoneme_distributions", "similarity_matrix",
-    "FeatureMatrix", "impute", "load_feature_matrix", "project_typology",
+    "FeatureMatrix", "impute", "load_feature_matrix",
     "__version__",
 ]

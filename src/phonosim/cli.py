@@ -28,8 +28,7 @@ from .selection import (Strategy, select_strategy, selection_report,
                         write_selection_report)
 from .stats import (phoneme_distributions, read_matrix_csv, similarity_matrix,
                     write_distributions_csv, write_matrix_csv)
-from .typology import (IMPUTE_METHODS, impute, load_feature_matrix,
-                       project_typology)
+from .typology import IMPUTE_METHODS, impute, load_feature_matrix
 
 STRATEGY_CHOICES = tuple(s.value for s in Strategy)
 
@@ -48,9 +47,9 @@ def _policy_from(args):
 
 
 def _cmd_registry_validate(args):
-    reg = load_registry(args.path, low_resource_threshold_hours=args.threshold)
+    reg = load_registry(args.path)
     print(f"languages\t{len(reg)}")
-    print("low_resource\t" + " ".join(reg.low_resource_codes()))
+    print("low_resource\t" + " ".join(reg.low_resource_codes(args.threshold)))
     families = Counter(reg.families().values())
     print("families\t" + " ".join(f"{fam}:{n}" for fam, n in sorted(families.items())))
     return 0
@@ -118,7 +117,7 @@ def _cmd_contours(args):
 def _cmd_typology(args):
     fm = load_feature_matrix(args.features)
     values = impute(fm, method=args.impute)
-    proj = project_typology(values, fm.language_ids)
+    proj = pca_project(values, fm.language_ids)
     families = load_registry(args.registry).families() if args.registry else None
     write_coords_csv(proj, args.out, families=families)
     ev1, ev2 = proj.explained_variance[:2]

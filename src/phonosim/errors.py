@@ -38,6 +38,16 @@ class DataError(PhonosimError):
     """Semantically invalid data: unknown code, zero vector, bad value."""
 
 
+class RuleError(DataError):
+    """A G2P rule was rejected: `index` is its position in the rule list
+    and, for a repeat, `first` the position of the earlier equal rule."""
+
+    def __init__(self, message, index, first=None):
+        self.index = index
+        self.first = first
+        super().__init__(message)
+
+
 class PipelineError(PhonosimError):
     """A pipeline stage failed; the message names the stage."""
 

@@ -21,7 +21,8 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, ParseError, PhonosimError, UnmatchedGraphemeError
+from .errors import (DataError, ParseError, PhonosimError, RuleError,
+                     UnmatchedGraphemeError)
 from .formats import data_lines, parse_bool
 from .ipa import NormalizationPolicy, PhonemeSequence, normalize, tokenize_ipa
 
@@ -43,7 +44,7 @@ class _Pattern:
     anchored: bool        # '#' present at the outer end
 
 
-def _parse_pattern(text, side, path=None, line=None):
+def _parse_pattern(text, side, index):
     chars = list(text)
     anchored = False
     if side == "left" and chars and chars[0] == "#":
@@ -57,9 +58,8 @@ def _parse_pattern(text, side, path=None, line=None):
     while i < len(chars):
         c = chars[i]
         if c == "#":
-            raise ParseError(
-                f"'#' may only anchor the outer end of a {side} context",
-                path, line)
+            raise RuleError(
+                f"'#' may only anchor the outer end of a {side} context", index)
         if c == "[":
             j = i + 1
             members = []
@@ -67,13 +67,13 @@ def _parse_pattern(text, side, path=None, line=None):
                 members.append(chars[j])
                 j += 1
             if j >= len(chars):
-                raise ParseError("unterminated character class", path, line)
+                raise RuleError("unterminated character class", index)
             if not members:
-                raise ParseError("empty character class", path, line)
+                raise RuleError("empty character class", index)
             units.append(frozenset(members))
             i = j + 1
         elif c == "]":
-            raise ParseError("stray ']' in context pattern", path, line)
+            raise RuleError("stray ']' in context pattern", index)
         else:
             units.append(frozenset(c))
             i += 1
@@ -140,18 +140,18 @@ class Ruleset:
         seen = {}
         for idx, rule in enumerate(rules):
             if not rule.grapheme:
-                raise DataError("rule grapheme must be nonempty")
+                raise RuleError("rule grapheme must be nonempty", idx)
             g = fold(rule.grapheme)
-            left = (_parse_pattern(fold(rule.left_context), "left")
+            left = (_parse_pattern(fold(rule.left_context), "left", idx)
                     if rule.left_context else None)
-            right = (_parse_pattern(fold(rule.right_context), "right")
+            right = (_parse_pattern(fold(rule.right_context), "right", idx)
                      if rule.right_context else None)
             # match_at sees only the folded grapheme and contexts, so a
             # later rule equal to an earlier one in these could never fire
-            if (g, left, right) in seen:
-                raise DataError(f"rule {_describe(rule)} matches the same text as "
-                                f"rule {_describe(seen[g, left, right])}")
-            seen[g, left, right] = rule
+            first = seen.setdefault((g, left, right), idx)
+            if first != idx:
+                raise RuleError(f"rule {_describe(rule)} matches the same text as "
+                                f"rule {_describe(rules[first])}", idx, first)
             compiled.append((g, left, right, rule, idx))
         # longest grapheme first, then higher priority, then file order
         compiled.sort(key=lambda item: (-len(item[0]), -item[3].priority, item[4]))
@@ -275,7 +275,7 @@ def load_ruleset(path) -> Ruleset:
     language = None
     directives = {}
     rules = []
-    first_line = {}
+    lines = []
 
     for line_no, line in data_lines(path):
         if line.startswith("@"):
@@ -296,28 +296,19 @@ def load_ruleset(path) -> Ruleset:
                 path, line_no)
         fields += [""] * (5 - len(fields))
         grapheme, output, left, right, prio_text = (f.strip() for f in fields)
-        if not grapheme:
-            raise ParseError("empty grapheme", path, line_no)
         try:
             priority = int(prio_text) if prio_text else 0
         except ValueError:
             raise ParseError(f"bad priority {prio_text!r}", path, line_no) from None
-        key = (grapheme, left or None, right or None)
-        if key in first_line:
-            raise ParseError(
-                f"duplicate rule for {grapheme!r} (first on line {first_line[key]})",
-                path, line_no)
-        first_line[key] = line_no
-        for side, pattern in (("left", left), ("right", right)):
-            if pattern:
-                _parse_pattern(pattern, side, path, line_no)
         rules.append(G2PRule(grapheme, output, left or None, right or None, priority))
+        lines.append(line_no)
 
-    if not rules:
-        raise ParseError("rule file contains no rules", path)
     if language is None:
         language = Path(path).stem
     try:
         return Ruleset(language, rules, **directives)
+    except RuleError as e:
+        first = "" if e.first is None else f" (first on line {lines[e.first]})"
+        raise ParseError(f"{e}{first}", path, lines[e.index]) from e
     except DataError as e:
         raise ParseError(str(e), path) from e

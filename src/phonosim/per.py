@@ -119,14 +119,6 @@ def edit_counts(reference, hypothesis):
     return _edit_counts_all([(reference, hypothesis)])[0]
 
 
-def per(reference, hypothesis) -> PERReport:
-    """PER of one utterance: 100 * (S + I + D) / |reference|."""
-    if not reference:
-        raise DataError("PER undefined for an empty reference")
-    s, i, d = edit_counts(reference, hypothesis)
-    return PERReport(s, i, d, len(reference), 100.0 * (s + i + d) / len(reference))
-
-
 def corpus_per(pairs, macro=False) -> PERReport:
     """Aggregate PER over (reference, hypothesis) pairs.
 

@@ -311,7 +311,10 @@ def compute_family_contours(codes, coords, reg: Registry, level, resolution,
         else:
             weights = weights_from_hours(hours)
         h_x, h_y = silverman_bandwidths(pts, weights, robust=robust)
-        params = KDEParams(h_x, h_y, weights)
+        try:
+            params = KDEParams(h_x, h_y, weights)
+        except DataError as exc:
+            raise DataError(f"family {family!r}: {exc}") from None
         contour_sets.append(kde_contours(pts, params, resolution=resolution,
                                          level=level, relative=relative,
                                          family=family))

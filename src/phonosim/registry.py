@@ -1,8 +1,8 @@
 """Language metadata registry: code, family, branch, validated hours.
 
 A language counts as low-resource when its validated recording time is
-strictly below the threshold (default 15 hours), so a language at exactly
-the threshold is not low-resource.
+strictly below a threshold (`registry validate` defaults to 15 hours), so
+a language at exactly the threshold is not low-resource.
 
 code_problem says what a language code may be; code_rows applies it, with
 the field count and repeats, to the code column of every input table.
@@ -88,8 +88,7 @@ class LanguageRecord:
 class Registry:
     """Immutable collection of LanguageRecord, iterated sorted by code."""
 
-    def __init__(self, languages,
-                 low_resource_threshold_hours=DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS):
+    def __init__(self, languages):
         records = sorted(languages, key=lambda r: r.code)
         seen = set()
         for rec in records:
@@ -98,7 +97,6 @@ class Registry:
             seen.add(rec.code)
         self._records = tuple(records)
         self._by_code = {r.code: r for r in records}
-        self.low_resource_threshold_hours = float(low_resource_threshold_hours)
 
     def __iter__(self):
         return iter(self._records)
@@ -119,12 +117,10 @@ class Registry:
         except KeyError:
             raise DataError(f"unknown language code {code!r}") from None
 
-    def is_low_resource(self, code) -> bool:
-        return self.get(code).recording_hours < self.low_resource_threshold_hours
-
-    def low_resource_codes(self):
+    def low_resource_codes(self, threshold_hours):
+        """Codes with fewer than `threshold_hours` recorded hours, sorted."""
         return tuple(r.code for r in self._records
-                     if r.recording_hours < self.low_resource_threshold_hours)
+                     if r.recording_hours < threshold_hours)
 
     def family_members(self, family, exclude=None):
         """All records of a family, minus an optional code, sorted by code."""
@@ -136,9 +132,7 @@ class Registry:
         return {r.code: r.family for r in self._records}
 
 
-def load_registry(path,
-                  low_resource_threshold_hours=DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS
-                  ) -> Registry:
+def load_registry(path) -> Registry:
     """Read a registry CSV: header `code,name,family,branch,hours`.
 
     A file without nonblank rows yields an empty registry; malformed rows
@@ -146,7 +140,7 @@ def load_registry(path,
     """
     rows = csv_rows(path)
     if not rows:
-        return Registry([], low_resource_threshold_hours)
+        return Registry([])
     header_line, header = rows[0]
     if tuple(cell.strip() for cell in header) != REGISTRY_HEADER:
         raise ParseError(
@@ -164,4 +158,4 @@ def load_registry(path,
             records.append(LanguageRecord(code, name, family, branch or None, hours))
         except DataError as exc:
             raise ParseError(str(exc), path, line_no) from None
-    return Registry(records, low_resource_threshold_hours)
+    return Registry(records)

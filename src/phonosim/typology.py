@@ -3,7 +3,8 @@
 The loader accepts Grambank-style CSV with cells in {0, 1, ?}. Model-based
 imputation is expected to happen upstream (the published matrices ship
 with predicted values); `column_mode` is a deliberately simple fallback
-for matrices that still have holes.
+for matrices that still have holes. The projection of the completed
+matrix is pca.pca_project, as for a similarity matrix.
 """
 
 import warnings
@@ -13,7 +14,6 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .formats import csv_rows
-from .pca import Projection2D, pca_project
 from .registry import code_rows
 
 IMPUTE_METHODS = ("none", "column_mode")
@@ -114,11 +114,3 @@ def impute(fm: FeatureMatrix, method) -> np.ndarray:
         zeros = int(col.size - ones)
         values[hole, j] = 1.0 if ones > zeros else 0.0
     return values
-
-
-def project_typology(values, ids) -> Projection2D:
-    """PCA of languages (rows) in binary feature space."""
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        raise DataError("projection requires a complete matrix; impute first")
-    return pca_project(values, ids)

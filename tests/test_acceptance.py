@@ -21,7 +21,7 @@ from phonosim.errors import UnmatchedGraphemeError
 from phonosim.g2p import transliterate
 from phonosim.ipa import NormalizationPolicy, normalize, tokenize_ipa
 from phonosim.pca import pca_project
-from phonosim.per import per
+from phonosim.per import corpus_per
 from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig,
                                convert_corpora, phoneme_distributions,
                                run_pipeline)
@@ -43,9 +43,9 @@ def _pass(cid, message):
 
 def test_c01_registry_low_resource_fidelity(cv_registry_path):
     start = time.perf_counter()
-    reg = load_registry(cv_registry_path, low_resource_threshold_hours=15.0)
+    reg = load_registry(cv_registry_path)
     assert len(reg) == 22
-    flagged = {r.code for r in reg if reg.is_low_resource(r.code)}
+    flagged = {r.code for r in reg if r.code in reg.low_resource_codes(15.0)}
     assert flagged == LOW_RESOURCE_CODES
     assert len(flagged) == 11
     elapsed = time.perf_counter() - start
@@ -353,11 +353,11 @@ def test_c11_per_oracle():
             for j in range(1, m + 1):
                 d[i, j] = min(d[i - 1, j] + 1, d[i, j - 1] + 1,
                               d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]))
-        assert per(ref, hyp).total_errors == int(d[n, m])
+        assert corpus_per([(ref, hyp)]).total_errors == int(d[n, m])
 
-    assert per(list("abcd"), list("abcd")).per_percent == 0.0
-    assert per(list("abcd"), list("axcd")).per_percent == 25.0
-    report = per(["a", "t͡ʃ", "c", "d"], ["a", "k", "c", "d"])
+    assert corpus_per([(list("abcd"), list("abcd"))]).per_percent == 0.0
+    assert corpus_per([(list("abcd"), list("axcd"))]).per_percent == 25.0
+    report = corpus_per([(["a", "t͡ʃ", "c", "d"], ["a", "k", "c", "d"])])
     assert report.total_errors == 1 and report.per_percent == 25.0
     _pass("C11", "PER oracle: 200 random pairs match the DP oracle; identity, "
                  "single-substitution, and multi-codepoint cases exact")

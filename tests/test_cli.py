@@ -34,7 +34,7 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
     def test_internal_error_is_3(self, monkeypatch, capsys):
-        def boom(path, low_resource_threshold_hours=15.0):
+        def boom(path):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "load_registry", boom)
@@ -71,6 +71,16 @@ class TestRegistry:
         assert capsysbinary.readouterr().out == \
             (toy_dir / "golden" / "cli_registry_validate.txt").read_bytes()
 
+    # toy hours: aaa 2, aab 20, aba 1.5, abb 25; low-resource is strictly below
+    @pytest.mark.parametrize("flags,low", [
+        ([], "aaa aba"), (["--threshold", "20"], "aaa aba"),
+        (["--threshold", "21"], "aaa aab aba")], ids=["default", "20", "21"])
+    def test_validate_threshold(self, toy_dir, capsys, flags, low):
+        assert cli.main(["registry", "validate", str(toy_dir / "registry.csv")]
+                        + flags) == 0
+        assert capsys.readouterr() == (
+            f"languages\t4\nlow_resource\t{low}\nfamilies\tAlphaic:2 Gammaic:2\n", "")
+
 
 class TestIpaAndG2p:
     def test_tokenize_default_policy(self, monkeypatch, capsys):
@@ -105,18 +115,25 @@ class TestIpaAndG2p:
 
     @pytest.mark.parametrize("rules,text,message", [
         ("a\tx\nA\ty\nss\ts\nß\tz\n", "A ss",
-         "rule 'A' matches the same text as rule 'a'"),
-        ("ss\ts\nß\tz\n", "ss", "rule 'ß' matches the same text as rule 'ss'"),
+         "2: rule 'A' matches the same text as rule 'a' (first on line 1)"),
+        ("ss\ts\nß\tz\n", "ss",
+         "2: rule 'ß' matches the same text as rule 'ss' (first on line 1)"),
         ("k\tk\t\t[A]\nk\tq\t\t[a]\na\ta\n", "ka",
-         "rule 'k' right '[a]' matches the same text as rule 'k' right '[A]'"),
-    ], ids=["case", "sharp-s", "context"])
+         "2: rule 'k' right '[a]' matches the same text as rule 'k' right '[A]' "
+         "(first on line 1)"),
+        ("# r\na\tx\n\nb\tb\n@case_fold on\nA\ty\n", "ab",
+         "6: rule 'A' matches the same text as rule 'a' (first on line 2)"),
+        ("a\tx\t\t[b]\nb\tb\na\ty\t\t[b]\n", "ab",
+         "3: rule 'a' right '[b]' matches the same text as rule 'a' right '[b]' "
+         "(first on line 1)"),
+    ], ids=["case", "sharp-s", "context", "lines-between", "raw"])
     def test_g2p_rules_equal_once_folded_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 rules, text, message):
         path = tmp_path / "x.rules"
         path.write_text(rules, encoding="utf-8")
         assert run_cli(["g2p", "--rules", str(path)], stdin_text=text + "\n",
                        monkeypatch=monkeypatch) == 2
-        assert capsys.readouterr() == ("", f"phonosim: error: {path}: {message}\n")
+        assert capsys.readouterr() == ("", f"phonosim: error: {path}:{message}\n")
 
     def test_g2p_skip_mode(self, toy_dir, monkeypatch, capsys):
         code = run_cli(
@@ -423,12 +440,18 @@ class TestAnalysisCommands:
             "close together for a finite plot extent and scale\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--relative", "--level", "0.5"]],
-                             ids=["absolute", "relative"])
-    def test_contours_density_that_cannot_fit_a_float_exit_2(self, toy_dir,
-                                                             tmp_path, capsys, flags):
+    @pytest.mark.parametrize("points,flags,family,bandwidths", [
+        ("aaa,0,0\naab,1e-160,2e-160", [], "Alphaic", "2.65856e-161 and 5.30921e-161"),
+        ("aaa,0,0\naab,1e-160,2e-160", ["--relative", "--level", "0.5"], "Alphaic",
+         "2.65856e-161 and 5.30921e-161"),
+        # Alphaic fits and is contoured first; Gammaic's points nearly coincide
+        ("aaa,0,0\naab,1,1\naba,0,0\nabb,1e-160,1e-160", [], "Gammaic",
+         "2.13159e-161 and 2.13159e-161"),
+    ], ids=["absolute", "relative", "second-family"])
+    def test_contours_density_that_cannot_fit_a_float_exit_2(
+            self, toy_dir, tmp_path, capsys, points, flags, family, bandwidths):
         coords = tmp_path / "coords.csv"
-        coords.write_text("id,x,y\naaa,0,0\naab,1e-160,2e-160\n", encoding="utf-8")
+        coords.write_text(f"id,x,y\n{points}\n", encoding="utf-8")
         out = tmp_path / "contours.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow on the way
@@ -436,8 +459,8 @@ class TestAnalysisCommands:
                              "--registry", str(toy_dir / "registry.csv"),
                              "--out", str(out)] + flags) == 2
         assert capsys.readouterr() == ("", (
-            "phonosim: error: the density of 2 points with bandwidths 2.65856e-161 "
-            "and 5.30921e-161 does not fit in a float\n"))
+            f"phonosim: error: family {family!r}: the density of 2 points with "
+            f"bandwidths {bandwidths} does not fit in a float\n"))
         assert not out.exists()
 
     def test_contours_repeated_id_exit_2(self, toy_dir, tmp_path, capsys):

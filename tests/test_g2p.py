@@ -1,13 +1,18 @@
+import contextlib
+import io
 import random
+import tempfile
 import unicodedata
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phonosim import g2p
-from phonosim.errors import (DataError, ParseError, PhonosimError, TokenizeError,
-                             UnmatchedGraphemeError)
+from phonosim import cli, g2p
+from phonosim.errors import (DataError, ParseError, PhonosimError, RuleError,
+                             TokenizeError, UnmatchedGraphemeError)
 from phonosim.g2p import MODES, G2PRule, Ruleset, load_ruleset, transliterate
 from phonosim.ipa import NormalizationPolicy, default_policy
 
@@ -209,6 +214,17 @@ class TestRulesetValidation:
         with pytest.raises(DataError):
             make_ruleset(("", "x"))
 
+    @pytest.mark.parametrize("rules,index,first", [
+        ((("a", "x"), ("b", "y"), ("A", "z")), 2, 0),
+        ((("a", "x"), ("", "y")), 1, None),
+        ((("a", "x"), ("b", "y", "c#")), 1, None),
+        ((("a", "x"), ("b", "y", None, "[c")), 1, None),
+    ], ids=["repeat", "empty-grapheme", "anchor", "class"])
+    def test_error_names_the_rule(self, rules, index, first):
+        with pytest.raises(RuleError) as exc:
+            make_ruleset(*rules)
+        assert (exc.value.index, exc.value.first) == (index, first)
+
 
 class TestRuleFile:
     def test_load_toy_file(self, toy_dir):
@@ -294,6 +310,52 @@ class TestRuleFile:
         p.write_text("@frobnicate on\na\tA\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_ruleset(p)
+
+
+# rule-file lines built from field and class syntax, directives, a control
+# character, a combining mark and letters whose case folding changes length
+_GRAPHEMES = ["a", "A", "ss", "ß", "SS", "İ", "i\u0307", "ǰ", "J\u030c", "e\u0301",
+              "é", "\u0301", "\x01", "#", "[a]", ""]
+_CONTEXTS = ["", "", "", "", "a", "A", "[a]", "[A]", "#a", "a#", "[", "]", "[]",
+             "\x01"]
+_PRIORITIES = ["", "", "1", "-2", "1e3", " 7 "]
+_rule_line = st.builds(
+    lambda fields, width: "\t".join(fields[:width]),
+    st.tuples(st.one_of(st.sampled_from(_GRAPHEMES), st.text("aß#[]@\t", max_size=3)),
+              st.sampled_from(["a", "", "s\u0301", "\x01", "ʃ"]),
+              st.sampled_from(_CONTEXTS), st.sampled_from(_CONTEXTS),
+              st.sampled_from(_PRIORITIES), st.just("x")),
+    st.sampled_from([1, 1, 2, 2, 3, 4, 5, 6]))
+_directive_line = st.builds(
+    "{} {}".format,
+    st.sampled_from(["@language", "@case_fold", "@punctuation_strip", "@", "@bogus"]),
+    st.sampled_from(["on", "off", "0", "maybe", "", "x\x01"]))
+_file_line = st.one_of(_rule_line, _rule_line, _rule_line, _directive_line,
+                       st.sampled_from(["", "#", "# a\tb", "  "]))
+
+
+class TestAdversarialRuleFiles:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_file_line, min_size=1, max_size=6))
+    @example(["a\tx", "# c", "A\ty"])
+    @example(["@case_fold on", "ss\ts", "ß\tz\t\t\t1e3"])
+    def test_loader_and_g2p_fail_cleanly(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.rules"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                load_ruleset(path)
+            except ParseError as exc:
+                assert exc.path == str(path)
+                # only a file without rule lines fails as a whole
+                assert exc.line is not None or not any(
+                    line.strip() and not line.lstrip().startswith("#")
+                    and not line.startswith("@") for line in lines)
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch("sys.stdin", io.StringIO("a ss İ ǰ é\n")), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["g2p", "--rules", str(path)])
+            assert code in (0, 2), err.getvalue()
 
 
 class TestProperties:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonosim.errors import DataError
-from phonosim.per import corpus_per, edit_counts, per
+from phonosim.per import corpus_per, edit_counts
 
 
 def distance_oracle(ref, hyp):
@@ -28,32 +28,32 @@ ALPHABET = ["a", "b", "c", "d", "e"]
 
 class TestPer:
     def test_identity_zero(self):
-        assert per(list("abc"), list("abc")).per_percent == 0.0
+        assert corpus_per([(list("abc"), list("abc"))]).per_percent == 0.0
 
     def test_single_substitution_25(self):
-        report = per(list("abcd"), list("axcd"))
+        report = corpus_per([(list("abcd"), list("axcd"))])
         assert report.substitutions == 1
         assert report.insertions == 0
         assert report.deletions == 0
         assert report.per_percent == 25.0
 
     def test_empty_hypothesis_all_deletions(self):
-        report = per(list("abc"), [])
+        report = corpus_per([(list("abc"), [])])
         assert report.deletions == 3
         assert report.per_percent == 100.0
 
     def test_empty_reference_rejected(self):
         with pytest.raises(DataError):
-            per([], list("a"))
+            corpus_per([([], list("a"))])
 
     def test_multicodepoint_phoneme_single_edit(self):
-        report = per(["a", "t͡ʃ", "c", "d"], ["a", "k", "c", "d"])
+        report = corpus_per([(["a", "t͡ʃ", "c", "d"], ["a", "k", "c", "d"])])
         assert report.substitutions == 1
         assert report.total_errors == 1
         assert report.per_percent == 25.0
 
     def test_can_exceed_100(self):
-        report = per(["a"], ["b", "c", "d"])
+        report = corpus_per([(["a"], ["b", "c", "d"])])
         assert report.per_percent > 100.0
 
     def test_matches_dp_oracle(self):
@@ -61,7 +61,7 @@ class TestPer:
         for _ in range(200):
             ref = [rng.choice(ALPHABET) for _ in range(rng.randint(1, 8))]
             hyp = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 8))]
-            report = per(ref, hyp)
+            report = corpus_per([(ref, hyp)])
             assert report.total_errors == distance_oracle(ref, hyp)
 
     def test_counts_are_consistent(self):
@@ -106,10 +106,6 @@ def test_reversal_swaps_insertions_and_deletions_in_total(a, b):
 
 
 class TestCorpus:
-    def test_single_pair_equals_per(self):
-        pair = (list("abcd"), list("axcd"))
-        assert corpus_per([pair]) == per(*pair)
-
     def test_micro_average_example(self):
         pairs = [(list("abcd"), list("axcd")), (list("efgh"), list("efgh"))]
         report = corpus_per(pairs)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonosim import cli
-from phonosim.per import corpus_per, edit_counts, per
+from phonosim.per import corpus_per, edit_counts
 
 per_module = importlib.import_module("phonosim.per")
 
@@ -180,7 +180,7 @@ def test_corpus_counts_match_oracle_per_pair():
         sum(c[k] for c in counts) for k in range(3))
     percents = [100.0 * sum(c) / len(r) for c, (r, _) in zip(counts, pairs)]
     assert report.per_percent == sum(percents) / len(percents)
-    assert [per(r, h).per_percent for r, h in pairs] == percents
+    assert [corpus_per([(r, h)]).per_percent for r, h in pairs] == percents
 
 
 @pytest.mark.parametrize("budget", [None, 500])

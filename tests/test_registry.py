@@ -15,18 +15,18 @@ class TestCommonVoiceRegistry:
 
     def test_low_resource_flags_exhaustive(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
-        flagged = {r.code for r in reg if reg.is_low_resource(r.code)}
+        flagged = {r.code for r in reg if r.code in reg.low_resource_codes(15.0)}
         assert flagged == EXPECTED_LOW_RESOURCE
 
     def test_hindi_is_low_resource(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
         assert reg.get("hi").recording_hours == 14.71
-        assert reg.is_low_resource("hi") is True
+        assert "hi" in reg.low_resource_codes(15.0)
 
     def test_tatar_is_not_low_resource(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
         assert reg.get("tt").recording_hours == 30.66
-        assert reg.is_low_resource("tt") is False
+        assert "tt" not in reg.low_resource_codes(15.0)
 
     def test_turkic_members_excluding_sakha(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
@@ -62,16 +62,15 @@ class TestCommonVoiceRegistry:
 class TestBoundary:
     def test_exactly_threshold_is_not_low_resource(self):
         reg = Registry([LanguageRecord("xx", "X", "F", None, 15.0)])
-        assert reg.is_low_resource("xx") is False
+        assert "xx" not in reg.low_resource_codes(15.0)
 
     def test_just_below_threshold(self):
         reg = Registry([LanguageRecord("xx", "X", "F", None, 14.999)])
-        assert reg.is_low_resource("xx") is True
+        assert "xx" in reg.low_resource_codes(15.0)
 
     def test_custom_threshold(self):
-        reg = Registry([LanguageRecord("xx", "X", "F", None, 15.0)],
-                       low_resource_threshold_hours=20)
-        assert reg.is_low_resource("xx") is True
+        reg = Registry([LanguageRecord("xx", "X", "F", None, 15.0)])
+        assert reg.low_resource_codes(20) == ("xx",)
 
 
 class TestLoadErrors:
@@ -182,8 +181,6 @@ class TestRegistryObject:
         reg = load_registry(cv_registry_path)
         with pytest.raises(DataError):
             reg.get("zz")
-        with pytest.raises(DataError):
-            reg.is_low_resource("zz")
 
     def test_duplicate_in_memory(self):
         records = [LanguageRecord("a", "A", "F", None, 1.0),
@@ -210,6 +207,6 @@ class TestRegistryObject:
 
     def test_low_resource_codes_sorted(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
-        codes = reg.low_resource_codes()
+        codes = reg.low_resource_codes(15.0)
         assert list(codes) == sorted(codes)
         assert set(codes) == EXPECTED_LOW_RESOURCE

@@ -3,8 +3,7 @@ import pytest
 
 from phonosim.errors import DataError, ParseError
 from phonosim.pca import pca_project
-from phonosim.typology import (FeatureMatrix, impute, load_feature_matrix,
-                               project_typology)
+from phonosim.typology import FeatureMatrix, impute, load_feature_matrix
 
 
 def write_features(tmp_path, text):
@@ -119,12 +118,12 @@ class TestProjection:
         values = np.array([[1.0, 0.0, 1.0],
                            [1.0, 0.0, 1.0],
                            [0.0, 1.0, 0.0]])
-        proj = project_typology(values, ("a", "b", "c"))
+        proj = pca_project(values, ("a", "b", "c"))
         assert np.allclose(proj.coords[0], proj.coords[1], atol=1e-12)
 
     def test_two_distinct_rows_put_all_variance_on_pc1(self):
         values = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        proj = project_typology(values, ("a", "b"))
+        proj = pca_project(values, ("a", "b"))
         assert proj.explained_variance[0] >= 1.0 - 1e-12
         assert abs(proj.explained_variance[1]) <= 1e-12
 
@@ -136,28 +135,19 @@ class TestProjection:
             [0.0, 0.0, 1.0],
             [0.0, 1.0, 1.0],
         ])
-        proj = project_typology(values, ("a", "b", "c", "d"))
+        proj = pca_project(values, ("a", "b", "c", "d"))
         x = proj.coords[:, 0]
         group1 = {x[0], x[1]}
         group2 = {x[2], x[3]}
         assert max(group1) < min(group2) or min(group1) > max(group2)
-
-    def test_passthrough_fidelity(self):
-        rng = np.random.default_rng(9)
-        values = rng.choice([0.0, 1.0], size=(7, 6))
-        ids = tuple(f"l{i}" for i in range(7))
-        a = project_typology(values, ids)
-        b = pca_project(values, ids)
-        assert np.array_equal(a.coords, b.coords)
-        assert a.explained_variance == b.explained_variance
 
     def test_column_permutation_preserves_distances(self):
         rng = np.random.default_rng(13)
         values = rng.choice([0.0, 1.0], size=(6, 8))
         ids = tuple(f"l{i}" for i in range(6))
         perm = rng.permutation(8)
-        a = project_typology(values, ids).coords
-        b = project_typology(values[:, perm], ids).coords
+        a = pca_project(values, ids).coords
+        b = pca_project(values[:, perm], ids).coords
 
         def dists(coords):
             return np.array([[np.linalg.norm(coords[i] - coords[j])
@@ -167,4 +157,4 @@ class TestProjection:
 
     def test_incomplete_matrix_rejected(self):
         with pytest.raises(DataError):
-            project_typology(np.array([[1.0, np.nan], [0.0, 1.0]]), ("a", "b"))
+            pca_project(np.array([[1.0, np.nan], [0.0, 1.0]]), ("a", "b"))
