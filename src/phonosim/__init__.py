@@ -9,9 +9,8 @@ training, and scores transcriptions with phoneme error rate.
 
 __version__ = "0.1.0"
 
-from .density import (ContourSet, DensityGrid, KDEParams, extract_contours,
-                      kde_density, rasterize, silverman_bandwidths,
-                      weights_from_hours)
+from .density import (ContourSet, KDEParams, kde_contours,
+                      silverman_bandwidths, weights_from_hours)
 from .errors import (DataError, ParseError, PhonosimError, PipelineError,
                      TokenizeError, UnmatchedGraphemeError)
 from .g2p import G2PRule, Ruleset, load_ruleset, transliterate
@@ -28,8 +27,8 @@ from .stats import (Distributions, SimilarityMatrix, family_mean_similarities,
 from .typology import FeatureMatrix, impute, load_feature_matrix
 
 __all__ = [
-    "ContourSet", "DensityGrid", "KDEParams", "extract_contours",
-    "kde_density", "rasterize", "silverman_bandwidths", "weights_from_hours",
+    "ContourSet", "KDEParams", "kde_contours", "silverman_bandwidths",
+    "weights_from_hours",
     "DataError", "ParseError", "PhonosimError", "PipelineError",
     "TokenizeError", "UnmatchedGraphemeError",
     "G2PRule", "Ruleset", "load_ruleset", "transliterate",

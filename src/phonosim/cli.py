@@ -48,8 +48,9 @@ def _policy_from(args):
 
 def _cmd_registry_validate(args):
     reg = load_registry(args.path)
+    low = reg.low_resource_codes(args.threshold)
     print(f"languages\t{len(reg)}")
-    print("low_resource\t" + " ".join(reg.low_resource_codes(args.threshold)))
+    print("low_resource\t" + " ".join(low))
     families = Counter(reg.families().values())
     print("families\t" + " ".join(f"{fam}:{n}" for fam, n in sorted(families.items())))
     return 0

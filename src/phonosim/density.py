@@ -14,17 +14,16 @@ Contours are extracted by marching squares, with linear interpolation
 along cell edges and saddle cells disambiguated by the cell-center sample
 (mean of the four corners).
 
-rasterize() sums every cell of the grid exactly, and extract_contours()
-traces a level over such a grid. kde_contours() returns what the two give
-together without holding the grid: it bounds the density over square
-tiles of cells with per-tile kernel minima and maxima, estimates with
-batched matrix products only the tiles that a branch and bound for the
-grid maximum visits and the tiles the level can cross, and sums a cell
-exactly only where marching squares reads it and the estimate cannot
-decide, found through a rigorous bound on the estimate's rounding error.
-Every exact value comes from one function, _exact_at, and both feed one
-tracer with the same sparse input: the cells the level crosses, their
-corner flags and the values at their corners.
+kde_contours() is the one contour path. Its reference is the grid of
+every node summed exactly by _exact_at and traced by marching squares,
+and it returns that without holding the grid: it bounds the density over
+square tiles of cells with per-tile kernel minima and maxima, estimates
+with batched matrix products only the tiles that a branch and bound for
+the grid maximum visits and the tiles the level can cross, and sums a
+node exactly only where marching squares reads it and the estimate
+cannot decide, found through a rigorous bound on the estimate's rounding
+error. The tracer reads a sparse input: the cells the level crosses,
+their corner flags and the exact values at their corners.
 """
 
 import json
@@ -173,49 +172,9 @@ def _norm(params: KDEParams):
     return params.n_points * params.h_x * params.h_y * TWO_PI
 
 
-def kde_density(point, coords, params: KDEParams) -> float:
-    """Density at one point, straight from the product-kernel sum."""
-    pts = np.asarray(coords, dtype=float)
-    if pts.shape != (params.n_points, 2):
-        raise DataError(
-            f"expected {params.n_points} coordinate pairs, got shape {pts.shape}")
-    kernel = (_gaussian_kernel([point[0]], pts[:, 0], params.h_x)[0]
-              * _gaussian_kernel([point[1]], pts[:, 1], params.h_y)[0])
-    return float((params.weights * kernel).sum() / _norm(params))
-
-
 def _centers(lo, hi, resolution):
     """The centres of `resolution` equal cells between lo and hi."""
     return lo + (np.arange(resolution) + 0.5) * ((hi - lo) / resolution)
-
-
-@dataclass
-class DensityGrid:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    resolution: int
-    values: np.ndarray  # values[i, j] = density at (x_centers[i], y_centers[j])
-
-    @property
-    def cell_width(self):
-        return (self.x_max - self.x_min) / self.resolution
-
-    @property
-    def cell_height(self):
-        return (self.y_max - self.y_min) / self.resolution
-
-    @property
-    def x_centers(self):
-        return _centers(self.x_min, self.x_max, self.resolution)
-
-    @property
-    def y_centers(self):
-        return _centers(self.y_min, self.y_max, self.resolution)
-
-    def integrated_mass(self):
-        return float(self.values.sum() * self.cell_width * self.cell_height)
 
 
 def _grid_and_kernels(coords, params: KDEParams, resolution):
@@ -240,32 +199,22 @@ def _grid_and_kernels(coords, params: KDEParams, resolution):
     return (x_min, x_max, y_min, y_max), kx, ky
 
 
-def _exact_at(kx, ky, params: KDEParams, nodes=None):
+def _exact_at(kx, ky, params: KDEParams, nodes):
     """sum_n weights[n] * kx[i, n] * ky[j, n] / norm at the node ids nodes
-    = i*R + j (R = len(ky)), or at every node in id order when nodes is
-    None, through one (cells, N) buffer of about _BLOCK_BYTES. Each cell
-    reduces its N products with np.sum over a contiguous points axis, so
-    its value does not depend on the other ids in the call or their order."""
-    count = len(ky) ** 2 if nodes is None else nodes.size
-    out = np.empty(count)
+    = i*R + j (R = len(ky)), through one (cells, N) buffer of about
+    _BLOCK_BYTES. Each cell reduces its N products with np.sum over a
+    contiguous points axis, so its value does not depend on the other ids
+    in the call or their order."""
+    out = np.empty(nodes.size)
     step = max(1, _BLOCK_BYTES // kx[0].nbytes)
-    for lo in range(0, count, step):
-        ids = np.arange(lo, min(lo + step, count)) if nodes is None else nodes[lo:lo + step]
-        i, j = np.divmod(ids, len(ky))
+    for lo in range(0, nodes.size, step):
+        i, j = np.divmod(nodes[lo:lo + step], len(ky))
         block = kx[i]
         np.multiply(block, ky[j], out=block)
         np.multiply(params.weights, block, out=block)
         np.sum(block, axis=-1, out=out[lo:lo + step])
     out /= _norm(params)
     return out
-
-
-def rasterize(coords, params: KDEParams, resolution=512) -> DensityGrid:
-    """Sample the density at cell centers over the data extent padded by
-    PADDING_BANDWIDTHS bandwidths per axis."""
-    extent, kx, ky = _grid_and_kernels(coords, params, resolution)
-    size = len(kx)
-    return DensityGrid(*extent, size, _exact_at(kx, ky, params).reshape(size, size))
 
 
 def _band(x, rel, floor):
@@ -289,11 +238,15 @@ class ContourSet:
     below_level: bool = False
 
 
-def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
+def kde_contours(coords, params: KDEParams, resolution, level,
                  relative=False, family="") -> ContourSet:
-    """What extract_contours returns on rasterize's grid, at `level`, or
-    `level` times the grid maximum when `relative`, without holding the
+    """The marching-squares contours at `level`, or `level` times the grid
+    maximum when `relative`, of the R x R grid of cell-centre densities
+    over the data extent padded by PADDING_BANDWIDTHS bandwidths per axis,
+    every node summed by _exact_at (the reference), without holding the
     grid: only the tiles of cells that the level can cross are computed.
+    Polylines are closed unless clipped at the grid boundary; when the
+    grid maximum is below the level the result is empty and flagged.
 
     The estimate of a node is E = (kx * (w / norm)) @ ky.T. Every term is
     nonnegative and each goes through N + 2 roundings, as in the exact
@@ -314,9 +267,8 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     kernel values are those maxima: it has the same terms and roundings as
     E, and its real value bounds the real density of every node of the
     tile (L likewise from below). So a tile with U < _band(x)[0] holds no
-    V at or above x, and one with L > _band(x)[1] none at or below it. V,
-    summed by _exact_at as for rasterize, is summed only where E alone
-    cannot decide:
+    V at or above x, and one with L > _band(x)[1] none at or below it. V
+    is summed only where E alone cannot decide:
 
     1. pass 1 finds the exact grid maximum (for `relative` and the
        below-level check) by branch and bound: it estimates tiles in
@@ -325,18 +277,18 @@ def kde_contours(coords, params: KDEParams, resolution=512, level=0.1,
     2. pass 2 estimates the tiles with U >= lo and L <= hi, (lo, hi) =
        _band(cutoff); any other tile has all its nodes on one side. It
        sums the nodes whose E is in the band, so every node is on the
-       same side of the cutoff as in rasterize's grid, then the four
+       same side of the cutoff as in the reference, then the four
        corners of every mixed cell (corners on both sides): the
        crossing-edge endpoints and the saddle centres.
 
     Tiles are estimated in batches of about _BLOCK_BYTES, one batched
     matrix product each. Marching squares reads a cell's four corners and
     nothing else, so the polylines, their order, the cutoff and the
-    warning are those of extract_contours on rasterize's grid, however two
-    tiles estimate a shared node. KDEParams keeps norm and every estimate
-    inside the range of the bound. A tiny level over a grid of zero
-    densities puts nearly every node in the band, and summing them costs
-    up to about twice a rasterize.
+    warning are those of the reference, however two tiles estimate a
+    shared node. KDEParams keeps norm and every estimate inside the range
+    of the bound. A tiny level over a grid of zero densities puts nearly
+    every node in the band, and summing them costs up to about twice the
+    reference's R * R sums.
     """
     extent, kx, ky = _grid_and_kernels(coords, params, resolution)
     size = len(kx)
@@ -454,28 +406,11 @@ def _unique(ids):
     return ids[first]
 
 
-def extract_contours(grid: DensityGrid, level=0.1, family="") -> ContourSet:
-    """Marching-squares polylines of the level set f = level.
-
-    Polylines are closed unless clipped at the grid boundary. When the
-    grid maximum is below the level the result is empty and flagged.
-    """
-    level = float(level)
-    v = grid.values
-    empty = _below_level(float(v.max()), level, family)
-    if empty is not None:
-        return empty
-    cells, flags = _mixed_cells(v > level)
-    nodes = _corners(cells, v.shape[1])
-    return _trace(cells, flags, nodes, v.reshape(-1)[nodes], grid.x_centers,
-                  grid.y_centers, level, family)
-
-
 def _trace(cells, flags, nodes, values, xc, yc, level, family):
-    """The polylines of extract_contours through the mixed cells (node ids
-    i*n + j of their (i, j) corner, n = yc.size, in any order) with their
-    corner flags, reading grid values only at `nodes` (sorted ids of every
-    corner).
+    """Marching-squares polylines of the level set through the mixed cells
+    (node ids i*n + j of their (i, j) corner, n = yc.size, in any order)
+    with their corner flags, reading float64 grid values only at `nodes`
+    (sorted ids of every corner).
 
     A crossing vertex lies on the edge between grid nodes (i1, j1) and
     (i2, j2) and has the id 2*(i1*n + j1) + 1 on an x-edge (i2 = i1 + 1)
@@ -515,8 +450,8 @@ def _trace(cells, flags, nodes, values, xc, yc, level, family):
     i1, j1 = np.divmod(node, n)
     i2 = i1 + on_x
     j2 = j1 + 1 - on_x
-    v1 = at(node).astype(float)
-    v2 = at(i2 * n + j2).astype(float)
+    v1 = at(node)
+    v2 = at(i2 * n + j2)
     t = (level - v1) / (v2 - v1)
     positions = np.column_stack((xc[i1] + t * (xc[i2] - xc[i1]),
                                  yc[j1] + t * (yc[j2] - yc[j1])))

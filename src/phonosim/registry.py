@@ -118,7 +118,11 @@ class Registry:
             raise DataError(f"unknown language code {code!r}") from None
 
     def low_resource_codes(self, threshold_hours):
-        """Codes with fewer than `threshold_hours` recorded hours, sorted."""
+        """Codes with fewer than `threshold_hours` recorded hours, sorted.
+        The threshold must be finite and positive."""
+        if not (math.isfinite(threshold_hours) and threshold_hours > 0):
+            raise DataError("low-resource threshold must be finite and "
+                            f"positive hours, got {threshold_hours!r}")
         return tuple(r.code for r in self._records
                      if r.recording_hours < threshold_hours)
 

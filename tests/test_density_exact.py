@@ -1,12 +1,16 @@
-"""rasterize, kde_contours, extract_contours, write_contours_json and
-render_svg against their earlier straightforward forms.
+"""kde_contours, write_contours_json and render_svg against their earlier
+straightforward forms.
 
-The oracles below are the chunked (chunk, R, N) rasterizer and the per-cell
-marching squares that the vectorized versions replaced. Both versions do
-the same floating-point operations in the same order, so results must be
-equal bit for bit (np.array_equal), not merely close: contours.json and
-the SVG are pinned byte for byte. kde_contours must give exactly what
-rasterize followed by extract_contours gives, however its tiles fall.
+kde_contours' reference is the grid of every node summed by
+density._exact_at and traced by marching squares (kdeutil.dense_grid and
+kdeutil.trace_grid). The oracles below are the chunked (chunk, R, N)
+rasterizer and the per-cell marching squares that the vectorized forms
+replaced. Both forms do the same floating-point operations in the same
+order, so results must be equal bit for bit (np.array_equal), not merely
+close: contours.json and the SVG are pinned byte for byte. dense_grid
+must equal the rasterizer oracle, the tracer must equal the marching
+squares oracle on any grid, and kde_contours must give exactly what the
+marching squares oracle gives on the dense grid, however its tiles fall.
 The contours.json oracle is the json.dumps form that the hand-written
 writer replaced, and the render_svg oracle is the per-vertex writer that
 the array form replaced; files must be equal byte for byte.
@@ -24,13 +28,14 @@ import numpy as np
 import pytest
 
 from phonosim import density
-from phonosim.density import (ContourSet, DensityGrid, KDEParams,
-                              extract_contours, kde_contours, rasterize,
+from phonosim.density import (ContourSet, KDEParams, kde_contours,
                               write_contours_json)
 from phonosim.errors import DataError
 from phonosim.formats import fmt_float, round_float, write_lines
 from phonosim.registry import LanguageRecord, Registry
 from phonosim.render import family_colors, render_svg
+
+from kdeutil import Grid, dense_grid, synthetic_grid, trace_grid
 
 
 def rasterize_oracle(coords, params, resolution=512, padding_bandwidths=3.0):
@@ -39,10 +44,9 @@ def rasterize_oracle(coords, params, resolution=512, padding_bandwidths=3.0):
     x_max = float(pts[:, 0].max()) + padding_bandwidths * params.h_x
     y_min = float(pts[:, 1].min()) - padding_bandwidths * params.h_y
     y_max = float(pts[:, 1].max()) + padding_bandwidths * params.h_y
-    grid = DensityGrid(x_min, x_max, y_min, y_max, resolution,
-                       np.empty((resolution, resolution)))
-    xc = grid.x_centers
-    yc = grid.y_centers
+    xc = x_min + (np.arange(resolution) + 0.5) * ((x_max - x_min) / resolution)
+    yc = y_min + (np.arange(resolution) + 0.5) * ((y_max - y_min) / resolution)
+    grid = Grid(np.empty((resolution, resolution)), xc, yc)
     norm = params.n_points * params.h_x * params.h_y * density.TWO_PI
     chunk = max(1, int(4_000_000 // max(1, resolution * params.n_points)))
     for start in range(0, resolution, chunk):
@@ -59,7 +63,8 @@ def extract_contours_oracle(grid, level=0.1, family=""):
     v = grid.values
     if float(v.max()) < level:
         warnings.warn(f"maximum density {v.max():.6g} is below contour "
-                      f"level {level:g}")
+                      f"level {level:g}"
+                      + (f" for family {family!r}" if family else ""))
         return ContourSet(family, level, [], below_level=True)
 
     xc = grid.x_centers
@@ -246,10 +251,10 @@ class TestRasterizeExact:
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 17, 129])
     def test_matches_chunked_oracle(self, n, resolution):
         coords, params = random_family(n, seed=1000 * n + resolution)
-        got = rasterize(coords, params, resolution=resolution)
+        got = dense_grid(coords, params, resolution)
         want = rasterize_oracle(coords, params, resolution=resolution)
-        assert (got.x_min, got.x_max, got.y_min, got.y_max) == \
-            (want.x_min, want.x_max, want.y_min, want.y_max)
+        assert np.array_equal(got.x_centers, want.x_centers)
+        assert np.array_equal(got.y_centers, want.y_centers)
         assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("n", [1, 16, 129])
@@ -258,13 +263,14 @@ class TestRasterizeExact:
         # subset of node ids, in some order, split into buffer steps
         coords, params = random_family(n, seed=n + 300)
         resolution = 65
-        want = rasterize(coords, params, resolution).values
+        want = dense_grid(coords, params, resolution).values
         _, kx, ky = density._grid_and_kernels(coords, params, resolution)
         rng = np.random.default_rng(n)
         ids = rng.permutation(want.size)
         for block_bytes in (8 * n, 8 * n * 3, 8 * n * 1000, 1 << 20):
             monkeypatch.setattr(density, "_BLOCK_BYTES", block_bytes)
-            assert np.array_equal(density._exact_at(kx, ky, params), want.reshape(-1))
+            assert np.array_equal(density._exact_at(kx, ky, params, np.arange(want.size)),
+                                  want.reshape(-1))
             for nodes in (ids, ids[:500], ids[-1:]):
                 got = density._exact_at(kx, ky, params, nodes)
                 assert np.array_equal(got, want.flat[nodes])
@@ -275,34 +281,34 @@ class TestContoursExact:
     def test_random_fields(self, seed):
         rng = np.random.default_rng(seed)
         res = int(rng.integers(16, 80))
-        grid = DensityGrid(-1.0, 2.0, 0.5, 1.5, res, rng.random((res, res)))
+        grid = synthetic_grid(rng.random((res, res)), (-1.0, 2.0), (0.5, 1.5))
         for level in (0.2, 0.5, 0.93):
-            assert_same_contours(extract_contours(grid, level, family="f"),
+            assert_same_contours(trace_grid(grid, level, family="f"),
                                  extract_contours_oracle(grid, level, family="f"))
 
     @pytest.mark.parametrize("n,resolution", [(1, 64), (7, 128), (16, 512)])
     def test_rasterized_families(self, n, resolution):
         coords, params = random_family(n, seed=n)
-        grid = rasterize(coords, params, resolution=resolution)
+        grid = dense_grid(coords, params, resolution)
         peak = float(grid.values.max())
         for frac in (0.05, 0.3, 0.8):
-            assert_same_contours(extract_contours(grid, frac * peak),
+            assert_same_contours(trace_grid(grid, frac * peak),
                                  extract_contours_oracle(grid, frac * peak))
 
     @pytest.mark.parametrize("offset", [1e-9, -1e-9, 0.0])
     def test_saddle_field(self, offset):
         lin = np.linspace(-1.0, 1.0, 64)
-        grid = DensityGrid(-1.0, 1.0, -1.0, 1.0, 64, np.outer(lin, lin) + 0.5)
-        assert_same_contours(extract_contours(grid, 0.5 + offset),
+        grid = synthetic_grid(np.outer(lin, lin) + 0.5, (-1.0, 1.0), (-1.0, 1.0))
+        assert_same_contours(trace_grid(grid, 0.5 + offset),
                              extract_contours_oracle(grid, 0.5 + offset))
 
     def test_checkerboard_every_cell_a_saddle(self):
         res = 20
         board = (np.add.outer(np.arange(res), np.arange(res)) % 2).astype(float)
         values = 0.1 + 0.8 * board + np.linspace(0, 0.05, res * res).reshape(res, res)
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, res, values)
+        grid = synthetic_grid(values)
         for level in (0.45, 0.5, 0.55):
-            assert_same_contours(extract_contours(grid, level),
+            assert_same_contours(trace_grid(grid, level),
                                  extract_contours_oracle(grid, level))
 
     def test_boundary_clipped_lines(self):
@@ -313,39 +319,32 @@ class TestContoursExact:
                   np.add.outer(x, x),                     # diagonals
                   np.sin(6 * x)[:, None] * np.cos(5 * x)[None, :] + 1.0]
         for values in fields:
-            grid = DensityGrid(0.0, 1.0, 0.0, 1.0, res, values)
+            grid = synthetic_grid(values)
             for level in (0.3, 0.5, 0.99):
-                got = extract_contours(grid, level)
+                got = trace_grid(grid, level)
                 assert_same_contours(got, extract_contours_oracle(grid, level))
             assert any(not np.array_equal(p[0], p[-1])
-                       for p in extract_contours(grid, 0.5).polylines)
+                       for p in trace_grid(grid, 0.5).polylines)
 
     def test_all_above_level(self):
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16, np.full((16, 16), 0.5))
-        got = extract_contours(grid, 0.1)
+        grid = synthetic_grid(np.full((16, 16), 0.5))
+        got = trace_grid(grid, 0.1)
         assert got.polylines == [] and not got.below_level
         assert_same_contours(got, extract_contours_oracle(grid, 0.1))
 
     def test_all_below_level(self):
         values = np.random.default_rng(0).random((16, 16)) * 0.05
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 16, values)
+        grid = synthetic_grid(values)
         with pytest.warns(UserWarning):
-            got = extract_contours(grid, 0.1)
+            got = trace_grid(grid, 0.1)
         with pytest.warns(UserWarning):
             want = extract_contours_oracle(grid, 0.1)
         assert got.below_level and got.polylines == []
         assert_same_contours(got, want)
 
-    def test_float32_grid(self):
-        values = np.random.default_rng(4).random((24, 24)).astype(np.float32)
-        grid = DensityGrid(0.0, 1.0, 0.0, 1.0, 24, values)
-        level = 0.5 + math.ulp(0.5)
-        assert_same_contours(extract_contours(grid, level),
-                             extract_contours_oracle(grid, level))
-
 
 def assert_reads_exact(top, traced, full, cutoff):
-    """What kde_contours read holds rasterize's values: the grid maximum
+    """What kde_contours read holds the dense grid's values: the maximum
     `top`, and, when it traced, the mixed cells, their corner flags and
     the values at their corners, as the exact grid gives them."""
     exact = full.values
@@ -359,39 +358,35 @@ def assert_reads_exact(top, traced, full, cutoff):
     b00, b10 = inside[:-1, :-1], inside[1:, :-1]
     b01, b11 = inside[:-1, 1:], inside[1:, 1:]
     i, j = np.nonzero((b00 != b10) | (b00 != b01) | (b00 != b11))
-    node = i * full.resolution + j
+    node = i * len(exact) + j
     order = np.argsort(cells)  # _trace takes the cells in any order
     assert np.array_equal(cells[order], node)
     assert np.array_equal(flags[order], np.stack([b00[i, j], b10[i, j],
                                                   b01[i, j], b11[i, j]], axis=1))
     assert np.array_equal(nodes, np.unique(np.concatenate(
-        [node, node + 1, node + full.resolution, node + full.resolution + 1])))
+        [node, node + 1, node + len(exact), node + len(exact) + 1])))
     assert np.array_equal(values, exact.reshape(-1)[nodes])
 
 
 def contours_both_ways(coords, params, resolution, level, relative=False):
-    """kde_contours checked against rasterize then extract_contours
-    (polylines, flags, cutoff, warning text), against the per-cell
-    marching squares, and for exact values wherever it read."""
+    """kde_contours checked against the per-cell marching squares over
+    the dense grid (polylines, flags, cutoff, warning text), and for exact
+    values wherever it read."""
     with warnings.catch_warnings(record=True) as got_warnings, \
             mock.patch.object(density, "_below_level",
                               wraps=density._below_level) as below, \
             mock.patch.object(density, "_trace", wraps=density._trace) as trace:
         warnings.simplefilter("always")
         got = kde_contours(coords, params, resolution, level, relative, family="f")
+    full = dense_grid(coords, params, resolution)
+    want_cutoff = level * float(full.values.max()) if relative else level
     with warnings.catch_warnings(record=True) as want_warnings:
         warnings.simplefilter("always")
-        full = rasterize(coords, params, resolution)
-        want_cutoff = level * float(full.values.max()) if relative else level
-        want = extract_contours(full, want_cutoff, family="f")
+        want = extract_contours_oracle(full, want_cutoff, family="f")
     assert got.level == want_cutoff
     assert_same_contours(got, want)
     assert [(w.category, str(w.message)) for w in got_warnings] == \
         [(w.category, str(w.message)) for w in want_warnings]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert_same_contours(got, extract_contours_oracle(full, want_cutoff,
-                                                          family="f"))
     assert_reads_exact(below.call_args.args[0],
                        trace.call_args.args if trace.called else None,
                        full, want_cutoff)
@@ -441,7 +436,7 @@ def live_tiles(*args):
 def crossed_tiles(full, cutoff):
     """The number of tiles whose nodes the exact grid puts on both sides
     of the cutoff, and of tiles wholly above and wholly below it."""
-    size, tile = full.resolution, density._TILE
+    size, tile = len(full.values), density._TILE
     inside = full.values > cutoff
     kinds = [0, 0, 0]
     for a in range(0, size - 1, tile):
@@ -452,8 +447,9 @@ def crossed_tiles(full, cutoff):
 
 
 class TestContourGridExact:
-    """kde_contours against rasterize then extract_contours (the class
-    keeps the name of the grid function that kde_contours replaced)."""
+    """kde_contours against the per-cell marching squares over the dense
+    grid (the class keeps the name of the grid function that kde_contours
+    replaced)."""
 
     @pytest.mark.parametrize("resolution", [16, 33, 257])
     @pytest.mark.parametrize("n", [1, 2, 16, 129])
@@ -481,7 +477,7 @@ class TestContourGridExact:
             coords = np.tile([0.3, -1.2], (5, 1))
             params = KDEParams(*density.silverman_bandwidths(coords), np.ones(5))
         resolution = 65
-        values = rasterize(coords, params, resolution).values
+        values = dense_grid(coords, params, resolution).values
         for cell in rng.choice(values.size, size=25, replace=False):
             contours_both_ways(coords, params, resolution,
                                float(values.flat[cell]))
@@ -501,7 +497,7 @@ class TestContourGridExact:
     @pytest.mark.parametrize("level", [5e-324, 1e-320, 2.0 ** -1022, 1e-300])
     def test_tiny_levels(self, level):
         coords, params = two_clusters()
-        values = rasterize(coords, params, 257).values
+        values = dense_grid(coords, params, 257).values
         assert (values == 0).any() and ((values > 0) & (values < 2.0 ** -1022)).any()
         got, _ = contours_both_ways(coords, params, 257, level)
         assert got.polylines
@@ -573,6 +569,15 @@ class TestContourGridExact:
         assert sum(sums) >= band.sum()
 
 
+def mirrored_pairs(seed):
+    """One to three point pairs mirrored about the origin, 5 to 40 unit
+    bandwidths out per axis: mirror-image nodes tie up to rounding."""
+    rng = np.random.default_rng(seed)
+    pairs = int(rng.integers(1, 4))
+    half = rng.uniform(5, 40, size=(pairs, 2)) * rng.choice([-1.0, 1.0], size=(pairs, 2))
+    return np.concatenate([half, -half]), KDEParams(1.0, 1.0, np.ones(2 * pairs))
+
+
 class TestKdeContoursBlocks:
     """Square tiles of cells that share their edge nodes with the next
     tile, in both directions."""
@@ -587,8 +592,8 @@ class TestKdeContoursBlocks:
         # the polyline at 0.05 of the maximum spans more than a tile
         got, full = contours_both_ways(coords, params, 96, 0.05, True)
         points = np.concatenate(got.polylines)
-        assert np.ptp(points[:, 0]) > cells * full.cell_width
-        assert np.ptp(points[:, 1]) > cells * full.cell_height
+        assert np.ptp(points[:, 0]) > cells * (full.x_centers[1] - full.x_centers[0])
+        assert np.ptp(points[:, 1]) > cells * (full.y_centers[1] - full.y_centers[0])
 
     @pytest.mark.parametrize("resolution,cells", [(100, 7), (257, 64), (61, 60),
                                                   (45, 44), (47, 23)])
@@ -613,7 +618,7 @@ class TestKdeContoursBlocks:
     def test_level_equal_to_a_value_on_a_shared_row(self, monkeypatch, cells):
         coords, params = random_family(9, seed=cells)
         tile_size(monkeypatch, cells)
-        values = rasterize(coords, params, 64).values
+        values = dense_grid(coords, params, 64).values
         for edge in (cells, 2 * cells, 3 * cells):
             for shared in (values[edge], values[:, edge]):
                 for node in np.argsort(shared)[-40::8]:
@@ -627,7 +632,7 @@ class TestKdeContoursBlocks:
         assert (resolution - 1) % cells
         tile_size(monkeypatch, cells)
         coords, params = random_family(16, seed=resolution + cells)
-        values = rasterize(coords, params, resolution).values
+        values = dense_grid(coords, params, resolution).values
         for level in (1e-6, float(np.median(values[-1])),
                       float(np.median(values[:, -1])), float(values[-1, -1])):
             got, _ = contours_both_ways(coords, params, resolution, level)
@@ -644,6 +649,30 @@ class TestKdeContoursBlocks:
         assert crossed and above and below
         assert live_tiles(coords, params, 33, 0.05, True)[0] == crossed
 
+    @pytest.mark.parametrize("resolution", [16, 64])
+    def test_tiles_whose_bounds_nearly_tie_are_reached(self, monkeypatch,
+                                                       resolution):
+        # one point at even R: the one-cell tiles at the centre hold four
+        # nearly equal densities, so a tile's U and the largest L agree
+        # to a few ulps, and only the band keeps the top tile in pass 1
+        coords, params = np.array([[0.3, -0.2]]), KDEParams(1.0, 0.7, [1.0])
+        tile_size(monkeypatch, 1, batch=1)
+        for level in (0.5, 0.999999, 1.0):
+            contours_both_ways(coords, params, resolution, level, True)
+
+    @pytest.mark.parametrize("seed,resolution,cells", [
+        (94, 33, 4), (94, 33, 16), (100, 33, 4), (43, 64, 16), (30, 128, 4)])
+    def test_one_tile_per_batch_finds_the_exact_maximum(
+            self, monkeypatch, seed, resolution, cells):
+        # with one tile per batch, pass 1 decides after every tile whether
+        # to go on; a tile whose U lies inside the band of the best maximum
+        # so far can still hold a larger exact value: in these families,
+        # one ulp above the maximum of the tiles visited before it
+        coords, params = mirrored_pairs(seed)
+        tile_size(monkeypatch, cells, batch=1, n=params.n_points)
+        for level in (0.5, 1.0):
+            contours_both_ways(coords, params, resolution, level, True)
+
     def test_bandwidth_far_below_one_tile(self):
         # tiles 16 bandwidths wide, most holding several points: a tile's
         # bound adds up peaks that no one node sees, so tiles the level
@@ -652,8 +681,8 @@ class TestKdeContoursBlocks:
         coords = rng.uniform(0.0, 100.0, size=(200, 2))
         params = KDEParams(0.4, 0.4, np.ones(200))
         resolution = 257
-        full = rasterize(coords, params, resolution)
-        assert density._TILE * full.cell_width > 15 * params.h_x
+        full = dense_grid(coords, params, resolution)
+        assert density._TILE * (full.x_centers[1] - full.x_centers[0]) > 15 * params.h_x
         for level in (0.05, 0.5, 0.9):
             got, full = contours_both_ways(coords, params, resolution, level, True)
             crossed = crossed_tiles(full, got.level)[0]
@@ -723,7 +752,7 @@ def symmetric_family(pairs, seed):
 
 
 class TestKdeContoursMovedEstimates:
-    """kde_contours gives rasterize's contours for any estimate within its
+    """kde_contours gives the dense grid's contours for any estimate within its
     documented error, not only for the estimate numpy computes. A pass 1
     that sums only the nodes whose estimate is the batch maximum misses
     the exact maximum of 8 of these symmetric families."""
@@ -736,13 +765,13 @@ class TestKdeContoursMovedEstimates:
         resolution = 64
         for seed in range(100):
             coords, params = family(seed)
-            full = rasterize(coords, params, resolution)
+            full = dense_grid(coords, params, resolution)
             with monkeypatch.context() as patch:
                 patch.setattr(density, "np", _MovedEstimates())
                 got = [kde_contours(coords, params, resolution, level, True)
                        for level in (0.5, 0.9, 0.999)]
             for level, contours in zip((0.5, 0.9, 0.999), got):
-                assert_same_contours(contours, extract_contours(
+                assert_same_contours(contours, extract_contours_oracle(
                     full, level * float(full.values.max())))
 
 
@@ -782,9 +811,8 @@ class TestContoursJsonExact:
         sets = []
         for n in (1, 5, 16):
             coords, params = random_family(n, seed=n)
-            grid = rasterize(coords, params, resolution=96)
-            level = 0.3 * float(grid.values.max())
-            sets.append(extract_contours(grid, level, family=f"fam{n}"))
+            sets.append(kde_contours(coords, params, 96, 0.3, relative=True,
+                                     family=f"fam{n}"))
         assert all(cs.polylines for cs in sets)
         self.assert_same_bytes(sets, tmp_path)
 
@@ -839,9 +867,8 @@ class TestRenderSvgExact:
         points, sets = [], []
         for n in (1, 5, 16):
             coords, params = random_family(n, seed=n)
-            grid = rasterize(coords, params, resolution=96)
-            level = 0.3 * float(grid.values.max())
-            sets.append(extract_contours(grid, level, family=f"fam{n}"))
+            sets.append(kde_contours(coords, params, 96, 0.3, relative=True,
+                                     family=f"fam{n}"))
             points += [(f"l{n}x{i}", f"fam{n}", x, y)
                        for i, (x, y) in enumerate(coords.tolist())]
         assert all(cs.polylines for cs in sets)
