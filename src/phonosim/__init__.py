@@ -14,8 +14,8 @@ from .density import (ContourSet, KDEParams, kde_contours,
 from .errors import (DataError, ParseError, PhonosimError, PipelineError,
                      TokenizeError, UnmatchedGraphemeError)
 from .g2p import G2PRule, Ruleset, load_ruleset, transliterate
-from .ipa import (NormalizationPolicy, Phoneme, PhonemeSequence,
-                  default_policy, load_policy, normalize, tokenize_ipa)
+from .ipa import (NormalizationPolicy, PhonemeSequence, default_policy,
+                  load_policy, normalize, tokenize_ipa)
 from .pca import Projection2D, pca_project
 from .per import PERReport, corpus_per
 from .pipeline import PipelineConfig, run_pipeline
@@ -32,7 +32,7 @@ __all__ = [
     "DataError", "ParseError", "PhonosimError", "PipelineError",
     "TokenizeError", "UnmatchedGraphemeError",
     "G2PRule", "Ruleset", "load_ruleset", "transliterate",
-    "NormalizationPolicy", "Phoneme", "PhonemeSequence", "default_policy",
+    "NormalizationPolicy", "PhonemeSequence", "default_policy",
     "load_policy", "normalize", "tokenize_ipa",
     "Projection2D", "pca_project",
     "PERReport", "corpus_per",

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .density import write_contours_json
 from .errors import DataError, PhonosimError
-from .formats import fmt_float
+from .formats import fmt_float, utf8_errors
 from .g2p import MODES, load_ruleset, transliterate
 from .ipa import default_policy, load_policy, normalize, tokenize_ipa
 from .pca import pca_project, read_coords_csv, write_coords_csv
@@ -140,7 +140,7 @@ def _cmd_select(args):
 
 
 def _read_sequences(path):
-    with open(path, encoding="utf-8") as f:
+    with utf8_errors(path), open(path, encoding="utf-8") as f:
         return [line.rstrip("\n").split() for line in f]
 
 

@@ -18,8 +18,8 @@ kde_contours() is the one contour path. Its reference is the grid of
 every node summed exactly by _exact_at and traced by marching squares,
 and it returns that without holding the grid: it bounds the density over
 square tiles of cells with per-tile kernel minima and maxima, estimates
-with batched matrix products only the tiles that a branch and bound for
-the grid maximum visits and the tiles the level can cross, and sums a
+with batched matrix products only the tiles that can hold the grid
+maximum and the tiles the level can cross, and sums a
 node exactly only where marching squares reads it and the estimate
 cannot decide, found through a rigorous bound on the estimate's rounding
 error. The tracer reads a sparse input: the cells the level crosses,
@@ -271,9 +271,9 @@ def kde_contours(coords, params: KDEParams, resolution, level,
     is summed only where E alone cannot decide:
 
     1. pass 1 finds the exact grid maximum (for `relative` and the
-       below-level check) by branch and bound: it estimates tiles in
-       decreasing U, sums the nodes whose E may reach the best maximum so
-       far, and stops once the next U is below the band of the best;
+       below-level check): it estimates the tiles whose U reaches the
+       band of the largest L, and sums the nodes whose E may reach the
+       largest E of their batch or the exact maximum so far;
     2. pass 2 estimates the tiles with U >= lo and L <= hi, (lo, hi) =
        _band(cutoff); any other tile has all its nodes on one side. It
        sums the nodes whose E is in the band, so every node is on the
@@ -315,21 +315,13 @@ def kde_contours(coords, params: KDEParams, resolution, level,
         return nodes, np.matmul(fx[a], fy[b])
 
     # the tile with the largest L holds a V that no tile whose U is below
-    # its band can reach; visit the others in decreasing U
+    # its band can reach
     reach = np.flatnonzero(upper >= _band(float(lower.max()), rel, floor)[0])
-    order = reach[np.argsort(-upper.reshape(-1)[reach], kind="stable")]
-    peaks = upper.reshape(-1)[order]
-    top, start = -math.inf, 0
-    while start < order.size:
-        # every later tile's U is below the band of the exact top so far
-        stop = start + np.count_nonzero(
-            peaks[start:start + batch] >= _band(top, rel, floor)[0])
-        if stop == start:
-            break
-        nodes, block = tiles(order[start:stop])
+    top = -math.inf
+    for start in range(0, reach.size, batch):
+        nodes, block = tiles(reach[start:start + batch])
         near = block >= _band(max(top, float(block.max())), rel, floor)[0]
         top = float(_exact_at(kx, ky, params, nodes[near]).max(initial=top))
-        start = stop
     cut = float(level * top if relative else level)
     empty = _below_level(top, cut, family)
     if empty is not None:

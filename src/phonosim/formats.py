@@ -27,6 +27,7 @@ order are, so a different BLAS/LAPACK build can still change them.
 """
 
 import csv
+from contextlib import contextmanager
 
 from .errors import ParseError
 
@@ -71,10 +72,23 @@ def parse_bool(value, path, line_no):
         raise ParseError(f"expected a boolean, got {value!r}", path, line_no) from None
 
 
+@contextmanager
+def utf8_errors(path):
+    """A UnicodeDecodeError reading `path` as a ParseError naming its line."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8", "surrogateescape")
+        bad = e.object[e.start]  # surrogateescape decodes it as U+DC00 + bad
+        line = text.count("\n", 0, text.find(chr(0xDC00 + bad))) + 1
+        raise ParseError(f"invalid UTF-8 byte 0x{bad:02x}", path, line) from None
+
+
 def data_lines(path):
     """[(line_no, line)] of a line file, line endings removed, without
     blank lines and full-line `#` comments."""
-    with open(path, encoding="utf-8") as f:
+    with utf8_errors(path), open(path, encoding="utf-8") as f:
         return [(line_no, line) for line_no, raw in enumerate(f, 1)
                 if (line := raw.rstrip("\n").rstrip("\r")).strip()
                 and not line.lstrip().startswith("#")]
@@ -84,7 +98,7 @@ def csv_rows(path):
     """[(line_no, cells)] of the CSV rows with a nonblank cell; line_no is
     the line the row starts on, so a quoted newline does not shift it."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as f:
+    with utf8_errors(path), open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         line_no = 1
         for cells in reader:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from .errors import DataError, ParseError, TokenizeError
 from .formats import data_lines, parse_bool
 
-Phoneme = str
 PhonemeSequence = list[str]
 
 TIE_BARS = frozenset({"͡", "͜"})          # ͡  ͜
@@ -226,9 +225,6 @@ class NormalizationPolicy:
             removal |= STRESS_MARKS
         if self.strip_voqs:
             removal |= VOQS_MARKS
-        # built once: removal_set() hands out the same frozenset every call
-        removal = frozenset(removal)
-        object.__setattr__(self, "_removal", removal)
         for src, tgt in merges.items():
             if not src:
                 raise DataError("merge source must be nonempty")
@@ -239,10 +235,6 @@ class NormalizationPolicy:
         # not a field: equality, fields() and replace() do not see it
         object.__setattr__(
             self, "_segments", _SegmentMemo(removal, self.strip_voqs, merges))
-
-    def removal_set(self):
-        """Every codepoint normalize() strips, as one frozenset."""
-        return self._removal
 
 
 def default_policy() -> NormalizationPolicy:

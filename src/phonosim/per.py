@@ -34,10 +34,6 @@ class PERReport:
     reference_length: int
     per_percent: float
 
-    @property
-    def total_errors(self):
-        return self.substitutions + self.insertions + self.deletions
-
 
 def _align_chunk(pairs, codes):
     """[(S, I, D)] for a list of pairs; segments are coded through `codes`."""
@@ -112,11 +108,6 @@ def _edit_counts_all(pairs):
             out[k] = counts
         start = stop
     return out
-
-
-def edit_counts(reference, hypothesis):
-    """(S, I, D) from one minimal alignment of the two segment lists."""
-    return _edit_counts_all([(reference, hypothesis)])[0]
 
 
 def corpus_per(pairs, macro=False) -> PERReport:

@@ -35,7 +35,7 @@ from .selection import (Strategy, emit_manifest, select_strategy,
                         write_manifest_tsv, write_selection_report)
 from .stats import (family_mean_similarities, phoneme_distributions,
                     similarity_matrix, write_distributions_csv, write_matrix_csv)
-from .formats import data_lines, fmt_float, parse_bool, write_lines
+from .formats import data_lines, fmt_float, parse_bool, utf8_errors, write_lines
 
 ARTIFACT_NAMES = (
     "distributions.csv", "similarity.csv", "pca.csv", "contours.json",
@@ -106,8 +106,9 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     section, base = {}, Path()
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        if not parser.read(path, encoding="utf-8"):
-            raise ParseError("config file not found or unreadable", path)
+        with utf8_errors(path):
+            if not parser.read(path, encoding="utf-8"):
+                raise ParseError("config file not found or unreadable", path)
         if not parser.has_section("pipeline"):
             raise ParseError("missing [pipeline] section", path)
         section, base = dict(parser["pipeline"]), Path(path).parent

@@ -104,9 +104,6 @@ class Registry:
     def __len__(self):
         return len(self._records)
 
-    def __contains__(self, code):
-        return code in self._by_code
-
     @property
     def codes(self):
         return tuple(r.code for r in self._records)

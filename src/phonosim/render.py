@@ -17,16 +17,11 @@ PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
     "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
 )
-
+WIDTH = HEIGHT = 800
+MARGIN = 60
 
 _UNDRAWABLE = ("cannot draw: the coordinates are too large or too close "
                "together for a finite plot extent and scale")
-
-
-def _check_finite(screen):
-    """Raise DataError unless every screen coordinate is finite."""
-    if not np.isfinite(screen).all():
-        raise DataError(_UNDRAWABLE)
 
 
 def family_colors(families):
@@ -35,8 +30,7 @@ def family_colors(families):
             for i, fam in enumerate(sorted(set(families)))}
 
 
-def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
-               margin=60):
+def render_svg(codes, coords, reg, contour_sets, path):
     """Write an SVG overlay of labeled points and contour polylines.
 
     One point per code at its coords, colored by its registry family.
@@ -63,25 +57,25 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)
             and x_lo < x_hi and y_lo < y_hi):
         raise DataError(_UNDRAWABLE)
-    scale = min((width - 2 * margin) / (x_hi - x_lo),
-                (height - 2 * margin) / (y_hi - y_lo))
+    scale = min((WIDTH - 2 * MARGIN) / (x_hi - x_lo),
+                (HEIGHT - 2 * MARGIN) / (y_hi - y_lo))
     if not (math.isfinite(scale) and scale > 0):
         raise DataError(_UNDRAWABLE)
 
     # Screen coordinates of a float or a numpy array of floats.
     def sx(x):
-        return margin + (x - x_lo) * scale
+        return MARGIN + (x - x_lo) * scale
 
     def sy(y):
-        return height - margin - (y - y_lo) * scale  # y grows upward
+        return HEIGHT - MARGIN - (y - y_lo) * scale  # y grows upward
 
     colors = family_colors(
         [p[3] for p in points] + [cs.family for cs in contour_sets])
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for cs, cs_lines in zip(contour_sets, lines):
         color = colors.get(cs.family, "#333333")
@@ -89,26 +83,24 @@ def render_svg(codes, coords, reg, contour_sets, path, width=800, height=800,
             screen = np.empty_like(line)
             screen[:, 0] = sx(line[:, 0])
             screen[:, 1] = sy(line[:, 1])
-            _check_finite(screen)
             vertices = fmt_floats(screen, "%s,%s")
             out.append(
                 f'<polyline points="{vertices}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5" opacity="0.8"/>')
     for code, x, y, family in points:
         color = colors.get(family, "#333333")
-        _check_finite((sx(x), sy(y)))
         cx, cy = fmt_float(sx(x)), fmt_float(sy(y))
         out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
         out.append(
             f'<text x="{fmt_float(float(cx) + 6)}" y="{cy}" '
             f'font-size="11" font-family="sans-serif">{escape(code, quote=False)}</text>')
     for i, family in enumerate(sorted(colors)):
-        y = margin + 16 * i
+        y = MARGIN + 16 * i
         out.append(
-            f'<rect x="{margin}" y="{y - 9}" width="10" height="10" '
+            f'<rect x="{MARGIN}" y="{y - 9}" width="10" height="10" '
             f'fill="{colors[family]}"/>')
         out.append(
-            f'<text x="{margin + 14}" y="{y}" font-size="12" '
+            f'<text x="{MARGIN + 14}" y="{y}" font-size="12" '
             f'font-family="sans-serif">{escape(family, quote=False)}</text>')
     out.append("</svg>")
     write_lines(path, out)

@@ -1,8 +1,12 @@
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,24 @@ class TestExitCodes:
 
     def test_version(self, capsys):
         assert cli.main(["--version"]) == 0
+
+    def test_module_entry_point(self, toy_dir):
+        # `python -m phonosim.cli` runs cli.run(), which exits with main()'s code
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+        def g2p(rules):
+            return subprocess.run(
+                [sys.executable, "-m", "phonosim.cli", "g2p", "--rules", str(rules),
+                 "--policy", str(toy_dir / "policy.txt")],
+                input=(toy_dir / "g2p_input.txt").read_bytes(), capture_output=True,
+                env=env, timeout=60)
+
+        done = g2p(toy_dir / "rules" / "aaa.rules")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (toy_dir / "golden" / "cli_g2p.txt").read_bytes()
+        done = g2p(toy_dir / "rules" / "missing.rules")
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"phonosim: error: ")
 
     def test_public_api_resolves(self):
         namespace = {}
@@ -145,6 +167,21 @@ class TestIpaAndG2p:
         assert run_cli(["g2p", "--rules", str(path)], stdin_text=text + "\n",
                        monkeypatch=monkeypatch) == 2
         assert capsys.readouterr() == ("", f"phonosim: error: {path}:{message}\n")
+
+    @pytest.mark.parametrize("flag,text,message", [
+        ("--policy", "strip_diacritics = U+ZZZZ\n", "bad codepoint escape 'U+ZZZZ'"),
+        ("--policy", "strip_diacritics = ab\n",
+         "expected a single codepoint or U+XXXX escape, got 'ab'"),
+        ("--policy", "strip_stress\n", "expected 'key = value'"),
+        ("--rules", "a\tb\t]x\n", "stray ']' in context pattern"),
+    ], ids=["escape", "two-codepoints", "no-equals", "stray-bracket"])
+    def test_g2p_bad_line_exit_2(self, toy_dir, tmp_path, monkeypatch, capsys,
+                                 flag, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["g2p", "--rules", str(toy_dir / "rules" / "aaa.rules"), flag, str(path)]
+        assert run_cli(argv, stdin_text="ab\n", monkeypatch=monkeypatch) == 2
+        assert capsys.readouterr() == ("", f"phonosim: error: {path}:1: {message}\n")
 
     def test_g2p_skip_mode(self, toy_dir, monkeypatch, capsys):
         code = run_cli(
@@ -255,10 +292,24 @@ class TestAnalysisCommands:
             "comma, a double quote or whitespace\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,message", [
+        (",aaa,aab\n", ": matrix file needs a header and at least 2 rows"),
+        (",aaa,aab,aba\naaa,1,0.5,0.2\naab,0.5,1,0.3\n", ": expected 3 data rows, got 2"),
+        (",aaa,aab,aba\naaa,1,0.5,0.2\naba,0.5,1,0.3\naab,0.2,0.3,1\n",
+         ":3: row label 'aba' does not match column label 'aab'"),
+    ], ids=["header-only", "too-few-rows", "label-mismatch"])
+    def test_pca_bad_matrix_exit_2(self, tmp_path, capsys, text, message):
+        matrix = tmp_path / "m3.csv"
+        matrix.write_text(text, encoding="utf-8")
+        out = tmp_path / "pca.csv"
+        assert cli.main(["pca", "--in", str(matrix), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"phonosim: error: {matrix}{message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("suffix", [".json", ".svg"])
     def test_contours_match_golden(self, toy_dir, tmp_path, capsys, suffix):
-        # relative level and R = 300: the branch and bound for the maximum
-        # runs, and the last tile is not whole
+        # relative level and R = 300: pass 1 finds the exact maximum, and
+        # the last tile is not whole
         out = tmp_path / f"contours{suffix}"
         golden = toy_dir / "golden"
         assert cli.main(["contours", "--coords", str(golden / "cli_pca.csv"),
@@ -508,6 +559,24 @@ class TestAnalysisCommands:
                                            "to more than the largest float\n")
         assert not out.exists()
 
+    def test_contours_zero_hours_use_unit_weights(self, toy_dir, tmp_path, capsys):
+        def contours(name, hours):
+            registry = tmp_path / f"{name}.csv"
+            registry.write_text(
+                (toy_dir / "registry.csv").read_text(encoding="utf-8")
+                .replace("Alphaic,West,2\n", f"Alphaic,West,{hours[0]}\n")
+                .replace("Alphaic,East,20\n", f"Alphaic,East,{hours[1]}\n"),
+                encoding="utf-8")
+            out = tmp_path / f"{name}.json"
+            assert cli.main(["contours", "--coords", str(toy_dir / "golden" / "pca.csv"),
+                             "--registry", str(registry), "--out", str(out)]) == 0
+            return out.read_bytes(), capsys.readouterr().err
+
+        zero, warned = contours("zero", (0, 20))
+        assert warned == ("warning: family 'Alphaic' has languages with zero "
+                          "recorded hours; using unit weights\n")
+        assert contours("equal", (7, 7)) == (zero, "")
+
     def test_contours_bad_extension(self, toy_dir, tmp_path):
         coords = tmp_path / "coords.csv"
         coords.write_text("id,x,y,ev1,ev2\naaa,0,0,1,0\naab,1,1,1,0\n",
@@ -606,6 +675,16 @@ class TestAnalysisCommands:
         assert capsys.readouterr() == ("", f"phonosim: error: {features}:1: {message}\n")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_typology_header_only_exit_2(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("lang,f1\n", encoding="utf-8")
+        assert cli.main(["typology", "--features", str(features),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr() == (
+            "", f"phonosim: error: {features}: feature matrix needs a header and "
+            "at least one row\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_typology_none_with_missing_exit_2(self, tmp_path):
         features = tmp_path / "features.csv"
         features.write_text("lang,f1,f2\naaa,1,?\naab,0,1\n", encoding="utf-8")
@@ -657,6 +736,34 @@ def test_bad_code_cell_exit_2(toy_dir, tmp_path, capsys, command, cell, message)
     assert cli.main(argv(str(table), str(tmp_path / "out"), toy_dir)) == 2
     assert capsys.readouterr() == ("", f"phonosim: error: {table}:3: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+# each reader of a text file: its command, given the file and the toy data,
+# and the file's bytes with one that is not UTF-8, and the line and the byte
+# that the message names; for `per --ref` the byte lies past the first 8 KB,
+# the most a text file decodes at once
+NOT_UTF8 = {
+    "registry validate": (lambda path, toy: ["registry", "validate", path],
+                          b"code,name,family,branch,hours\naab,B\xffn,F,,1\n", 2, "ff"),
+    "per --ref": (lambda path, toy: ["per", "--ref", path,
+                                     "--hyp", str(toy / "g2p_input.txt")],
+                  b"a b\n" * 3000 + b"c \xfe d\n", 3001, "fe"),
+    "g2p --policy": (lambda path, toy: ["g2p", "--rules", str(toy / "rules" / "aaa.rules"),
+                                        "--policy", path],
+                     b"# policy\nstrip_stress = true\n\xc3\n", 3, "c3"),
+    "pipeline --config": (lambda path, toy: ["pipeline", "--config", path],
+                          b"[pipeline]\ntarget = \xe2\x28\n", 2, "e2"),
+}
+
+
+@pytest.mark.parametrize("command", NOT_UTF8)
+def test_input_that_is_not_utf8_names_its_line(toy_dir, tmp_path, capsys, command):
+    argv, data, line, byte = NOT_UTF8[command]
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    assert cli.main(argv(str(path), toy_dir)) == 2
+    assert capsys.readouterr() == (
+        "", f"phonosim: error: {path}:{line}: invalid UTF-8 byte 0x{byte}\n")
 
 
 class TestPerCommand:
@@ -844,6 +951,49 @@ class TestPipelineCommand:
         args = vars(cli.build_parser().parse_args(["pipeline"]))
         assert (set(args) - {"command", "config", "func"}
                 == {f.name for f in dataclasses.fields(PipelineConfig)})
+
+    def test_corpus_not_utf8_names_stage_file_and_line(self, toy_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(toy_dir / "corpus", corpus)
+        with open(corpus / "aab.tsv", "ab") as f:
+            f.write(b"\xff")
+        assert cli.main([
+            "pipeline",
+            "--corpus-dir", str(corpus),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--registry", str(toy_dir / "registry.csv"),
+            "--target", "aaa",
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", f"phonosim: error: [g2p] {corpus / 'aab.tsv'}:9: invalid UTF-8 byte 0xff\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["no-file", "no-section", "no-corpus-dir",
+                                      "no-registry"])
+    def test_missing_input_exit_2(self, toy_dir, tmp_path, capsys, case):
+        def flags(**paths):
+            given = {"corpus-dir": toy_dir / "corpus", "rules-dir": toy_dir / "rules",
+                     "registry": toy_dir / "registry.csv", "target": "aaa",
+                     "out": tmp_path / "out", **paths}
+            return [arg for name, value in given.items() for arg in (f"--{name}", str(value))]
+
+        missing = tmp_path / "nope"
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[other]\ntarget = aaa\n", encoding="utf-8")
+        argv, message = {
+            "no-file": (["--config", str(missing)],
+                        f"{missing}: config file not found or unreadable"),
+            "no-section": (["--config", str(config)],
+                           f"{config}: missing [pipeline] section"),
+            "no-corpus-dir": (flags(**{"corpus-dir": missing}),
+                              f"[corpus-scan] corpus directory {missing} does not exist"),
+            "no-registry": (flags(registry=missing),
+                            f"[registry] registry file {missing} does not exist"),
+        }[case]
+        assert cli.main(["pipeline", *argv]) == 2
+        assert capsys.readouterr() == ("", f"phonosim: error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_stage_error_reported(self, toy_dir, tmp_path, capsys):
         assert cli.main([

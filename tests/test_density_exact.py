@@ -164,8 +164,9 @@ def write_contours_json_oracle(contour_sets, path):
                                   sort_keys=True)])
 
 
-def render_svg_oracle(codes, coords, reg, contour_sets, path, width=800, height=800,
-                      margin=60):
+def render_svg_oracle(codes, coords, reg, contour_sets, path):
+    width = height = 800
+    margin = 60
     points = [(code, float(x), float(y), reg.get(code).family)
               for code, (x, y) in zip(codes, coords)]
     xs = [p[1] for p in points]
@@ -664,9 +665,9 @@ class TestKdeContoursBlocks:
         (94, 33, 4), (94, 33, 16), (100, 33, 4), (43, 64, 16), (30, 128, 4)])
     def test_one_tile_per_batch_finds_the_exact_maximum(
             self, monkeypatch, seed, resolution, cells):
-        # with one tile per batch, pass 1 decides after every tile whether
-        # to go on; a tile whose U lies inside the band of the best maximum
-        # so far can still hold a larger exact value: in these families,
+        # with one tile per batch, pass 1 sums each tile's nodes against
+        # the band of the best maximum so far; a tile whose U lies inside
+        # that band can still hold a larger exact value: in these families,
         # one ulp above the maximum of the tiles visited before it
         coords, params = mirrored_pairs(seed)
         tile_size(monkeypatch, cells, batch=1, n=params.n_points)
@@ -818,15 +819,14 @@ class TestContoursJsonExact:
 
 
 class TestRenderSvgExact:
-    def assert_same_bytes(self, points, contour_sets, tmp_path, **size):
+    def assert_same_bytes(self, points, contour_sets, tmp_path):
         """points: [(code, family, x, y)]."""
         reg = Registry([LanguageRecord(code, code, family, None, 1.0)
                         for code, family, _, _ in points])
         codes = [p[0] for p in points]
         coords = np.array([p[2:] for p in points], dtype=float).reshape(-1, 2)
-        render_svg(codes, coords, reg, contour_sets, tmp_path / "got.svg", **size)
-        render_svg_oracle(codes, coords, reg, contour_sets, tmp_path / "want.svg",
-                          **size)
+        render_svg(codes, coords, reg, contour_sets, tmp_path / "got.svg")
+        render_svg_oracle(codes, coords, reg, contour_sets, tmp_path / "want.svg")
         got = (tmp_path / "got.svg").read_bytes()
         assert got == (tmp_path / "want.svg").read_bytes()
         ET.fromstring(got)
@@ -862,8 +862,7 @@ class TestRenderSvgExact:
         self.assert_same_bytes(points, [ContourSet("f", 0.1, [line])], tmp_path)
         self.assert_same_bytes([], [ContourSet("f", 0.1, [line[:2]])], tmp_path)
 
-    @pytest.mark.parametrize("size", [{}, {"width": 640, "height": 480, "margin": 30}])
-    def test_rasterized_families(self, size, tmp_path):
+    def test_rasterized_families(self, tmp_path):
         points, sets = [], []
         for n in (1, 5, 16):
             coords, params = random_family(n, seed=n)
@@ -872,7 +871,7 @@ class TestRenderSvgExact:
             points += [(f"l{n}x{i}", f"fam{n}", x, y)
                        for i, (x, y) in enumerate(coords.tolist())]
         assert all(cs.polylines for cs in sets)
-        self.assert_same_bytes(points, sets, tmp_path, **size)
+        self.assert_same_bytes(points, sets, tmp_path)
 
     def test_many_vertices(self, tmp_path):
         # Enough values that a last-bit change in the screen arithmetic

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from phonosim import ipa
 from phonosim.errors import DataError, TokenizeError
-from phonosim.ipa import (PREFIX_MARKS, TIE_BARS, VOQS_LETTERS,
-                          WORD_SEPARATORS, NormalizationPolicy, normalize,
-                          tokenize_ipa)
+from phonosim.ipa import (PREFIX_MARKS, STRESS_MARKS, TIE_BARS, VOQS_LETTERS,
+                          VOQS_MARKS, WORD_SEPARATORS, NormalizationPolicy,
+                          normalize, tokenize_ipa)
 
 
 def _is_combining(ch):
@@ -107,7 +107,11 @@ def _clean_segment(seg, removal, strip_voqs):
 
 
 def oracle_normalize(seq, policy):
-    removal = policy.removal_set()
+    removal = set(policy.strip_diacritics)
+    if policy.strip_stress:
+        removal |= STRESS_MARKS
+    if policy.strip_voqs:
+        removal |= VOQS_MARKS
     out = []
     for seg in seq:
         t = _clean_segment(seg, removal, policy.strip_voqs)

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonosim.errors import DataError
-from phonosim.per import corpus_per, edit_counts
+from phonosim.per import _edit_counts_all, corpus_per
+
+
+def edit_counts(reference, hypothesis):
+    """(S, I, D) of one pair, through the batched kernel."""
+    return _edit_counts_all([(reference, hypothesis)])[0]
+
+
+def total_errors(report):
+    return report.substitutions + report.insertions + report.deletions
 
 
 def distance_oracle(ref, hyp):
@@ -49,7 +58,7 @@ class TestPer:
     def test_multicodepoint_phoneme_single_edit(self):
         report = corpus_per([(["a", "t͡ʃ", "c", "d"], ["a", "k", "c", "d"])])
         assert report.substitutions == 1
-        assert report.total_errors == 1
+        assert total_errors(report) == 1
         assert report.per_percent == 25.0
 
     def test_can_exceed_100(self):
@@ -62,7 +71,7 @@ class TestPer:
             ref = [rng.choice(ALPHABET) for _ in range(rng.randint(1, 8))]
             hyp = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 8))]
             report = corpus_per([(ref, hyp)])
-            assert report.total_errors == distance_oracle(ref, hyp)
+            assert total_errors(report) == distance_oracle(ref, hyp)
 
     def test_counts_are_consistent(self):
         rng = random.Random(67)
