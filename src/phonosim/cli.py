@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .density import write_contours_json
 from .errors import DataError, PhonosimError
-from .formats import fmt_float, utf8_errors
+from .formats import fmt_float, stdin_lines, utf8_errors
 from .g2p import MODES, load_ruleset, transliterate
 from .ipa import default_policy, load_policy, normalize, tokenize_ipa
 from .pca import pca_project, read_coords_csv, write_coords_csv
@@ -24,13 +24,11 @@ from .pipeline import (PipelineConfig, compute_family_contours,
                        run_pipeline)
 from .registry import DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS, load_registry
 from .render import render_svg
-from .selection import (Strategy, select_strategy, selection_report,
+from .selection import (STRATEGIES, select_strategy, selection_report,
                         write_selection_report)
 from .stats import (phoneme_distributions, read_matrix_csv, similarity_matrix,
                     write_distributions_csv, write_matrix_csv)
 from .typology import IMPUTE_METHODS, impute, load_feature_matrix
-
-STRATEGY_CHOICES = tuple(s.value for s in Strategy)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,8 +56,8 @@ def _cmd_registry_validate(args):
 
 def _cmd_ipa_tokenize(args):
     policy = _policy_from(args)
-    for raw in sys.stdin:
-        segments = tokenize_ipa(raw.rstrip("\n"))
+    for line in stdin_lines():
+        segments = tokenize_ipa(line)
         if not args.raw:
             segments = normalize(segments, policy)
         print(" ".join(segments))
@@ -69,8 +67,8 @@ def _cmd_ipa_tokenize(args):
 def _cmd_g2p(args):
     rs = load_ruleset(args.rules)
     policy = _policy_from(args)
-    for raw in sys.stdin:
-        seq = transliterate(raw.rstrip("\n"), rs, policy, mode=args.mode)
+    for line in stdin_lines():
+        seq = transliterate(line, rs, policy, mode=args.mode)
         print(" ".join(seq))
     return 0
 
@@ -240,7 +238,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="pick source languages for a target")
     p.add_argument("--target", required=True)
-    p.add_argument("--strategy", choices=STRATEGY_CHOICES, required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--k", type=int, default=PipelineConfig.k)
     p.add_argument("--registry", required=True)
     p.add_argument("--matrix", help="similarity matrix CSV (corpus_sim)")
@@ -261,7 +259,7 @@ def build_parser() -> _Parser:
     p.add_argument("--registry", type=_absolute)
     p.add_argument("--policy", type=_absolute)
     p.add_argument("--target")
-    p.add_argument("--strategy", choices=STRATEGY_CHOICES)
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--k", type=int)
     p.add_argument("--level", type=float)
     p.add_argument("--relative", action="store_const", const=True)
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     except BrokenPipeError:
         return 0
-    except (PhonosimError, OSError, UnicodeDecodeError) as e:
+    except (PhonosimError, OSError) as e:
         print(f"phonosim: error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

@@ -1,9 +1,10 @@
 """Shared text conventions and float formatting for every input and artifact.
 
-Inputs are UTF-8 with LF or CRLF endings. Readers skip blank lines (line
-files also full-line `#` comments), name 1-based lines in errors (for CSV
-the line a row starts on) and return lists, so each file is closed before
-a caller raises. Artifacts are UTF-8 with every line LF-terminated.
+Inputs are UTF-8 with LF or CRLF endings. File readers skip blank lines
+(line files also full-line `#` comments), name 1-based lines in errors
+(for CSV the line a row starts on) and return lists, so each file is
+closed before a caller raises; stdin_lines yields every stdin line as it
+arrives. Artifacts are UTF-8 with every line LF-terminated.
 
 Floats render through fmt_float: 12 significant digits, shortest form.
 fmt_floats gives the same text for a whole numpy array with one C-level
@@ -27,6 +28,7 @@ order are, so a different BLAS/LAPACK build can still change them.
 """
 
 import csv
+import sys
 from contextlib import contextmanager
 
 from .errors import ParseError
@@ -48,12 +50,12 @@ def round_float(x):
     return float(fmt_float(x))
 
 
-def fmt_floats(a, row="%s", sep=" "):
-    """sep.join(row % tuple(map(fmt_float, r)) for r in a) for a numpy
+def fmt_floats(a, row="%s"):
+    """The space-joined row % tuple(map(fmt_float, r)) for each r of a numpy
     float array of rows (in a 1-D array each value is a row), by one % call.
     `row` holds one %s field per column."""
     flat = (a + 0.0).ravel().tolist()  # -0.0 + 0.0 is 0.0
-    return sep.join([row.replace("%s", _FLOAT_PCT)] * len(a)) % tuple(flat)
+    return " ".join([row.replace("%s", _FLOAT_PCT)] * len(a)) % tuple(flat)
 
 
 def json_floats(a, row="%s", sep=" "):
@@ -83,6 +85,16 @@ def utf8_errors(path):
         bad = e.object[e.start]  # surrogateescape decodes it as U+DC00 + bad
         line = text.count("\n", 0, text.find(chr(0xDC00 + bad))) + 1
         raise ParseError(f"invalid UTF-8 byte 0x{bad:02x}", path, line) from None
+
+
+def stdin_lines():
+    """Each stdin line as it arrives, LF removed, decoded strictly as UTF-8."""
+    for line_no, raw in enumerate(sys.stdin.buffer, 1):
+        try:
+            yield raw.decode("utf-8").rstrip("\n")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"invalid UTF-8 byte 0x{raw[e.start]:02x}",
+                             "<stdin>", line_no) from None
 
 
 def data_lines(path):

@@ -31,7 +31,7 @@ from .ipa import default_policy, load_policy
 from .pca import pca_project, write_coords_csv
 from .registry import Registry, code_problem, load_registry
 from .render import render_svg
-from .selection import (Strategy, emit_manifest, select_strategy,
+from .selection import (STRATEGIES, emit_manifest, select_strategy,
                         write_manifest_tsv, write_selection_report)
 from .stats import (family_mean_similarities, phoneme_distributions,
                     similarity_matrix, write_distributions_csv, write_matrix_csv)
@@ -88,10 +88,8 @@ class PipelineConfig:
                             f"got {self.level!r}")
         if self.resolution < 16:
             raise DataError("resolution must be at least 16")
-        try:
-            Strategy(self.strategy)
-        except ValueError:
-            raise DataError(f"unknown selection strategy {self.strategy!r}") from None
+        if self.strategy not in STRATEGIES:
+            raise DataError(f"unknown selection strategy {self.strategy!r}")
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
@@ -193,8 +191,6 @@ def convert_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
 def _stage(name):
     try:
         yield
-    except PipelineError:
-        raise
     except PhonosimError as e:
         raise PipelineError(name, str(e)) from e
 

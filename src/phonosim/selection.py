@@ -1,6 +1,6 @@
 """Source-language selection strategies and training manifest assembly.
 
-Strategies: monolingual (no sources), family (same-family languages),
+STRATEGIES: monolingual (no sources), family (same-family languages),
 all (every other language), corpus_sim (the k languages with the highest
 cosine similarity to the target; k defaults to 3). The manifest always
 trains on the target alongside its sources, and its phoneme inventory is
@@ -10,7 +10,6 @@ representable.
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DataError
 from .formats import fmt_float, write_lines
@@ -18,17 +17,13 @@ from .registry import Registry
 from .stats import SimilarityMatrix
 
 
-class Strategy(str, Enum):
-    MONOLINGUAL = "monolingual"
-    FAMILY = "family"
-    ALL = "all"
-    CORPUS_SIM = "corpus_sim"
+STRATEGIES = ("monolingual", "family", "all", "corpus_sim")
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     target: str
-    strategy: Strategy
+    strategy: str    # one of STRATEGIES
     sources: tuple   # (code, similarity score or None) pairs, selection order
 
     @property
@@ -72,22 +67,20 @@ def select_top_k(target, matrix: SimilarityMatrix, k=3, hours=None) -> Selection
     if k > len(candidates):
         warnings.warn(
             f"k={k} exceeds the {len(candidates)} available languages; truncated")
-    return SelectionResult(target, Strategy.CORPUS_SIM, tuple(candidates[:k]))
+    return SelectionResult(target, "corpus_sim", tuple(candidates[:k]))
 
 
 def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> SelectionResult:
     """Dispatch to one of the selection strategies."""
-    try:
-        strategy = Strategy(strategy)
-    except ValueError:
-        raise DataError(f"unknown selection strategy {strategy!r}") from None
+    if strategy not in STRATEGIES:
+        raise DataError(f"unknown selection strategy {strategy!r}")
     record = reg.get(target)
-    if strategy is Strategy.MONOLINGUAL:
+    if strategy == "monolingual":
         return SelectionResult(target, strategy, ())
-    if strategy is Strategy.FAMILY:
+    if strategy == "family":
         members = reg.family_members(record.family, exclude=target)
         return SelectionResult(target, strategy, tuple((r.code, None) for r in members))
-    if strategy is Strategy.ALL:
+    if strategy == "all":
         others = [r.code for r in reg if r.code != target]
         return SelectionResult(target, strategy, tuple((c, None) for c in others))
     if matrix is None:
@@ -118,7 +111,7 @@ def emit_manifest(selection: SelectionResult, corpora, reg: Registry) -> Trainin
 def selection_report(selection: SelectionResult) -> str:
     lines = [
         f"target\t{selection.target}",
-        f"strategy\t{selection.strategy.value}",
+        f"strategy\t{selection.strategy}",
         f"k\t{selection.k}",
     ]
     for code, score in selection.sources:
@@ -140,7 +133,7 @@ def write_manifest_tsv(manifest: TrainingManifest, path):
         for code, score in manifest.selection.sources)
     lines = [
         f"#target\t{manifest.selection.target}",
-        f"#strategy\t{manifest.selection.strategy.value}",
+        f"#strategy\t{manifest.selection.strategy}",
         f"#sources\t{sources}",
         "#inventory\t" + " ".join(manifest.phonemes),
         f"#total_hours\t{fmt_float(manifest.total_hours)}",

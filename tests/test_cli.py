@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import phonosim
 from phonosim import cli
 from phonosim.errors import ParseError
 from phonosim.formats import csv_cell, csv_rows
@@ -22,8 +21,17 @@ from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig, convert_corpora,
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(stdin_text.encode("utf-8")), encoding="utf-8"))
     return cli.main(args)
+
+
+def run_python(*args, stdin=b"", **env):
+    """`python *args` in a fresh interpreter that imports phonosim from this
+    source tree; bytes in and out."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, *args], input=stdin,
+                          capture_output=True, env=env, timeout=60)
 
 
 class TestExitCodes:
@@ -50,14 +58,11 @@ class TestExitCodes:
 
     def test_module_entry_point(self, toy_dir):
         # `python -m phonosim.cli` runs cli.run(), which exits with main()'s code
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-
         def g2p(rules):
-            return subprocess.run(
-                [sys.executable, "-m", "phonosim.cli", "g2p", "--rules", str(rules),
-                 "--policy", str(toy_dir / "policy.txt")],
-                input=(toy_dir / "g2p_input.txt").read_bytes(), capture_output=True,
-                env=env, timeout=60)
+            return run_python(
+                "-m", "phonosim.cli", "g2p", "--rules", str(rules),
+                "--policy", str(toy_dir / "policy.txt"),
+                stdin=(toy_dir / "g2p_input.txt").read_bytes())
 
         done = g2p(toy_dir / "rules" / "aaa.rules")
         assert (done.returncode, done.stderr) == (0, b"")
@@ -66,11 +71,28 @@ class TestExitCodes:
         assert done.returncode == 2
         assert done.stderr.startswith(b"phonosim: error: ")
 
-    def test_public_api_resolves(self):
-        namespace = {}
-        exec("from phonosim import *", namespace)
-        for name in phonosim.__all__:
-            assert namespace[name] is getattr(phonosim, name)
+    @pytest.mark.parametrize("utf8_mode", ["1", "0"])
+    @pytest.mark.parametrize("argv,stdin,out,line", [
+        (["g2p"], b"mati\nshu\xffna\n", b"m a t i\n", 2),
+        (["g2p", "--mode", "passthrough"], b"mati\nshu\xffna\n", b"m a t i\n", 2),
+        (["ipa", "tokenize"], b"ma\xffti\n", b"", 1),
+    ], ids=["g2p", "g2p-passthrough", "ipa-tokenize"])
+    def test_stdin_that_is_not_utf8_names_its_line(self, toy_dir, utf8_mode,
+                                                   argv, stdin, out, line):
+        if argv[0] == "g2p":
+            argv = [*argv, "--rules", str(toy_dir / "rules" / "aaa.rules")]
+        done = run_python("-m", "phonosim.cli", *argv, stdin=stdin,
+                          PYTHONUTF8=utf8_mode)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, out, f"phonosim: error: <stdin>:{line}: invalid UTF-8 byte 0xff\n".encode())
+
+    def test_package_root_imports_nothing(self):
+        done = run_python(
+            "-c", "import sys, phonosim; print('phonosim', phonosim.__version__); "
+            "print([m for m in sys.modules if m.startswith('phonosim.') or m == 'numpy'])")
+        version = run_python("-m", "phonosim.cli", "--version")
+        assert (done.returncode, version.returncode) == (0, 0)
+        assert done.stdout == version.stdout + b"[]\n"
 
 
 class TestRegistry:
@@ -904,6 +926,15 @@ class TestPipelineCommand:
             assert capsys.readouterr().err == f"phonosim: error: {message}\n"
         assert cli.main(["pipeline", "--config", str(config), "--k", "2"]) == 0
         assert (tmp_path / "out" / "contours.json").exists()
+        # the same for a strategy that is not one of STRATEGIES
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "k = three\n", "strategy = nearest\n"), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "phonosim: error: unknown selection strategy 'nearest' "
+            f"(in {config})\n")
+        assert cli.main(["pipeline", "--config", str(config),
+                         "--strategy", "family"]) == 0
 
     def test_missing_required_flags(self, capsys):
         assert cli.main(["pipeline", "--target", "aaa"]) == 2

@@ -352,7 +352,8 @@ class TestAdversarialRuleFiles:
                     line.strip() and not line.lstrip().startswith("#")
                     and not line.startswith("@") for line in lines)
             out, err = io.StringIO(), io.StringIO()
-            with mock.patch("sys.stdin", io.StringIO("a ss İ ǰ é\n")), \
+            with mock.patch("sys.stdin", io.TextIOWrapper(
+                    io.BytesIO("a ss İ ǰ é\n".encode("utf-8")), encoding="utf-8")), \
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(["g2p", "--rules", str(path)])
             assert code in (0, 2), err.getvalue()

@@ -5,7 +5,7 @@ import pytest
 
 from phonosim.errors import DataError
 from phonosim.registry import LanguageRecord, Registry, load_registry
-from phonosim.selection import (SelectionResult, Strategy, emit_manifest,
+from phonosim.selection import (SelectionResult, emit_manifest,
                                 select_strategy, select_top_k,
                                 selection_report, write_manifest_tsv)
 from phonosim.stats import SimilarityMatrix, similarity_matrix
@@ -36,7 +36,7 @@ class TestTopK:
         sel = select_top_k("t", toy_matrix(), k=3)
         assert sel.source_codes() == ("a", "c", "b")
         assert sel.k == 3
-        assert sel.strategy is Strategy.CORPUS_SIM
+        assert sel.strategy == "corpus_sim"
 
     def test_k_one(self):
         assert select_top_k("t", toy_matrix(), k=1).source_codes() == ("a",)
@@ -121,7 +121,7 @@ class TestStrategies:
 
     def test_monolingual(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
-        sel = select_strategy("hi", Strategy.MONOLINGUAL, reg)
+        sel = select_strategy("hi", "monolingual", reg)
         assert sel.sources == ()
 
     def test_corpus_sim_requires_matrix(self, cv_registry_path):
@@ -131,7 +131,8 @@ class TestStrategies:
 
     def test_unknown_strategy(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError,
+                           match="^unknown selection strategy 'nearest'$"):
             select_strategy("hi", "nearest", reg)
 
     def test_unknown_target(self, cv_registry_path):
@@ -157,7 +158,7 @@ def manifest_of(corpora):
     """emit_manifest over every language of corpora, the first as target."""
     codes = tuple(corpora)
     reg = Registry([LanguageRecord(c, c, "F", None, 1.0) for c in codes])
-    sel = SelectionResult(codes[0], Strategy.ALL, tuple((c, None) for c in codes[1:]))
+    sel = SelectionResult(codes[0], "all", tuple((c, None) for c in codes[1:]))
     return emit_manifest(sel, corpora, reg)
 
 
