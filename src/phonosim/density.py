@@ -8,7 +8,9 @@ with standard-normal K. Weights are expected to average one so that the
 1/N prefactor still yields a unit-mass density; build them from recording
 hours with weights_from_hours(). Bandwidths come from the per-axis
 Gaussian-reference rule 1.06 * sigma_w * N^(-1/5), with a robust
-min(sigma, IQR/1.34) variant behind a flag.
+min(sigma, IQR/1.34) variant behind a flag. KDEParams holds the
+estimate's numeric invariants; the helpers trust their caller for the
+rest (at least 2 finite points, one weight each).
 
 Contours are extracted by marching squares, with linear interpolation
 along cell edges and saddle cells disambiguated by the cell-center sample
@@ -57,14 +59,9 @@ _NORMAL_MIN = 2.0 ** -1022
 
 
 def weights_from_hours(hours) -> np.ndarray:
-    """Mean-one weights proportional to recording hours."""
+    """Mean-one weights proportional to two or more recording hours, each
+    finite and > 0."""
     arr = np.asarray(hours, dtype=float)
-    if arr.size == 0:
-        raise DataError("no hours given")
-    if not np.isfinite(arr).all():
-        raise DataError("hours must be finite")
-    if (arr <= 0).any():
-        raise DataError("weights require strictly positive hours")
     with np.errstate(over="ignore"):
         total = arr.sum()
         if not math.isfinite(total):
@@ -73,6 +70,8 @@ def weights_from_hours(hours) -> np.ndarray:
     if not np.isfinite(weights).all():
         raise DataError("recording hours times the number of languages "
                         "exceed the largest float")
+    if not weights.all():
+        raise DataError("recording hours are too far apart to weight")
     return weights
 
 
@@ -121,29 +120,19 @@ def _weighted_quantile(x, w, q):
     return float(np.interp(q * ws.sum(), cum, xs))
 
 
-def silverman_bandwidths(coords, weights=None, robust=False):
-    """Per-axis bandwidths (h_x, h_y) for >= 2 weighted points.
+@np.errstate(all="ignore")
+def silverman_bandwidths(coords, weights, robust=False):
+    """Per-axis bandwidths (h_x, h_y) for N >= 2 points and N weights > 0.
 
     Default: 1.06 * sigma_w * N^(-1/5) with the weighted (population-style)
     standard deviation. robust=True uses 0.9 * min(sigma_w, IQR_w/1.34) *
     N^(-1/5) instead. A zero-spread axis falls back to
-    max(1e-6, 1e-3 * range of the other axis).
+    max(1e-6, 1e-3 * range of the other axis). A spread too large for a
+    float gives a bandwidth that is not finite, without a numpy warning.
     """
     pts = np.asarray(coords, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DataError("coords must be an (N, 2) array")
     n = pts.shape[0]
-    if n < 2:
-        raise DataError("bandwidth selection needs at least 2 points")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise DataError("weights must match the number of points")
-        if (w <= 0).any():
-            raise DataError("weights must be strictly positive")
-
+    w = np.asarray(weights, dtype=float)
     n_factor = n ** (-0.2)
     spans = [float(pts[:, a].max() - pts[:, a].min()) for a in (0, 1)]
     bandwidths = []
@@ -185,11 +174,6 @@ def _grid_and_kernels(coords, params: KDEParams, resolution):
     if resolution < 16:
         raise DataError("resolution must be at least 16")
     pts = np.asarray(coords, dtype=float)
-    if pts.shape != (params.n_points, 2):
-        raise DataError(
-            f"expected {params.n_points} coordinate pairs, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise DataError("coordinates must be finite")
     x_min = float(pts[:, 0].min()) - PADDING_BANDWIDTHS * params.h_x
     x_max = float(pts[:, 0].max()) + PADDING_BANDWIDTHS * params.h_x
     y_min = float(pts[:, 1].min()) - PADDING_BANDWIDTHS * params.h_y

@@ -31,29 +31,29 @@ def pca_project(rows, ids) -> Projection2D:
     """Project N x D rows to the top two principal components.
 
     Degenerate input (all rows identical) yields all-zero coordinates and
-    zero explained variance rather than an error.
+    zero explained variance rather than an error. Rows is 2D with one id
+    per row; a centering or variance that no float holds is a DataError.
     """
     X = np.asarray(rows, dtype=float)
-    if X.ndim != 2:
-        raise DataError("input must be a 2D matrix")
     n, d = X.shape
     ids = tuple(ids)
-    if len(ids) != n:
-        raise DataError(f"got {len(ids)} ids for {n} rows")
     if n < 2:
         raise DataError("PCA needs at least 2 rows")
     if d < _DIMS:
         raise DataError(f"cannot extract {_DIMS} components from {d} columns")
-    if not np.isfinite(X).all():
-        raise DataError("input contains non-finite values")
-
-    centered = X - X.mean(axis=0)
+    with np.errstate(all="ignore"):
+        centered = X - X.mean(axis=0)
+    if not np.isfinite(centered).all():
+        raise DataError("matrix values too large to center in a float")
     if not centered.any():
         return Projection2D(ids, np.zeros((n, _DIMS)), (0.0,) * _DIMS)
 
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    with np.errstate(all="ignore"):
+        total = float((s ** 2).sum())
+    if not (math.isfinite(total) and total > 0):
+        raise DataError("the matrix variance does not fit in a float")
     coords = centered @ vt[:_DIMS].T
-    total = float((s ** 2).sum())
     explained = tuple(float(v) for v in (s[:_DIMS] ** 2) / total)
 
     for c in range(_DIMS):

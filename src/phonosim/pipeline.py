@@ -304,11 +304,10 @@ def compute_family_contours(codes, coords, reg: Registry, level, resolution,
             warnings.warn(
                 f"family {family!r} has languages with zero recorded hours; "
                 "using unit weights")
-            weights = [1.0] * len(members)
-        else:
-            weights = weights_from_hours(hours)
-        h_x, h_y = silverman_bandwidths(pts, weights, robust=robust)
+            hours = [1.0] * len(members)
         try:
+            weights = weights_from_hours(hours)
+            h_x, h_y = silverman_bandwidths(pts, weights, robust=robust)
             params = KDEParams(h_x, h_y, weights)
         except DataError as exc:
             raise DataError(f"family {family!r}: {exc}") from None

@@ -78,7 +78,7 @@ def render_svg(codes, coords, reg, contour_sets, path):
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for cs, cs_lines in zip(contour_sets, lines):
-        color = colors.get(cs.family, "#333333")
+        color = colors[cs.family]
         for line in cs_lines:
             screen = np.empty_like(line)
             screen[:, 0] = sx(line[:, 0])
@@ -88,7 +88,7 @@ def render_svg(codes, coords, reg, contour_sets, path):
                 f'<polyline points="{vertices}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5" opacity="0.8"/>')
     for code, x, y, family in points:
-        color = colors.get(family, "#333333")
+        color = colors[family]
         cx, cy = fmt_float(sx(x)), fmt_float(sy(y))
         out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
         out.append(

@@ -92,15 +92,12 @@ def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> Select
 def emit_manifest(selection: SelectionResult, corpora, reg: Registry) -> TrainingManifest:
     """Assemble the training manifest for a selection.
 
-    corpora maps language code -> list of (audio_path, phoneme list).
+    corpora maps each selected code -> list of (audio_path, phoneme list).
     Utterances are grouped by language, target first then sources in
     selection order. The inventory is the union of the utterances'
     phonemes, so every transcription is written in it by construction.
     """
     languages = selection.languages
-    for code in languages:
-        if code not in corpora:
-            raise DataError(f"no corpus available for language {code!r}")
     utterances = [(code, audio_path, list(seq))
                   for code in languages for audio_path, seq in corpora[code]]
     phonemes = tuple(sorted({ph for _, _, seq in utterances for ph in seq}))

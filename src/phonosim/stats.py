@@ -88,8 +88,6 @@ def similarity_matrix(dists: Distributions) -> SimilarityMatrix:
     """Symmetric matrix of cos(p_A, p_B) = p_A·p_B / (||p_A|| ||p_B||),
     clamped into [0, 1]; each norm and each pair computed once."""
     n = len(dists.codes)
-    if n < 2:
-        raise DataError("similarity matrix needs at least 2 languages")
     rows = dists.probabilities
     norms = [float(np.linalg.norm(row)) for row in rows]
     values = np.zeros((n, n))
@@ -104,17 +102,12 @@ def similarity_matrix(dists: Distributions) -> SimilarityMatrix:
 def family_mean_similarities(matrix: SimilarityMatrix, families) -> list:
     """Mean off-diagonal similarity inside each family with >= 2 languages.
 
-    families maps code -> family name; matrix languages without a family
-    entry are skipped with a warning. Returns (family, mean, n) tuples
-    sorted by descending mean.
+    families maps every matrix code -> family name. Returns (family,
+    mean, n) tuples sorted by descending mean.
     """
     groups: dict = {}
-    for code in matrix.codes:
-        family = families.get(code)
-        if family is None:
-            warnings.warn(f"no family known for language {code!r}; skipped")
-            continue
-        groups.setdefault(family, []).append(matrix.index(code))
+    for i, code in enumerate(matrix.codes):
+        groups.setdefault(families[code], []).append(i)
     rows = []
     for family in sorted(groups):
         idx = groups[family]

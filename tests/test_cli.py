@@ -328,6 +328,37 @@ class TestAnalysisCommands:
         assert capsys.readouterr() == ("", f"phonosim: error: {matrix}{message}\n")
         assert not out.exists()
 
+    def test_pca_values_too_large_to_center_exit_2(self, tmp_path):
+        # the column sums overflow to inf, and numpy's SVD does not return
+        # on a centered matrix holding -inf: a fresh interpreter bounds the
+        # run at 60 s
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(",a,b,c\na,1e308,1e308,-1e308\nb,1e308,1e308,1e308\n"
+                          "c,-1e308,1e308,1e308\n", encoding="utf-8")
+        out = tmp_path / "pca.csv"
+        done = run_python("-m", "phonosim.cli", "pca", "--in", str(matrix),
+                          "--out", str(out))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"phonosim: error: matrix values too large to center in a float\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        # the squared singular values overflow
+        ",a,b,c\na,1e200,1e200,-1e200\nb,1e200,1e200,1e200\nc,-1e200,1e200,1e200\n",
+        # the squared singular values underflow: the total variance is 0
+        ",a,b,c\na,1e-170,0,0\nb,0,1e-170,0\nc,0,0,1e-170\n",
+    ], ids=["overflow", "underflow"])
+    def test_pca_variance_that_cannot_fit_a_float_exit_2(self, tmp_path, capsys, text):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(text, encoding="utf-8")
+        out = tmp_path / "pca.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            assert cli.main(["pca", "--in", str(matrix), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "phonosim: error: the matrix variance does not fit in a float\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("suffix", [".json", ".svg"])
     def test_contours_match_golden(self, toy_dir, tmp_path, capsys, suffix):
         # relative level and R = 300: pass 1 finds the exact maximum, and
@@ -577,8 +608,32 @@ class TestAnalysisCommands:
         out = tmp_path / "contours.json"
         assert cli.main(["contours", "--coords", str(coords),
                          "--registry", str(registry), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("phonosim: error: recording hours sum "
-                                           "to more than the largest float\n")
+        assert capsys.readouterr().err == ("phonosim: error: family 'F': recording "
+                                           "hours sum to more than the largest float\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hours,points,message", [
+        # both hours are positive, but 2 * 1e-320 / 1e300 underflows to 0
+        (("1e-320", "1e300"), "aaa,0,0\naab,1,1",
+         "recording hours are too far apart to weight"),
+        # the spread of each axis overflows
+        (("2", "20"), "aaa,1e308,-1e308\naab,-1e308,1e308",
+         "bandwidths must be finite and positive"),
+    ], ids=["weight-underflow", "huge-coordinates"])
+    def test_contours_family_numbers_that_cannot_fit_a_float_exit_2(
+            self, tmp_path, capsys, hours, points, message):
+        registry = tmp_path / "registry.csv"
+        registry.write_text("code,name,family,branch,hours\n"
+                            f"aaa,A,F,,{hours[0]}\naab,B,F,,{hours[1]}\n",
+                            encoding="utf-8")
+        coords = tmp_path / "coords.csv"
+        coords.write_text(f"id,x,y\n{points}\n", encoding="utf-8")
+        out = tmp_path / "contours.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            assert cli.main(["contours", "--coords", str(coords),
+                             "--registry", str(registry), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"phonosim: error: family 'F': {message}\n")
         assert not out.exists()
 
     def test_contours_zero_hours_use_unit_weights(self, toy_dir, tmp_path, capsys):
@@ -598,6 +653,45 @@ class TestAnalysisCommands:
         assert warned == ("warning: family 'Alphaic' has languages with zero "
                           "recorded hours; using unit weights\n")
         assert contours("equal", (7, 7)) == (zero, "")
+
+    def test_contours_level_above_every_peak(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(toy_dir / "golden" / "pca.csv"),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--level", "1e9", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            f"wrote 2 family contour set(s) to {out}\n",
+            "warning: maximum density 60.6532 is below contour level 1e+09 for "
+            "family 'Alphaic'\n"
+            "warning: maximum density 87.8769 is below contour level 1e+09 for "
+            "family 'Gammaic'\n")
+        assert [(cs["family"], cs["below_level"], cs["polylines"])
+                for cs in json.loads(out.read_text(encoding="utf-8"))] == [
+            ("Alphaic", True, []), ("Gammaic", True, [])]
+
+    def test_contours_robust_bandwidth(self, toy_dir, tmp_path, capsys):
+        # the flags of test_contours_match_golden, whose bytes the robust
+        # bandwidths move
+        golden = toy_dir / "golden"
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(golden / "cli_pca.csv"),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--relative", "--level", "0.3", "--resolution", "300",
+                         "--robust-bandwidth", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote 2 family contour set(s) to {out}\n", "")
+        contours = json.loads(out.read_text(encoding="utf-8"))
+        assert [cs["family"] for cs in contours] == ["Alphaic", "Gammaic"]
+        assert all(cs["polylines"] for cs in contours)
+        assert out.read_bytes() != (golden / "cli_contours.json").read_bytes()
+
+    def test_contours_resolution_below_16_exit_2(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(toy_dir / "golden" / "pca.csv"),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--resolution", "8", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "phonosim: error: resolution must be at least 16\n")
+        assert not out.exists()
 
     def test_contours_bad_extension(self, toy_dir, tmp_path):
         coords = tmp_path / "coords.csv"
@@ -628,6 +722,30 @@ class TestAnalysisCommands:
         out = tmp_path / "sel.tsv"
         assert cli.main(args + ["--out", str(out)]) == 0
         assert out.read_bytes() == golden
+
+    @pytest.mark.parametrize("flags,out,err", [
+        (["--strategy", "monolingual"], "target\taaa\nstrategy\tmonolingual\nk\t0\n", ""),
+        (["--strategy", "all"], "target\taaa\nstrategy\tall\nk\t3\n"
+         "source\taab\nsource\taba\nsource\tabb\n", ""),
+        (["--strategy", "corpus_sim", "--k", "10", "--matrix", "similarity.csv"],
+         None, "warning: k=10 exceeds the 3 available languages; truncated\n"),
+    ], ids=["monolingual", "all", "k-truncated"])
+    def test_select_strategies(self, toy_dir, capsys, flags, out, err):
+        golden = toy_dir / "golden"
+        flags = [str(golden / f) if f.endswith(".csv") else f for f in flags]
+        assert cli.main(["select", "--target", "aaa", *flags,
+                         "--registry", str(toy_dir / "registry.csv")]) == 0
+        if out is None:  # all three sources, as in the golden selection
+            out = (golden / "selection.tsv").read_text(encoding="utf-8")
+        assert capsys.readouterr() == (out, err)
+
+    def test_select_k_below_1_exit_2(self, toy_dir, capsys):
+        assert cli.main([
+            "select", "--target", "aaa", "--strategy", "corpus_sim", "--k", "0",
+            "--registry", str(toy_dir / "registry.csv"),
+            "--matrix", str(toy_dir / "golden" / "similarity.csv"),
+        ]) == 2
+        assert capsys.readouterr() == ("", "phonosim: error: k must be at least 1\n")
 
     def test_select_corpus_sim_without_matrix(self, toy_dir, capsys):
         assert cli.main([
@@ -998,6 +1116,29 @@ class TestPipelineCommand:
         ]) == 2
         assert capsys.readouterr() == (
             "", f"phonosim: error: [g2p] {corpus / 'aab.tsv'}:9: invalid UTF-8 byte 0xff\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_grapheme_without_rule_names_stage_and_utterance(self, toy_dir,
+                                                              tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(toy_dir / "corpus", corpus)
+        tsv = corpus / "aab.tsv"
+        text = tsv.read_text(encoding="utf-8")
+        assert "\tbis tukan mesh\n" in text.splitlines(keepends=True)[1]
+        tsv.write_text(text.replace("bis tukan mesh", "bis tuqan mesh"),
+                       encoding="utf-8")
+        assert cli.main([
+            "pipeline",
+            "--corpus-dir", str(corpus),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--registry", str(toy_dir / "registry.csv"),
+            "--policy", str(toy_dir / "policy.txt"),
+            "--target", "aaa",
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", "phonosim: error: [g2p] aab: utterance 2: no rule matches 'q' "
+            "at offset 6\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["no-file", "no-section", "no-corpus-dir",

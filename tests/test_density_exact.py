@@ -476,7 +476,8 @@ class TestContourGridExact:
             params = KDEParams(0.8, 0.8, np.ones(4))
         else:
             coords = np.tile([0.3, -1.2], (5, 1))
-            params = KDEParams(*density.silverman_bandwidths(coords), np.ones(5))
+            params = KDEParams(*density.silverman_bandwidths(coords, np.ones(5)),
+                               np.ones(5))
         resolution = 65
         values = dense_grid(coords, params, resolution).values
         for cell in rng.choice(values.size, size=25, replace=False):
@@ -522,7 +523,8 @@ class TestContourGridExact:
     def test_invalid_levels_still_rejected(self, level, relative):
         # identical points: the peak is near 1e11, so 1e300 of it overflows
         coords = np.tile([0.3, -1.2], (4, 1))
-        params = KDEParams(*density.silverman_bandwidths(coords), np.ones(4))
+        params = KDEParams(*density.silverman_bandwidths(coords, np.ones(4)),
+                           np.ones(4))
         if level == 1e300 and not relative:
             level = math.inf
         with warnings.catch_warnings():

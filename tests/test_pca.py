@@ -106,10 +106,6 @@ class TestValidation:
         with pytest.raises(DataError):
             pca_project([[0.0], [1.0]], ["a", "b"])
 
-    def test_id_count_mismatch(self):
-        with pytest.raises(DataError):
-            pca_project([[0.0, 1.0], [1.0, 0.0]], ["a"])
-
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

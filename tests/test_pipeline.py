@@ -211,8 +211,8 @@ class TestFailures:
         cfg = toy_config(toy_dir, tmp_path / "out", registry=registry)
         with pytest.raises(PipelineError) as exc:
             run_pipeline(cfg)
-        assert str(exc.value) == \
-            "[contours] recording hours sum to more than the largest float"
+        assert str(exc.value) == ("[contours] family 'Alphaic': recording "
+                                  "hours sum to more than the largest float")
         assert not (tmp_path / "out").exists()
 
     def test_no_partial_outputs_after_failure(self, toy_dir, tmp_path):

@@ -228,14 +228,6 @@ class TestManifest:
         for _, _, seq in man.utterances:
             assert set(seq) <= known
 
-    def test_missing_corpus_named(self):
-        sel = select_strategy("t", "all", small_registry())
-        corpora = small_corpora()
-        del corpora["s2"]
-        with pytest.raises(DataError) as exc:
-            emit_manifest(sel, corpora, small_registry())
-        assert "s2" in str(exc.value)
-
     def test_tsv_format(self, tmp_path):
         matrix = SimilarityMatrix(
             ("t", "s1", "s2"),

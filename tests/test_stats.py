@@ -204,10 +204,6 @@ class TestMatrix:
         assert np.array_equal(m.values, m.values.T)
         assert all(m.values[i, i] == 1.0 for i in range(6))
 
-    def test_needs_two(self):
-        with pytest.raises(DataError, match="at least 2 languages"):
-            similarity_matrix(dists([[1.0]], ("a",)))
-
     def test_zero_vector_propagates_language(self):
         with pytest.raises(DataError) as exc:
             similarity_matrix(dists([[1, 0], [0, 0]], ("good", "bad")))
@@ -275,8 +271,3 @@ class TestFamilyMeans:
     def test_singleton_families_skipped(self):
         m = similarity_matrix(dists([[1, 0], [0, 1]], ("a1", "b1")))
         assert family_mean_similarities(m, {"a1": "A", "b1": "B"}) == []
-
-    def test_unknown_code_warns(self):
-        m = similarity_matrix(dists([[1, 0], [0, 1]], ("a1", "zz")))
-        with pytest.warns(UserWarning):
-            family_mean_similarities(m, {"a1": "A"})
