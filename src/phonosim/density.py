@@ -51,6 +51,8 @@ PADDING_BANDWIDTHS = 3.0
 _BLOCK_BYTES = 1 << 20
 # cells per side of the square tiles that kde_contours bounds and estimates
 _TILE = 16
+# most grid cells per side; the two tile bound matrices then hold 16 MB
+MAX_RESOLUTION = 16384
 # |estimate - exact| <= _ERROR_FACTOR * (N + 2) * (_UNIT_ROUNDOFF * estimate
 # + _NORMAL_MIN * (1 + 1/norm)) for kde_contours' matmul estimate
 _ERROR_FACTOR = 4
@@ -109,7 +111,13 @@ class KDEParams:
 def _weighted_std(x, w):
     wsum = float(w.sum())
     mean = float((w * x).sum() / wsum)
-    return math.sqrt(float((w * (x - mean) ** 2).sum() / wsum))
+    dev = x - mean
+    sigma = math.sqrt(float((w * dev ** 2).sum() / wsum))
+    if sigma == math.inf:
+        # the squares overflowed: divide the deviations by the largest first
+        scale = float(np.abs(dev).max())
+        sigma = scale * math.sqrt(float((w * (dev / scale) ** 2).sum() / wsum))
+    return sigma
 
 
 def _weighted_quantile(x, w, q):
@@ -171,8 +179,8 @@ def _grid_and_kernels(coords, params: KDEParams, resolution):
     kernel factors kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j -
     y_n)/h_y) at the cell centres."""
     resolution = int(resolution)
-    if resolution < 16:
-        raise DataError("resolution must be at least 16")
+    if not 16 <= resolution <= MAX_RESOLUTION:
+        raise DataError(f"resolution must be between 16 and {MAX_RESOLUTION}")
     pts = np.asarray(coords, dtype=float)
     x_min = float(pts[:, 0].min()) - PADDING_BANDWIDTHS * params.h_x
     x_max = float(pts[:, 0].max()) + PADDING_BANDWIDTHS * params.h_x

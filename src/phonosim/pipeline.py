@@ -23,8 +23,9 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
-from .density import (KDEParams, kde_contours, silverman_bandwidths,
-                      weights_from_hours, write_contours_json)
+from .density import (MAX_RESOLUTION, KDEParams, kde_contours,
+                      silverman_bandwidths, weights_from_hours,
+                      write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
 from .g2p import load_ruleset, transliterate
 from .ipa import default_policy, load_policy
@@ -86,8 +87,8 @@ class PipelineConfig:
         if not (math.isfinite(self.level) and self.level > 0):
             raise DataError("setting 'level' must be finite and positive, "
                             f"got {self.level!r}")
-        if self.resolution < 16:
-            raise DataError("resolution must be at least 16")
+        if not 16 <= self.resolution <= MAX_RESOLUTION:
+            raise DataError(f"resolution must be between 16 and {MAX_RESOLUTION}")
         if self.strategy not in STRATEGIES:
             raise DataError(f"unknown selection strategy {self.strategy!r}")
 

@@ -123,11 +123,6 @@ class Registry:
         return tuple(r.code for r in self._records
                      if r.recording_hours < threshold_hours)
 
-    def family_members(self, family, exclude=None):
-        """All records of a family, minus an optional code, sorted by code."""
-        return [r for r in self._records
-                if r.family == family and r.code != exclude]
-
     def families(self):
         """Mapping code -> family over the whole registry."""
         return {r.code: r.family for r in self._records}

@@ -2,10 +2,10 @@
 
 STRATEGIES: monolingual (no sources), family (same-family languages),
 all (every other language), corpus_sim (the k languages with the highest
-cosine similarity to the target; k defaults to 3). The manifest always
-trains on the target alongside its sources, and its phoneme inventory is
-the union over target plus sources so every target utterance stays
-representable.
+cosine similarity to the target; k defaults to 3). k must be at least 1
+under every strategy. The manifest always trains on the target alongside
+its sources, and its phoneme inventory is the union over target plus
+sources so every target utterance stays representable.
 """
 
 import warnings
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import DataError
 from .formats import fmt_float, write_lines
 from .registry import Registry
-from .stats import SimilarityMatrix
 
 
 STRATEGIES = ("monolingual", "family", "all", "corpus_sim")
@@ -47,46 +46,35 @@ class TrainingManifest:
     total_hours: float
 
 
-def select_top_k(target, matrix: SimilarityMatrix, k=3, hours=None) -> SelectionResult:
-    """The k most similar languages to the target, scores recorded.
-
-    Ties break by greater recording hours (when a code -> hours mapping is
-    supplied), then lexicographic code. k beyond N-1 truncates with a
-    warning.
-    """
-    if k < 1:
-        raise DataError("k must be at least 1")
-    t = matrix.index(target)
-    hours = hours or {}
-    candidates = []
-    for j, code in enumerate(matrix.codes):
-        if code == target:
-            continue
-        candidates.append((code, float(matrix.values[t, j])))
-    candidates.sort(key=lambda cs: (-cs[1], -float(hours.get(cs[0], 0.0)), cs[0]))
-    if k > len(candidates):
-        warnings.warn(
-            f"k={k} exceeds the {len(candidates)} available languages; truncated")
-    return SelectionResult(target, "corpus_sim", tuple(candidates[:k]))
-
-
 def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> SelectionResult:
-    """Dispatch to one of the selection strategies."""
+    """The target's sources under one of STRATEGIES; k must be at least 1.
+
+    corpus_sim ranks the other matrix codes by similarity, ties broken by
+    greater recording hours (0 for a code the registry lacks), then code;
+    k beyond the candidates truncates with a warning.
+    """
     if strategy not in STRATEGIES:
         raise DataError(f"unknown selection strategy {strategy!r}")
-    record = reg.get(target)
+    if k < 1:
+        raise DataError("k must be at least 1")
+    family = reg.get(target).family
     if strategy == "monolingual":
         return SelectionResult(target, strategy, ())
-    if strategy == "family":
-        members = reg.family_members(record.family, exclude=target)
-        return SelectionResult(target, strategy, tuple((r.code, None) for r in members))
-    if strategy == "all":
-        others = [r.code for r in reg if r.code != target]
-        return SelectionResult(target, strategy, tuple((c, None) for c in others))
+    if strategy != "corpus_sim":
+        return SelectionResult(target, strategy, tuple(
+            (r.code, None) for r in reg
+            if r.code != target and (strategy == "all" or r.family == family)))
     if matrix is None:
         raise DataError("strategy corpus_sim requires a similarity matrix")
     hours = {r.code: r.recording_hours for r in reg}
-    return select_top_k(target, matrix, k=k, hours=hours)
+    row = matrix.values[matrix.index(target)]
+    candidates = sorted(
+        ((code, float(row[j])) for j, code in enumerate(matrix.codes) if code != target),
+        key=lambda cs: (-cs[1], -hours.get(cs[0], 0.0), cs[0]))
+    if k > len(candidates):
+        warnings.warn(
+            f"k={k} exceeds the {len(candidates)} available languages; truncated")
+    return SelectionResult(target, strategy, tuple(candidates[:k]))
 
 
 def emit_manifest(selection: SelectionResult, corpora, reg: Registry) -> TrainingManifest:

@@ -25,8 +25,8 @@ from phonosim.per import corpus_per
 from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig,
                                convert_corpora, phoneme_distributions,
                                run_pipeline)
-from phonosim.registry import load_registry
-from phonosim.selection import select_top_k
+from phonosim.registry import LanguageRecord, Registry, load_registry
+from phonosim.selection import select_strategy
 from phonosim.stats import (Distributions, SimilarityMatrix,
                             family_mean_similarities, similarity_matrix)
 
@@ -234,6 +234,10 @@ def test_c07_pca_oracle():
                  f"dominance on {trials} random projections")
 
 
+def _registry_over(codes, hours):
+    return Registry([LanguageRecord(c, c, "F", None, hours.get(c, 1.0)) for c in codes])
+
+
 def _top_k_oracle(target, matrix, k, hours):
     t = matrix.codes.index(target)
     rows = [(code, float(matrix.values[t, j]))
@@ -258,7 +262,8 @@ def test_c08_top_k_oracle():
         target = rng.choice(codes)
         k = rng.randint(1, n)
         with pytest.warns(UserWarning) if k > n - 1 else _nullcontext():
-            got = select_top_k(target, matrix, k=k, hours=hours).source_codes()
+            got = select_strategy(target, "corpus_sim", _registry_over(codes, hours),
+                                  matrix=matrix, k=k).source_codes()
         assert got == _top_k_oracle(target, matrix, k, hours)
 
     vocab_letters = "abcdefgh"
@@ -273,11 +278,15 @@ def test_c08_top_k_oracle():
             return similarity_matrix(phoneme_distributions(
                 {code: [("u.mp3", list(cts[code].elements()))] for code in sorted(cts)}))
 
-        base = select_top_k("l0", matrix_of(counts), k=3).source_codes()
+        def top_3(matrix):
+            return select_strategy("l0", "corpus_sim", _registry_over(matrix.codes, {}),
+                                   matrix=matrix, k=3).source_codes()
+
+        base = top_3(matrix_of(counts))
         factor = {code: rng.randint(2, 17) for code in counts}
         scaled = {code: Counter({p: v * factor[code] for p, v in c.items()})
                   for code, c in counts.items()}
-        assert select_top_k("l0", matrix_of(scaled), k=3).source_codes() == base
+        assert top_3(matrix_of(scaled)) == base
     _pass("C08", "top-k selection oracle: 500 matrices match brute-force sort with "
                  "tie-breaking; selection invariant under count rescaling")
 

@@ -137,6 +137,13 @@ class TestRegistry:
             f"positive hours, got {shown}\n"))
 
 
+def read_finite_json(path):
+    def no_constant(name):
+        raise AssertionError(f"{path} holds {name}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=no_constant)
+
+
 class TestIpaAndG2p:
     def test_tokenize_default_policy(self, monkeypatch, capsys):
         code = run_cli(["ipa", "tokenize"], stdin_text="ˈsʲum\ntʲaː\n",
@@ -212,6 +219,14 @@ class TestIpaAndG2p:
             stdin_text="xaz\n", monkeypatch=monkeypatch)
         assert code == 0
         assert capsys.readouterr().out == "a\n"
+
+    def test_g2p_passthrough_mode(self, toy_dir, monkeypatch, capsys):
+        code = run_cli(
+            ["g2p", "--rules", str(toy_dir / "rules" / "aaa.rules"),
+             "--mode", "passthrough"],
+            stdin_text="maqti\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert capsys.readouterr() == ("m a q t i\n", "")
 
     def test_tokenize_matches_golden(self, toy_dir, monkeypatch, capsysbinary):
         text = (toy_dir / "ipa_input.txt").read_text(encoding="utf-8")
@@ -690,8 +705,51 @@ class TestAnalysisCommands:
                          "--registry", str(toy_dir / "registry.csv"),
                          "--resolution", "8", "--out", str(out)]) == 2
         assert capsys.readouterr() == (
-            "", "phonosim: error: resolution must be at least 16\n")
+            "", "phonosim: error: resolution must be between 16 and 16384\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["1e150", "1e200", "1e300"])
+    def test_contours_spread_whose_squares_overflow(self, toy_dir, tmp_path,
+                                                    capsys, scale):
+        # the squared spread overflows from about 1e154 on, but the
+        # bandwidth fits: 1e200 and 1e300 warn as 1e150 does
+        coords = tmp_path / "coords.csv"
+        coords.write_text(f"id,x,y\naaa,{scale},0\naab,1.5{scale[1:]},1\n",
+                          encoding="utf-8")
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            f"wrote 1 family contour set(s) to {out}\n",
+            f"warning: maximum density 4.11179e-{scale[2:]} is below contour "
+            "level 0.1 for family 'Alphaic'\n")
+        assert [(cs["family"], cs["below_level"], cs["polylines"])
+                for cs in read_finite_json(out)] == [("Alphaic", True, [])]
+
+    def test_contours_spread_whose_squares_overflow_relative(self, toy_dir,
+                                                             tmp_path, capsys):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\naaa,1e300,0\naab,1.5e300,1\n", encoding="utf-8")
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--relative", "--level", "0.5", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote 1 family contour set(s) to {out}\n", "")
+        [contours] = read_finite_json(out)
+        assert (contours["family"], len(contours["polylines"])) == ("Alphaic", 1)
+
+    def test_contours_zero_spread_axis_uses_fallback_bandwidth(self, toy_dir,
+                                                               tmp_path, capsys):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\naaa,0,0\naab,0,2\n", encoding="utf-8")
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(toy_dir / "registry.csv"),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote 1 family contour set(s) to {out}\n", "")
+        [contours] = read_finite_json(out)
+        assert contours["family"] == "Alphaic" and contours["polylines"]
 
     def test_contours_bad_extension(self, toy_dir, tmp_path):
         coords = tmp_path / "coords.csv"
@@ -744,6 +802,15 @@ class TestAnalysisCommands:
             "select", "--target", "aaa", "--strategy", "corpus_sim", "--k", "0",
             "--registry", str(toy_dir / "registry.csv"),
             "--matrix", str(toy_dir / "golden" / "similarity.csv"),
+        ]) == 2
+        assert capsys.readouterr() == ("", "phonosim: error: k must be at least 1\n")
+
+    @pytest.mark.parametrize("strategy", ["monolingual", "family", "all"])
+    def test_select_k_below_1_exit_2_without_a_matrix(self, toy_dir, capsys,
+                                                      strategy):
+        assert cli.main([
+            "select", "--target", "aaa", "--strategy", strategy, "--k", "0",
+            "--registry", str(toy_dir / "registry.csv"),
         ]) == 2
         assert capsys.readouterr() == ("", "phonosim: error: k must be at least 1\n")
 
@@ -904,6 +971,89 @@ def test_input_that_is_not_utf8_names_its_line(toy_dir, tmp_path, capsys, comman
     assert cli.main(argv(str(path), toy_dir)) == 2
     assert capsys.readouterr() == (
         "", f"phonosim: error: {path}:{line}: invalid UTF-8 byte 0x{byte}\n")
+
+
+TOY_PIPELINE = ["pipeline", "--corpus-dir", "{toy}/corpus", "--rules-dir", "{toy}/rules",
+                "--registry", "{toy}/registry.csv", "--target", "aaa", "--out", "out"]
+
+# bad input on command paths that only library tests used to reach: the
+# files written into the working directory ({toy} is the toy data), the
+# arguments, stdin, and the message of the exit 2
+COMMAND_PATH_ERRORS = {
+    "contours-weight-overflow": (
+        {"reg.csv": "code,name,family,branch,hours\n"
+                    "aaa,A,Alphaic,,1.7e308\naab,B,Alphaic,,1e-300\n",
+         "coords.csv": "id,x,y\naaa,0,0\naab,1,1\n"},
+        ["contours", "--coords", "coords.csv", "--registry", "reg.csv",
+         "--out", "out.json"], "",
+        "family 'Alphaic': recording hours times the number of languages "
+        "exceed the largest float"),
+    "contours-resolution-16385": (
+        {"coords.csv": "id,x,y\naaa,0,0\naab,1,1\n"},
+        ["contours", "--coords", "coords.csv", "--registry", "{toy}/registry.csv",
+         "--resolution", "16385", "--out", "out.json"], "",
+        "resolution must be between 16 and 16384"),
+    "typology-one-language": (
+        {"features.csv": "lang,f1,f2\naaa,1,0\n"},
+        ["typology", "--features", "features.csv", "--out", "out.csv"], "",
+        "PCA needs at least 2 rows"),
+    "typology-one-feature": (
+        {"features.csv": "lang,f1\naaa,1\naab,0\naba,1\n"},
+        ["typology", "--features", "features.csv", "--out", "out.csv"], "",
+        "cannot extract 2 components from 1 columns"),
+    "sim-matrix-one-corpus": (
+        {"corpus/aaa.tsv": "clips/aaa_0001.mp3\tmati shuna kicha\n"},
+        ["sim", "matrix", "--corpus-dir", "corpus", "--rules-dir", "{toy}/rules",
+         "--out", "out.csv"], "",
+        "need at least 2 languages with nonempty corpora"),
+    "select-unknown-target": (
+        {}, ["select", "--target", "zzz", "--strategy", "family",
+             "--registry", "{toy}/registry.csv", "--out", "out.tsv"], "",
+        "unknown language code 'zzz'"),
+    "tokenize-dangling-tie": (
+        {}, ["ipa", "tokenize"], "a\u0361\n",
+        "tie bar not followed by a base symbol at offset 2"),
+    "tokenize-unknown-policy-key": (
+        {"policy.txt": "strip_tone = true\n"},
+        ["ipa", "tokenize", "--policy", "policy.txt"], "a\n",
+        "policy.txt:1: unknown policy key 'strip_tone'"),
+    "tokenize-bad-merge-line": (
+        {"policy.txt": "[merge]\nab\n"},
+        ["ipa", "tokenize", "--policy", "policy.txt"], "a\n",
+        "policy.txt:2: merge lines must be 'source<TAB>target'"),
+    "pipeline-resolution-8": (
+        {}, TOY_PIPELINE + ["--resolution", "8"], "",
+        "resolution must be between 16 and 16384"),
+    "pipeline-resolution-16385": (
+        {}, TOY_PIPELINE + ["--resolution", "16385"], "",
+        "resolution must be between 16 and 16384"),
+    "pipeline-config-resolution-16385": (
+        {"pipeline.ini": "[pipeline]\ncorpus_dir = {toy}/corpus\n"
+                         "rules_dir = {toy}/rules\nregistry = {toy}/registry.csv\n"
+                         "target = aaa\nresolution = 16385\nout = out\n"},
+        ["pipeline", "--config", "pipeline.ini"], "",
+        "resolution must be between 16 and 16384 (in pipeline.ini)"),
+}
+
+
+@pytest.mark.parametrize("case", COMMAND_PATH_ERRORS)
+def test_command_path_error_exit_2(toy_dir, tmp_path, monkeypatch, capsys, case):
+    files, argv, stdin_text, message = COMMAND_PATH_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text.replace("{toy}", str(toy_dir)),
+                                     encoding="utf-8")
+
+    def no_grid(*args):
+        raise AssertionError("a KDE grid was allocated")
+
+    monkeypatch.setattr("phonosim.density._centers", no_grid)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg.replace("{toy}", str(toy_dir)) for arg in argv]
+    assert run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch) == 2
+    assert capsys.readouterr() == ("", f"phonosim: error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestPerCommand:

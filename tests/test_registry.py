@@ -28,28 +28,6 @@ class TestCommonVoiceRegistry:
         assert reg.get("tt").recording_hours == 30.66
         assert "tt" not in reg.low_resource_codes(15.0)
 
-    def test_turkic_members_excluding_sakha(self, cv_registry_path):
-        reg = load_registry(cv_registry_path)
-        members = reg.family_members("Turkic", exclude="sah")
-        assert len(members) == 8
-        assert all(r.family == "Turkic" and r.code != "sah" for r in members)
-
-    def test_indo_iranian_has_six(self, cv_registry_path):
-        reg = load_registry(cv_registry_path)
-        assert len(reg.family_members("Indo-Iranian")) == 6
-
-    def test_unknown_family_is_empty(self, cv_registry_path):
-        reg = load_registry(cv_registry_path)
-        assert reg.family_members("Uralic") == []
-
-    def test_exclusion_equals_set_difference(self, cv_registry_path):
-        reg = load_registry(cv_registry_path)
-        for record in reg:
-            full = reg.family_members(record.family)
-            without = reg.family_members(record.family, exclude=record.code)
-            assert [r.code for r in without] == [
-                r.code for r in full if r.code != record.code]
-
     def test_iteration_sorted_by_code(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
         assert list(reg.codes) == sorted(reg.codes)

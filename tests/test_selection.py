@@ -5,9 +5,9 @@ import pytest
 
 from phonosim.errors import DataError
 from phonosim.registry import LanguageRecord, Registry, load_registry
-from phonosim.selection import (SelectionResult, emit_manifest,
-                                select_strategy, select_top_k,
-                                selection_report, write_manifest_tsv)
+from phonosim.selection import (STRATEGIES, SelectionResult, emit_manifest,
+                                select_strategy, selection_report,
+                                write_manifest_tsv)
 from phonosim.stats import SimilarityMatrix, similarity_matrix
 
 
@@ -22,6 +22,14 @@ def toy_matrix():
     return SimilarityMatrix(codes, values)
 
 
+def registry_over(matrix, hours=None):
+    """A one-family registry over the matrix codes with the given hours,
+    1.0 where none are given (equal hours rank as no hours)."""
+    hours = hours or {}
+    return Registry([LanguageRecord(code, code, "F", None, hours.get(code, 1.0))
+                     for code in matrix.codes])
+
+
 def top_k_oracle(target, matrix, k, hours=None):
     hours = hours or {}
     t = matrix.codes.index(target)
@@ -31,36 +39,45 @@ def top_k_oracle(target, matrix, k, hours=None):
     return [code for code, _ in ordered[:min(k, len(rows))]]
 
 
+def toy_top_k(k, target="t"):
+    matrix = toy_matrix()
+    return select_strategy(target, "corpus_sim", registry_over(matrix),
+                           matrix=matrix, k=k)
+
+
 class TestTopK:
     def test_toy_ordering(self):
-        sel = select_top_k("t", toy_matrix(), k=3)
+        sel = toy_top_k(3)
         assert sel.source_codes() == ("a", "c", "b")
         assert sel.k == 3
         assert sel.strategy == "corpus_sim"
 
     def test_k_one(self):
-        assert select_top_k("t", toy_matrix(), k=1).source_codes() == ("a",)
+        assert toy_top_k(1).source_codes() == ("a",)
 
     def test_scores_recorded(self):
-        sel = select_top_k("t", toy_matrix(), k=2)
+        sel = toy_top_k(2)
         assert sel.sources == (("a", 0.9), ("c", 0.7))
 
     def test_target_never_selected(self):
-        sel = select_top_k("t", toy_matrix(), k=3)
+        sel = toy_top_k(3)
         assert "t" not in sel.source_codes()
 
     def test_truncation_warns(self):
         with pytest.warns(UserWarning):
-            sel = select_top_k("t", toy_matrix(), k=10)
+            sel = toy_top_k(10)
         assert len(sel.sources) == 3
 
     def test_unknown_target(self):
-        with pytest.raises(DataError):
-            select_top_k("zz", toy_matrix())
+        with pytest.raises(DataError, match="^unknown language code 'zz'$"):
+            toy_top_k(3, target="zz")
 
     def test_k_below_one(self):
-        with pytest.raises(DataError):
-            select_top_k("t", toy_matrix(), k=0)
+        matrix = toy_matrix()
+        for strategy in STRATEGIES:
+            with pytest.raises(DataError, match="^k must be at least 1$"):
+                select_strategy("t", strategy, registry_over(matrix),
+                                matrix=matrix, k=0)
 
     def test_ties_break_by_hours_then_code(self):
         codes = ("p", "q", "r", "t")
@@ -68,11 +85,23 @@ class TestTopK:
         np.fill_diagonal(values, 1.0)
         matrix = SimilarityMatrix(codes, values)
         hours = {"p": 1.0, "q": 9.0, "r": 9.0}
-        sel = select_top_k("t", matrix, k=3, hours=hours)
+        sel = select_strategy("t", "corpus_sim", registry_over(matrix, hours),
+                              matrix=matrix, k=3)
         # equal similarity: larger hours first, lexicographic inside ties
         assert sel.source_codes() == ("q", "r", "p")
-        sel_nohours = select_top_k("t", matrix, k=3)
+        sel_nohours = select_strategy("t", "corpus_sim", registry_over(matrix),
+                                      matrix=matrix, k=3)
         assert sel_nohours.source_codes() == ("p", "q", "r")
+
+    def test_matrix_code_missing_from_registry_ranks_with_0_hours(self):
+        codes = ("p", "q", "t")
+        values = np.ones((3, 3)) * 0.5
+        np.fill_diagonal(values, 1.0)
+        matrix = SimilarityMatrix(codes, values)
+        reg = Registry([LanguageRecord("q", "Q", "F", None, 1e-9),
+                        LanguageRecord("t", "T", "F", None, 1.0)])
+        sel = select_strategy("t", "corpus_sim", reg, matrix=matrix, k=2)
+        assert sel.source_codes() == ("q", "p")
 
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(41)
@@ -86,7 +115,8 @@ class TestTopK:
             matrix = SimilarityMatrix(codes, values)
             target = rng.choice(codes)
             k = rng.randint(1, n - 1)
-            got = list(select_top_k(target, matrix, k=k).source_codes())
+            got = list(select_strategy(target, "corpus_sim", registry_over(matrix),
+                                       matrix=matrix, k=k).source_codes())
             assert got == top_k_oracle(target, matrix, k)
 
     def test_k2_is_prefix_of_k3(self):
@@ -99,8 +129,11 @@ class TestTopK:
                 for j in range(i + 1, n):
                     values[i, j] = values[j, i] = rng.random()
             matrix = SimilarityMatrix(codes, values)
-            two = select_top_k("l0", matrix, k=2).source_codes()
-            three = select_top_k("l0", matrix, k=3).source_codes()
+            reg = registry_over(matrix)
+            two = select_strategy("l0", "corpus_sim", reg, matrix=matrix,
+                                  k=2).source_codes()
+            three = select_strategy("l0", "corpus_sim", reg, matrix=matrix,
+                                    k=3).source_codes()
             assert three[:2] == two
 
 
@@ -109,9 +142,23 @@ class TestStrategies:
         reg = load_registry(cv_registry_path)
         sel = select_strategy("sah", "family", reg)
         assert len(sel.sources) == 8
-        assert all(reg.get(code).family == "Turkic"
-                   for code in sel.source_codes())
-        assert "sah" not in sel.source_codes()
+        assert sel.source_codes() == tuple(
+            r.code for r in reg if r.family == "Turkic" and r.code != "sah")
+        assert list(sel.source_codes()) == sorted(sel.source_codes())
+        assert all(score is None for _, score in sel.sources)
+
+    def test_family_hindi(self, cv_registry_path):
+        reg = load_registry(cv_registry_path)
+        sel = select_strategy("hi", "family", reg)
+        assert reg.get("hi").family == "Indo-Iranian"
+        assert len(sel.sources) == 5
+        assert sel.source_codes() == tuple(
+            r.code for r in reg if r.family == "Indo-Iranian" and r.code != "hi")
+
+    def test_family_of_one_has_no_sources(self):
+        reg = Registry([LanguageRecord("t", "T", "F1", None, 1.0),
+                        LanguageRecord("u", "U", "F2", None, 1.0)])
+        assert select_strategy("t", "family", reg).sources == ()
 
     def test_all_hindi(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
@@ -247,7 +294,7 @@ class TestManifest:
         assert lines[6] == "t\tt1.mp3\ta b"
 
     def test_report_text(self):
-        sel = select_top_k("t", toy_matrix(), k=2)
+        sel = toy_top_k(2)
         text = selection_report(sel)
         assert "target\tt" in text
         assert "source\ta\t0.9" in text
@@ -272,11 +319,14 @@ class TestScaleInvariance:
                              for code in sorted(cts)}
                 return similarity_matrix(phoneme_distributions(converted))
 
-            base = select_top_k("l0", matrix_from(counts), k=3).source_codes()
+            def top_3(matrix):
+                return select_strategy("l0", "corpus_sim", registry_over(matrix),
+                                       matrix=matrix, k=3).source_codes()
+
+            base = top_3(matrix_from(counts))
             factors = {code: rng.randint(2, 9) for code in counts}
             scaled = {
                 code: Counter({p: n * factors[code] for p, n in c.items()})
                 for code, c in counts.items()
             }
-            rescaled = select_top_k("l0", matrix_from(scaled), k=3).source_codes()
-            assert base == rescaled
+            assert top_3(matrix_from(scaled)) == base
