@@ -20,7 +20,7 @@ from .ipa import default_policy, load_policy, normalize, tokenize_ipa
 from .pca import pca_project, read_coords_csv, write_coords_csv
 from .per import corpus_per
 from .pipeline import (PipelineConfig, compute_family_contours,
-                       convert_corpora, corpus_languages, load_config,
+                       corpus_languages, count_corpora, load_config,
                        run_pipeline)
 from .registry import DEFAULT_LOW_RESOURCE_THRESHOLD_HOURS, load_registry
 from .render import render_svg
@@ -76,9 +76,9 @@ def _cmd_g2p(args):
 def _cmd_sim_matrix(args):
     policy = _policy_from(args)
     codes = corpus_languages(args.corpus_dir)
-    converted = convert_corpora(codes, args.corpus_dir, args.rules_dir, policy,
-                                mode=args.mode)
-    dists = phoneme_distributions(converted)
+    counts = count_corpora(codes, args.corpus_dir, args.rules_dir, policy,
+                           mode=args.mode)
+    dists = phoneme_distributions(counts)
     matrix = similarity_matrix(dists)
     write_matrix_csv(matrix, args.out)
     if args.distributions:

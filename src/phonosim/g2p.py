@@ -13,16 +13,28 @@ left context, end of a right context).
 transliterate converts each distinct prepared word once per Ruleset and
 reuses the normalized segments (the memo holds successes only); any error
 reruns the whole text on the uncached path, so error types, messages and
-offsets are exactly those of a single pass.
+offsets are exactly those of a single pass. phoneme_counts gives
+Counter(transliterate(text)) from the text's word table: each distinct
+word is looked up once and its segments weighted by its frequency.
+
+A word missing from the memo is converted by concatenating its fired
+rules' outputs, each tokenized and normalized once per Ruleset and policy,
+when every one of them is self-contained: it tokenizes on its own, no
+segment of it attaches to a neighbour (it starts with a base, prefix mark
+or separator and ends with no tie bar or prefix mark), and no join of the
+ruleset's outputs changes under NFC. Unmatched characters that mode
+'skip' drops are transparent. Any other word takes the exact path: the
+IPA string of its outputs, tokenize_ipa, then normalize.
 """
 
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (DataError, ParseError, PhonosimError, RuleError,
-                     UnmatchedGraphemeError)
+                     TokenizeError, UnmatchedGraphemeError)
 from .formats import data_lines, parse_bool
 from .ipa import NormalizationPolicy, PhonemeSequence, normalize, tokenize_ipa
 
@@ -116,13 +128,54 @@ class _KeepTable(dict):
         return self[cp]
 
 
+class _Segmented(dict):
+    """Rule output -> tuple of its segments when it is self-contained, else
+    None; decided once per distinct output per process (a pure function of
+    the output, like ipa's per-code-point kind table).
+
+    Tokenized between two copies of the base letter 'a', an output gives
+    'a', its own segments, 'a' exactly when it tokenizes alone and none
+    of its segments joins a neighbour: a leading mark or tie bar would
+    join (or compose with) the first 'a', a trailing tie bar or prefix
+    mark the last, and 'a' never composes with a character before it.
+    """
+
+    def __missing__(self, output):
+        try:
+            segments = tokenize_ipa("a" + output + "a")
+        except TokenizeError:
+            segments = []
+        contained = len(segments) >= 2 and segments[0] == segments[-1] == "a"
+        self[output] = tuple(segments[1:-1]) if contained else None
+        return self[output]
+
+
+_SEGMENTED = _Segmented()
+
+
+class _Pieces(dict):
+    """Rule output -> its normalized segments under one policy, or None when
+    the output is not self-contained; each output is worked out once."""
+
+    def __init__(self, policy):
+        super().__init__()
+        self.policy = policy
+
+    def __missing__(self, output):
+        segments = _SEGMENTED[output]
+        piece = None if segments is None else tuple(normalize(segments, self.policy))
+        self[output] = piece
+        return piece
+
+
 class Ruleset:
     """Immutable rule collection for one language.
 
     case_fold folds both input text and rule graphemes/contexts;
     punctuation_strip removes punctuation, symbols and digits before
     matching (whitespace stays and separates words). The rules never
-    change; the only mutable state is transliterate's word memo and the
+    change; the only mutable state is the word memo with its segmented
+    rule outputs, whether the outputs' joins keep NFC, and the
     per-character keep/drop table of punctuation_strip.
     """
 
@@ -160,7 +213,8 @@ class Ruleset:
         for entry in self._compiled:
             by_first.setdefault(entry[0][0], []).append(entry)
         self._by_first = {c: tuple(entries) for c, entries in by_first.items()}
-        self._memo = (None, None, {})
+        self._memo = (None, None, {}, None)
+        self._stable_joins = None
         self._keep = _KeepTable()
 
     def _fold(self, text):
@@ -192,18 +246,37 @@ class Ruleset:
             return rule, len(g)
         return None, 0
 
+    def _joins_keep_nfc(self):
+        """True when no output's last character followed by an output's first
+        character composes or reorders under NFC, decided by one NFC check
+        over every such pair, space-separated. A first character that is a
+        combining mark is left out: such an output is never self-contained."""
+        if self._stable_joins is None:
+            outputs = [unicodedata.normalize("NFC", r.phoneme_output)
+                       for r in self.rules]
+            starts = {o[0] for o in outputs
+                      if o and unicodedata.category(o[0])[0] != "M"}
+            # e + (" " + e).join(starts) is "es1 es2 ...": one join per end
+            pairs = " ".join([e + (" " + e).join(starts)
+                              for e in {o[-1] for o in outputs if o}])
+            self._stable_joins = unicodedata.is_normalized("NFC", pairs)
+        return self._stable_joins
+
     def _word_memo(self, policy, mode):
-        """Prepared word -> tuple of normalized segments, for one policy and mode.
+        """(prepared word -> tuple of normalized segments, rule output ->
+        its segments or None) for one policy and mode; the second is None
+        when the outputs' joins do not keep NFC.
 
         The slot holds the policy object itself rather than its id(), which
         Python reuses once an object is freed; another policy or mode
         replaces the memo.
         """
-        held_policy, held_mode, memo = self._memo
+        held_policy, held_mode, memo, pieces = self._memo
         if held_policy is not policy or held_mode != mode:
             memo = {}
-            self._memo = (policy, mode, memo)
-        return memo
+            pieces = _Pieces(policy) if self._joins_keep_nfc() else None
+            self._memo = (policy, mode, memo, pieces)
+        return memo, pieces
 
 
 def _word_ipa(rs, word, base, mode):
@@ -235,6 +308,51 @@ def _transliterate_prepared(prepared, rs, policy, mode):
     return normalize(tokenize_ipa(" ".join(word_outputs)), policy)
 
 
+def _word_segments(rs, word, policy, mode, pieces):
+    """Normalized segments of one prepared word, as a tuple.
+
+    Exact per word: tokenize_ipa resets at whitespace, NFC never composes
+    across U+0020, normalize maps one segment at a time. Self-contained
+    outputs are concatenated without building the IPA string; the first
+    other output or kept unmatched character sends the word down the
+    exact path.
+    """
+    if pieces is not None:
+        match_at = rs.match_at
+        out = []
+        i = 0
+        while i < len(word):
+            rule, glen = match_at(word, i)
+            if rule is None:
+                if mode != "skip":
+                    break
+                i += 1
+                continue
+            piece = pieces[rule.phoneme_output]
+            if piece is None:
+                break
+            out += piece
+            i += glen
+        else:
+            return tuple(out)
+    return tuple(normalize(tokenize_ipa(_word_ipa(rs, word, 0, mode)), policy))
+
+
+def _check_mode(mode):
+    if mode not in MODES:
+        raise DataError(f"unknown G2P mode {mode!r}; expected one of {MODES}")
+
+
+def _memo_segments(words, rs, policy, mode):
+    """Each word's segments, converted once per Ruleset, policy and mode."""
+    memo, pieces = rs._word_memo(policy, mode)
+    for word in words:
+        segments = memo.get(word)
+        if segments is None:
+            segments = memo[word] = _word_segments(rs, word, policy, mode, pieces)
+        yield segments
+
+
 def transliterate(text, rs: Ruleset, policy: NormalizationPolicy,
                   mode="error") -> PhonemeSequence:
     """Convert orthographic text to a normalized phoneme sequence.
@@ -243,24 +361,39 @@ def transliterate(text, rs: Ruleset, policy: NormalizationPolicy,
     the prepared text, 'skip' drops the character, 'passthrough' copies it
     into the IPA output.
     """
-    if mode not in MODES:
-        raise DataError(f"unknown G2P mode {mode!r}; expected one of {MODES}")
+    _check_mode(mode)
     prepared = rs.prepare(text)
-    memo = rs._word_memo(policy, mode)
     out = []
     try:
-        for word in prepared.split():
-            segments = memo.get(word)
-            if segments is None:
-                # exact per word: tokenize_ipa resets at whitespace, NFC never
-                # composes across U+0020, normalize maps one segment at a time
-                segments = tuple(normalize(
-                    tokenize_ipa(_word_ipa(rs, word, 0, mode)), policy))
-                memo[word] = segments
+        for segments in _memo_segments(prepared.split(), rs, policy, mode):
             out += segments
     except PhonosimError:
         return _transliterate_prepared(prepared, rs, policy, mode)
     return out
+
+
+def phoneme_counts(text, rs: Ruleset, policy: NormalizationPolicy,
+                   mode="error") -> Counter:
+    """Counter(transliterate(text, rs, policy, mode)), errors included.
+
+    The prepared text becomes a word table; each distinct word's segments
+    are looked up once, the words of one frequency are counted together
+    by one Counter, and each such count is multiplied by the frequency.
+    """
+    _check_mode(mode)
+    prepared = rs.prepare(text)
+    table = Counter(prepared.split())
+    by_frequency = {}
+    try:
+        for n, segments in zip(table.values(),
+                               _memo_segments(table, rs, policy, mode)):
+            by_frequency.setdefault(n, []).extend(segments)
+    except PhonosimError:
+        return Counter(_transliterate_prepared(prepared, rs, policy, mode))
+    counts = Counter()
+    for n, segments in by_frequency.items():
+        counts.update({p: c * n for p, c in Counter(segments).items()})
+    return counts
 
 
 def load_ruleset(path) -> Ruleset:

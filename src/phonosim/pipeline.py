@@ -10,8 +10,12 @@ Corpus layout: `<corpus_dir>/<code>.tsv` with `audio_path<TAB>text` lines,
 rule files at `<rules_dir>/<code>.rules`. Languages present in both the
 registry and the corpus directory are analyzed; a corpus without a rule
 file, or whose rule file declares another `@language`, aborts the G2P
-stage naming the language. Counting and similarity live in `stats`
-(`phoneme_distributions`, `similarity_matrix`), shared with `sim matrix`.
+stage naming the language. The G2P stage only counts phonemes
+(`count_corpora`, shared with `sim matrix`): each corpus becomes a word
+table, and each distinct word is converted once. Utterance sequences are
+built (`convert_corpora`) only for the manifest's languages, the target
+and its sources, after selection. Distributions and similarity live in
+`stats` (`phoneme_distributions`, `similarity_matrix`).
 """
 
 import configparser
@@ -20,6 +24,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,7 +32,7 @@ from .density import (MAX_RESOLUTION, KDEParams, kde_contours,
                       silverman_bandwidths, weights_from_hours,
                       write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
-from .g2p import load_ruleset, transliterate
+from .g2p import load_ruleset, phoneme_counts, transliterate
 from .ipa import default_policy, load_policy
 from .pca import pca_project, write_coords_csv
 from .registry import Registry, code_problem, load_registry
@@ -163,29 +168,57 @@ def corpus_languages(corpus_dir):
     return [path.stem for path in paths]
 
 
+def _corpus(code, corpus_dir, rules_dir):
+    """(Ruleset, [(audio_path, text)]) of one language; a missing rule file,
+    or one whose `@language` is not `code`, is an error."""
+    rules_path = Path(rules_dir) / f"{code}.rules"
+    if not rules_path.is_file():
+        raise DataError(f"missing rules file for language {code!r} "
+                        f"(expected {rules_path})")
+    rs = load_ruleset(rules_path)
+    if rs.language_code != code:
+        raise DataError(f"{rules_path}: @language {rs.language_code!r} "
+                        f"does not match corpus code {code!r}")
+    return rs, read_corpus_tsv(Path(corpus_dir) / f"{code}.tsv")
+
+
+def _convert(code, rs, utterances, policy, mode):
+    seqs = []
+    for n, (audio, text) in enumerate(utterances, 1):
+        try:
+            seqs.append((audio, transliterate(text, rs, policy, mode=mode)))
+        except PhonosimError as e:
+            raise DataError(f"{code}: utterance {n}: {e}") from e
+    return seqs
+
+
 def convert_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
     """Code -> [(audio_path, phonemes)] from `<corpus_dir>/<code>.tsv` and
-    `<rules_dir>/<code>.rules`; G2P errors name the language and utterance,
-    and a rule file whose `@language` is not `<code>` is an error."""
-    converted = {}
+    `<rules_dir>/<code>.rules`; G2P errors name the language and utterance."""
+    return {code: _convert(code, *_corpus(code, corpus_dir, rules_dir),
+                           policy, mode)
+            for code in codes}
+
+
+def count_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
+    """Code -> Counter of the phonemes of convert_corpora, errors included.
+
+    Each corpus is prepared in one call over its texts joined with LF,
+    which equals preparing them one by one: NFC cannot compose across LF,
+    and casefold and the punctuation table act per character. On an
+    error the utterances are converted one by one, so that the message
+    names the utterance and counts its offset in that utterance.
+    """
+    counts = {}
     for code in codes:
-        rules_path = Path(rules_dir) / f"{code}.rules"
-        if not rules_path.is_file():
-            raise DataError(f"missing rules file for language {code!r} "
-                            f"(expected {rules_path})")
-        rs = load_ruleset(rules_path)
-        if rs.language_code != code:
-            raise DataError(f"{rules_path}: @language {rs.language_code!r} "
-                            f"does not match corpus code {code!r}")
-        utterances = read_corpus_tsv(Path(corpus_dir) / f"{code}.tsv")
-        seqs = []
-        for n, (audio, text) in enumerate(utterances, 1):
-            try:
-                seqs.append((audio, transliterate(text, rs, policy, mode=mode)))
-            except PhonosimError as e:
-                raise DataError(f"{code}: utterance {n}: {e}") from e
-        converted[code] = seqs
-    return converted
+        rs, utterances = _corpus(code, corpus_dir, rules_dir)
+        try:
+            counts[code] = phoneme_counts(
+                "\n".join(text for _, text in utterances), rs, policy, mode)
+        except PhonosimError:
+            counts[code] = Counter(ph for _, seq in _convert(
+                code, rs, utterances, policy, mode) for ph in seq)
+    return counts
 
 
 @contextmanager
@@ -217,7 +250,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             raise DataError(f"no corpus file for target language {cfg.target!r}")
 
     with _stage("g2p"):
-        converted = convert_corpora(langs, cfg.corpus_dir, cfg.rules_dir, policy)
+        counts = count_corpora(langs, cfg.corpus_dir, cfg.rules_dir, policy)
 
     # temp dir next to the output so os.replace stays on one filesystem
     cfg.out.parent.mkdir(parents=True, exist_ok=True)
@@ -226,9 +259,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         tmp_dir = Path(tmp.name)
 
         with _stage("distributions"):
-            if not any(seq for _, seq in converted[cfg.target]):
+            if not counts[cfg.target]:
                 raise DataError(f"target {cfg.target!r} corpus produced no phonemes")
-            dists = phoneme_distributions(converted)
+            dists = phoneme_distributions(counts)
             write_distributions_csv(dists, tmp_dir / "distributions.csv")
 
         with _stage("similarity"):
@@ -263,7 +296,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             write_selection_report(sel, tmp_dir / "selection.tsv")
 
         with _stage("manifest"):
-            manifest = emit_manifest(sel, converted, reg)
+            # utterance sequences only for the training languages
+            corpora = convert_corpora(sel.languages, cfg.corpus_dir,
+                                      cfg.rules_dir, policy)
+            manifest = emit_manifest(sel, corpora, reg)
             write_manifest_tsv(manifest, tmp_dir / "manifest.tsv")
 
         cfg.out.mkdir(parents=True, exist_ok=True)

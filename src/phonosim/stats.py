@@ -1,13 +1,13 @@
 """Per-language phoneme distributions and pairwise cosine similarity.
 
-Counting is unigram: each language's phoneme tokens become one row of
-probabilities over a shared, codepoint-sorted phoneme axis
-(`Distributions`). Similarity between two languages is the cosine of
-their rows, so the measure is invariant to corpus size.
+Counting is unigram: each language's phoneme counts (a Counter, as
+`pipeline.count_corpora` gives them) become one row of probabilities
+over a shared, codepoint-sorted phoneme axis (`Distributions`).
+Similarity between two languages is the cosine of their rows, so the
+measure is invariant to corpus size.
 """
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,19 +59,13 @@ class SimilarityMatrix:
             raise DataError(f"unknown language code {code!r}") from None
 
 
-def phoneme_distributions(converted) -> Distributions:
-    """Distributions of `converted` (code -> [(audio_path, phonemes)]), in
-    its order. Languages without phonemes are dropped with a warning;
-    fewer than 2 left is an error."""
-    counts = {}
-    for code, seqs in converted.items():
-        c = Counter()
-        for _, seq in seqs:
-            c.update(seq)
-        if not c:
-            warnings.warn(f"language {code!r} has an empty corpus; excluded")
-            continue
-        counts[code] = c
+def phoneme_distributions(counts) -> Distributions:
+    """Distributions of `counts` (code -> Counter of phoneme tokens), in its
+    order; each probability is count / total. Languages without phonemes
+    are dropped with a warning; fewer than 2 left is an error."""
+    for code in [code for code, c in counts.items() if not c]:
+        warnings.warn(f"language {code!r} has an empty corpus; excluded")
+    counts = {code: c for code, c in counts.items() if c}
     if len(counts) < 2:
         raise DataError("need at least 2 languages with nonempty corpora")
     phonemes = tuple(sorted(set().union(*counts.values())))

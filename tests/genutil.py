@@ -93,3 +93,46 @@ def random_ruleset(rng, language="toy"):
 def random_text_for(rs, rng, max_tokens=6):
     graphemes = [r.grapheme for r in rs.rules]
     return "".join(rng.choice(graphemes) for _ in range(rng.randrange(max_tokens + 1)))
+
+
+# Outputs whose segments a concatenation cannot reuse: marks with nothing
+# before them, and tie bars or prefix marks with nothing after them.
+LEADING_MARKS = MODIFIER_MARKS + COMBINING_MARKS + [TIE]
+TRAILING_MARKS = [TIE] + PREFIX_MARKS
+# Pairs of outputs whose join composes under NFC: e + U+0301 is é, and
+# the Hangul jamo U+1100 + U+1161 (+ U+11A8) are the syllable U+AC00
+# (U+AC01).
+COMPOSING_PAIRS = [("e", "\u0301"), ("\u1100", "\u1161"),
+                   ("\u1161", "\u11a8"), ("\uac00", "\u11a8")]
+
+
+def random_output(rng):
+    """One IPA rule output built from random_ipa_string's parts: usually a
+    string that tokenizes on its own, sometimes silent, or led by a mark,
+    or ended by a tie bar or prefix mark."""
+    roll = rng.random()
+    if roll < 0.1:
+        return ""
+    out = random_ipa_string(rng, max_segments=2)
+    if roll < 0.2:
+        out = rng.choice(LEADING_MARKS) + out
+    elif roll < 0.3:
+        out += rng.choice(TRAILING_MARKS)
+    return out
+
+
+def random_output_ruleset(rng, language="toy"):
+    """A ruleset over GRAPHEME_ALPHABET whose outputs come from random_output,
+    two of them a COMPOSING_PAIRS pair one time in three."""
+    graphemes = set()
+    while len(graphemes) < rng.randint(3, 8):
+        length = rng.choice((1, 1, 1, 2, 2, 3))
+        graphemes.add("".join(rng.choice(GRAPHEME_ALPHABET) for _ in range(length)))
+    outputs = [random_output(rng) for _ in graphemes]
+    if rng.random() < 1 / 3:
+        i, j = rng.sample(range(len(outputs)), 2)
+        outputs[i], outputs[j] = rng.choice(COMPOSING_PAIRS)
+    rules = [G2PRule(g, out, priority=rng.randrange(3))
+             for g, out in zip(sorted(graphemes), outputs)]
+    rng.shuffle(rules)
+    return Ruleset(language, rules, case_fold=True, punctuation_strip=True)

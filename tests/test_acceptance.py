@@ -23,7 +23,7 @@ from phonosim.ipa import NormalizationPolicy, normalize, tokenize_ipa
 from phonosim.pca import pca_project
 from phonosim.per import corpus_per
 from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig,
-                               convert_corpora, phoneme_distributions,
+                               count_corpora, phoneme_distributions,
                                run_pipeline)
 from phonosim.registry import LanguageRecord, Registry, load_registry
 from phonosim.selection import select_strategy
@@ -276,7 +276,7 @@ def test_c08_top_k_oracle():
 
         def matrix_of(cts):
             return similarity_matrix(phoneme_distributions(
-                {code: [("u.mp3", list(cts[code].elements()))] for code in sorted(cts)}))
+                {code: cts[code] for code in sorted(cts)}))
 
         def top_3(matrix):
             return select_strategy("l0", "corpus_sim", _registry_over(matrix.codes, {}),
@@ -412,9 +412,9 @@ def test_c13_qualitative_family_report(toy_dir):
 
     policy = load_policy(toy_dir / "policy.txt")
     reg = load_registry(toy_dir / "registry.csv")
-    converted = convert_corpora(("aaa", "aab", "aba", "abb"),
-                                toy_dir / "corpus", toy_dir / "rules", policy)
-    matrix = similarity_matrix(phoneme_distributions(converted))
+    counts = count_corpora(("aaa", "aab", "aba", "abb"),
+                           toy_dir / "corpus", toy_dir / "rules", policy)
+    matrix = similarity_matrix(phoneme_distributions(counts))
     rows = family_mean_similarities(matrix, reg.families())
     assert rows, "report should not be empty"
     print("intra-family mean similarity report (toy corpus):")

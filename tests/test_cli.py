@@ -15,8 +15,8 @@ from phonosim.errors import ParseError
 from phonosim.formats import csv_cell, csv_rows
 from phonosim.ipa import default_policy
 from phonosim.pca import read_coords_csv
-from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig, convert_corpora,
-                               corpus_languages, phoneme_distributions)
+from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig, corpus_languages,
+                               count_corpora, phoneme_distributions)
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
@@ -399,7 +399,7 @@ class TestAnalysisCommands:
                             encoding="utf-8")
         codes = corpus_languages(toy_dir / "corpus")
         phonemes = phoneme_distributions(
-            convert_corpora(codes, toy_dir / "corpus", rules, default_policy())).phonemes
+            count_corpora(codes, toy_dir / "corpus", rules, default_policy())).phonemes
         assert {",", '"'} <= set(phonemes)
 
         out = tmp_path / "out"

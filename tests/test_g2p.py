@@ -3,6 +3,7 @@ import io
 import random
 import tempfile
 import unicodedata
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,8 @@ from phonosim.errors import (DataError, ParseError, PhonosimError, RuleError,
 from phonosim.g2p import MODES, G2PRule, Ruleset, load_ruleset, transliterate
 from phonosim.ipa import NormalizationPolicy, default_policy
 
-from genutil import random_policy, random_ruleset, random_text_for
+from genutil import (random_output_ruleset, random_policy, random_ruleset,
+                     random_text_for)
 
 PLAIN = NormalizationPolicy(merge_pairs={})
 
@@ -532,6 +534,78 @@ class TestWordMemo:
             result = transliterate("a", rs, PLAIN)
             assert result == ["a"]
             result.append("mutated")
+
+
+def counted(text, rs, policy, mode):
+    return g2p.phoneme_counts(text, rs, policy, mode)
+
+
+def uncached_counts(text, rs, policy, mode):
+    return Counter(uncached(text, rs, policy, mode))
+
+
+class TestSegmentedOutputs:
+    """A word missing from the memo concatenates its rules' pre-segmented
+    outputs when each is self-contained; the uncached whole-text path stays
+    the oracle for values and errors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_uncached_path_under_every_mode_and_policy(self, seed):
+        rng = random.Random(seed)
+        rs = random_output_ruleset(rng)
+        texts = repeating_texts(rs, rng)
+        for policy in (PLAIN, random_policy(rng)):
+            for mode in MODES:
+                for text in texts:
+                    assert (outcome(transliterate, text, rs, policy, mode)
+                            == outcome(uncached, text, rs, policy, mode)), (mode, text)
+                joined = "\n".join(texts)
+                assert (outcome(counted, joined, rs, policy, mode)
+                        == outcome(uncached_counts, joined, rs, policy, mode)), mode
+
+    def test_self_contained_outputs_build_no_ipa_string(self):
+        rs = make_ruleset(("a", "a"), ("b", "pʰ"), ("c", ""), ("d", "t͡ʃ"),
+                          ("e", "ˈe"), ("f", "i ˌo"), ("g", "sʲ"))
+        policy = default_policy()
+        with mock.patch.object(g2p, "_word_ipa", side_effect=AssertionError):
+            assert transliterate("abcdefg dqa", rs, policy, mode="skip") == [
+                "a", "pʰ", "t͡ʃ", "e", "i", "o", "ʃ", "t͡ʃ", "a"]
+        _, pieces = rs._word_memo(policy, "skip")
+        assert pieces["ˈe"] == ("e",) and pieces["i ˌo"] == ("i", "o")
+        assert pieces[""] == ()
+
+    @pytest.mark.parametrize("output", [
+        COMBINING_TILDE, "ʲa", "\u0361a", "a\u0361", "aˈ", "a .", "", "e\u0301"])
+    def test_outputs_that_join_a_neighbour_take_the_exact_path(self, output):
+        rs = make_ruleset(("a", "a"), ("x", output))
+        _, pieces = rs._word_memo(PLAIN, "error")
+        contained = output in ("", "e\u0301")
+        assert (pieces[output] is not None) == contained
+        for text in ("xa", "axa", "ax", "x"):
+            assert (outcome(transliterate, text, rs, PLAIN, "error")
+                    == outcome(uncached, text, rs, PLAIN, "error")), text
+
+    @pytest.mark.parametrize("outputs, word, expected", [
+        (("\u1100", "\u1161", "\u11a8"), "gak", ["\uac01"]),
+        (("\u1100", "\u1161", "k"), "gak", ["\uac00", "k"]),
+        (("e", "\u0301", "k"), "gak", ["é", "k"]),
+    ])
+    def test_joins_that_compose_under_nfc(self, outputs, word, expected):
+        rs = make_ruleset(*zip("gak", outputs))
+        assert rs._joins_keep_nfc() is (outputs[1] == "\u0301")
+        assert transliterate(word, rs, PLAIN) == expected
+        assert uncached(word, rs, PLAIN, "error") == expected
+
+    def test_counts_weigh_each_distinct_word_by_its_frequency(self):
+        rs = make_ruleset(("a", "a"), ("b", "b"), ("c", "t͡ʃ"))
+        text = "ab ab\nca ab\n\nbb  ca ab"
+        assert g2p.phoneme_counts(text, rs, PLAIN) == Counter(
+            transliterate(text, rs, PLAIN)) == Counter(
+            {"a": 6, "b": 6, "t͡ʃ": 2})
+        assert g2p.phoneme_counts("", rs, PLAIN) == Counter()
+        with pytest.raises(DataError, match="unknown G2P mode"):
+            g2p.phoneme_counts("", rs, PLAIN, mode="strict")
 
 
 class TestRuleIndex:

@@ -315,9 +315,8 @@ class TestScaleInvariance:
             }
 
             def matrix_from(cts):
-                converted = {code: [("u.mp3", list(cts[code].elements()))]
-                             for code in sorted(cts)}
-                return similarity_matrix(phoneme_distributions(converted))
+                return similarity_matrix(phoneme_distributions(
+                    {code: cts[code] for code in sorted(cts)}))
 
             def top_3(matrix):
                 return select_strategy("l0", "corpus_sim", registry_over(matrix),

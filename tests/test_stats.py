@@ -8,7 +8,7 @@ import pytest
 from phonosim.errors import DataError, ParseError
 from phonosim.g2p import G2PRule, Ruleset, transliterate
 from phonosim.ipa import NormalizationPolicy
-from phonosim.pipeline import convert_corpora
+from phonosim.pipeline import convert_corpora, count_corpora
 from phonosim.stats import (Distributions, SimilarityMatrix,
                             family_mean_similarities, phoneme_distributions,
                             read_matrix_csv, similarity_matrix,
@@ -38,7 +38,8 @@ def cosine(x, y):
 
 
 def corpus_distributions(tmp_path, texts_by_code, mode="error"):
-    """Write one corpus per language, then convert and count it."""
+    """Write one corpus per language; its utterance sequences, and the
+    distributions of its counts."""
     corpus, rules = tmp_path / "corpus", tmp_path / "rules"
     corpus.mkdir(exist_ok=True)
     rules.mkdir(exist_ok=True)
@@ -47,13 +48,16 @@ def corpus_distributions(tmp_path, texts_by_code, mode="error"):
         (corpus / f"{code}.tsv").write_text(
             "".join(f"{code}_{n}.mp3\t{t}\n" for n, t in enumerate(texts)),
             encoding="utf-8")
+    counts = count_corpora(texts_by_code, corpus, rules, PLAIN, mode=mode)
     converted = convert_corpora(texts_by_code, corpus, rules, PLAIN, mode=mode)
-    return converted, phoneme_distributions(converted)
+    assert counts == {code: Counter(ph for _, seq in seqs for ph in seq)
+                      for code, seqs in converted.items()}
+    return converted, phoneme_distributions(counts)
 
 
-def converted_of(seqs_by_code):
-    """A converted corpus with one utterance per phoneme sequence."""
-    return {code: [(f"{code}_{n}.mp3", seq) for n, seq in enumerate(seqs)]
+def counts_of(seqs_by_code):
+    """The phoneme counts over each language's phoneme sequences."""
+    return {code: Counter(ph for seq in seqs for ph in seq)
             for code, seqs in seqs_by_code.items()}
 
 
@@ -98,11 +102,11 @@ class TestCounting:
 
 class TestVocabulary:
     def test_union(self):
-        d = phoneme_distributions(converted_of({"x": [["a", "b"]], "y": [["b", "c"]]}))
+        d = phoneme_distributions(counts_of({"x": [["a", "b"]], "y": [["b", "c"]]}))
         assert d.phonemes == ("a", "b", "c")
 
     def test_single_map(self):
-        d = phoneme_distributions(converted_of({"x": [["b", "a"]], "y": [["b"]]}))
+        d = phoneme_distributions(counts_of({"x": [["b", "a"]], "y": [["b"]]}))
         assert d.phonemes == ("a", "b")
 
     def test_many_maps_equal_set_oracle(self):
@@ -113,7 +117,7 @@ class TestVocabulary:
         expected = set()
         for (seq,) in seqs.values():
             expected |= set(seq)
-        assert phoneme_distributions(converted_of(seqs)).phonemes == tuple(sorted(expected))
+        assert phoneme_distributions(counts_of(seqs)).phonemes == tuple(sorted(expected))
 
     def test_unsorted_construction_rejected(self):
         for phonemes in (("b", "a"), ("a", "a")):
@@ -123,7 +127,7 @@ class TestVocabulary:
 
 class TestDistribution:
     def test_arithmetic(self):
-        d = phoneme_distributions(converted_of({"x": [["a", "a"], ["b"]], "y": [["c"]]}))
+        d = phoneme_distributions(counts_of({"x": [["a", "a"], ["b"]], "y": [["c"]]}))
         assert np.allclose(d.probabilities[0], [2 / 3, 1 / 3, 0.0])
 
     def test_probabilities_sum_to_one(self):
@@ -132,7 +136,7 @@ class TestDistribution:
             seqs = {f"l{i}": [[c for c in rng.sample("abcdefgh", rng.randrange(1, 9))
                                for _ in range(rng.randrange(1, 100))]]
                     for i in range(3)}
-            d = phoneme_distributions(converted_of(seqs))
+            d = phoneme_distributions(counts_of(seqs))
             assert np.all(np.abs(d.probabilities.sum(axis=1) - 1.0) <= 1e-9)
 
 

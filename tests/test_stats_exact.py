@@ -71,7 +71,7 @@ def assert_matches_oracle(converted):
     vocab = oracle_vocabulary(counts.values())
     vectors = [oracle_distribution(counts[code], vocab) for code in counts]
 
-    dists = phoneme_distributions(converted)
+    dists = phoneme_distributions(counts)
     assert dists.codes == tuple(converted)
     assert dists.phonemes == vocab
     for row, vec in zip(dists.probabilities, vectors):
@@ -119,8 +119,9 @@ def test_disjoint_vocabularies():
             own = shuffled[i * 4:(i + 1) * 4]
             converted[f"l{i}"] = [("u.mp3", rng.choices(own, k=rng.randint(1, 40)))]
         assert_matches_oracle(converted)
-        assert not np.triu(similarity_matrix(
-            phoneme_distributions(converted)).values, 1).any()
+        assert not np.triu(similarity_matrix(phoneme_distributions(
+            {code: Counter(seq) for code, ((_, seq),) in converted.items()})).values,
+            1).any()
 
 
 def test_sixty_four_languages():
