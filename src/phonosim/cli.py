@@ -138,8 +138,10 @@ def _cmd_select(args):
 
 
 def _read_sequences(path):
-    with utf8_errors(path), open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n").split() for line in f]
+    """Each line's segments, split on whitespace; lines end at LF only. Every
+    distinct segment is one interned string, whichever file it comes from."""
+    with utf8_errors(path), open(path, encoding="utf-8", newline="\n") as f:
+        return [list(map(sys.intern, line.split())) for line in f]
 
 
 def _cmd_per(args):

@@ -1,10 +1,11 @@
 """Shared text conventions and float formatting for every input and artifact.
 
-Inputs are UTF-8 with LF or CRLF endings. File readers skip blank lines
-(line files also full-line `#` comments), name 1-based lines in errors
-(for CSV the line a row starts on) and return lists, so each file is
-closed before a caller raises; stdin_lines yields every stdin line as it
-arrives. Artifacts are UTF-8 with every line LF-terminated.
+Inputs are UTF-8 with LF or CRLF endings: a line ends at LF, and a lone
+CR inside a line stays in it. File readers skip blank lines (line files also
+full-line `#` comments), name 1-based lines in errors (for CSV the line a
+row starts on) and return lists, so each file is closed before a caller
+raises; stdin_lines yields every stdin line as it arrives. Artifacts are
+UTF-8 with every line LF-terminated.
 
 Floats render through fmt_float: 12 significant digits, shortest form.
 fmt_floats gives the same text for a whole numpy array with one C-level
@@ -98,12 +99,14 @@ def stdin_lines():
 
 
 def data_lines(path):
-    """[(line_no, line)] of a line file, line endings removed, without
-    blank lines and full-line `#` comments."""
-    with utf8_errors(path), open(path, encoding="utf-8") as f:
-        return [(line_no, line) for line_no, raw in enumerate(f, 1)
-                if (line := raw.rstrip("\n").rstrip("\r")).strip()
-                and not line.lstrip().startswith("#")]
+    """[(line_no, line)] of a line file, without blank lines and full-line
+    `#` comments. A line ends at LF or at the end of the file, and one CR
+    just before that end goes with it; a lone CR stays in its line."""
+    with utf8_errors(path), open(path, encoding="utf-8", newline="") as f:
+        lines = f.read().split("\n")
+    return [(line_no, line) for line_no, raw in enumerate(lines, 1)
+            if (line := raw.removesuffix("\r")).strip()
+            and not line.lstrip().startswith("#")]
 
 
 def csv_rows(path):

@@ -1083,6 +1083,26 @@ class TestPerCommand:
         assert cli.main(["per", "--ref", str(ref), "--hyp", str(hyp)]) == 0
         assert "per_percent\t50" in capsys.readouterr().out
 
+    def test_lines_end_at_lf_and_a_lone_cr_separates_segments(self, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        hyp = tmp_path / "hyp.txt"
+        ref.write_bytes(b"a b\rc d\r\ne f\r\n")
+        hyp.write_bytes(b"a b c d\ne x\n")
+        assert cli.main(["per", "--ref", str(ref), "--hyp", str(hyp)]) == 0
+        assert capsys.readouterr().out == (
+            "substitutions\t1\ninsertions\t0\ndeletions\t0\n"
+            "reference_length\t6\nper_percent\t16.6666666667\n")
+
+    def test_each_distinct_segment_is_one_object(self, tmp_path):
+        ref = tmp_path / "ref.txt"
+        hyp = tmp_path / "hyp.txt"
+        ref.write_text("t͡ʃ aː ab\nab kʷ t͡ʃ\n", encoding="utf-8")
+        hyp.write_text("aː t͡ʃ\nkʷ ab ab cd\n", encoding="utf-8")
+        segments = [s for path in (ref, hyp) for line in cli._read_sequences(path)
+                    for s in line]
+        assert len(segments) == 12
+        assert len({id(s) for s in segments}) == len(set(segments)) == 5
+
 
 class TestPipelineCommand:
     def test_flags_only(self, toy_dir, tmp_path, capsys):

@@ -143,3 +143,18 @@ def test_sim_matrix_names_the_first_failing_utterance(toy_dir, tmp_path, capsys,
     assert run_sim_matrix(toy_dir, corpus, rules, tmp_path) == 2
     assert capsys.readouterr() == ("", f"phonosim: error: {message}\n")
     assert not (tmp_path / "matrix.csv").exists()
+
+
+def test_lone_cr_inside_a_corpus_line_separates_words(toy_dir, tmp_path, capsys):
+    # lines end at LF (or CRLF); a lone CR stays in the utterance, where it
+    # separates words like a space, so the counts are the golden ones
+    corpus, rules = toy_copy(toy_dir, tmp_path)
+    tsv = corpus / "aaa.tsv"
+    data = tsv.read_bytes()
+    assert data.startswith(b"clips/aaa_0001.mp3\tmati shuna kicha\n")
+    tsv.write_bytes(data.replace(b"mati shuna kicha\n", b"mati shuna\rkicha\r\n", 1))
+    assert run_sim_matrix(toy_dir, corpus, rules, tmp_path) == 0
+    golden = toy_dir / "golden"
+    assert (tmp_path / "matrix.csv").read_bytes() == (golden / "similarity.csv").read_bytes()
+    assert (tmp_path / "dists.csv").read_bytes() == (golden / "distributions.csv").read_bytes()
+    capsys.readouterr()

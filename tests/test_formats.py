@@ -37,6 +37,13 @@ class TestDataLines:
         p.write_bytes("ʃa\tʃ\n".encode("utf-8"))
         assert data_lines(p) == [(1, "ʃa\tʃ")]
 
+    def test_lone_cr_stays_in_its_line(self, tmp_path):
+        # lines end at LF (or the end of the file), taking one CR before it;
+        # line numbers count LFs, as a UTF-8 error's line does
+        p = tmp_path / "f.txt"
+        p.write_bytes(b"a\tb\rc\n\r\nd\r\r\n# x\re\n\rf\r")
+        assert data_lines(p) == [(1, "a\tb\rc"), (3, "d\r"), (5, "\rf")]
+
 
 class TestCsvRows:
     def test_quoted_comma_and_newline(self, tmp_path):

@@ -13,6 +13,7 @@ DP wrote for it.
 
 import importlib
 import random
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -70,26 +71,28 @@ def oracle_edit_counts(reference, hypothesis):
 
 
 @contextmanager
-def cell_budget(cells):
-    saved = per_module.CELL_BUDGET
-    per_module.CELL_BUDGET = cells
+def byte_budget(nbytes):
+    saved = per_module.CHUNK_BYTES
+    per_module.CHUNK_BYTES = nbytes
     try:
         yield
     finally:
-        per_module.CELL_BUDGET = saved
+        per_module.CHUNK_BYTES = saved
 
 
 def counting_chunks(monkeypatch):
-    """Record the number of pairs in each chunk the kernel aligns."""
-    sizes = []
+    """Record (pairs, longest reference, longest hypothesis) of each chunk
+    the kernel aligns."""
+    shapes = []
     align = per_module._align_chunk
 
     def spy(pairs, codes):
-        sizes.append(len(pairs))
+        shapes.append((len(pairs), max(len(r) for r, _ in pairs),
+                       max(len(h) for _, h in pairs)))
         return align(pairs, codes)
 
     monkeypatch.setattr(per_module, "_align_chunk", spy)
-    return sizes
+    return shapes
 
 
 def random_pairs(rng, count, max_len):
@@ -128,9 +131,9 @@ def test_pair_matches_oracle(pair):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(pair_cases(), min_size=1, max_size=30),
-       st.sampled_from([1, 40, 300, 1 << 20]))
+       st.sampled_from([1, 1500, 8000, 1 << 20]))
 def test_batch_matches_oracle(pairs, budget):
-    with cell_budget(budget):
+    with byte_budget(budget):
         got = per_module._edit_counts_all(pairs)
     assert got == [oracle_edit_counts(r, h) for r, h in pairs]
 
@@ -146,26 +149,111 @@ def test_empty_inputs():
     assert edit_counts(["a", "b"], []) == (0, 0, 2)
 
 
+# references around the 64-bit word boundaries, against hypotheses that are
+# empty, one segment, or as long; over two or three symbols ties are common
+BOUNDARY_N = [63, 64, 65, 127, 128, 129]
+BOUNDARY_M = [0, 1, 64, 65, 130]
+
+
+def boundary_pairs(seed, symbols):
+    rng = random.Random(seed)
+    return [([rng.choice(symbols) for _ in range(n)],
+             [rng.choice(symbols) for _ in range(m)])
+            for n in BOUNDARY_N for m in BOUNDARY_M]
+
+
+@pytest.mark.parametrize("symbols", [["a", "b"], ["a", "b", "t͡ʃ"]])
+def test_references_across_word_boundaries(symbols):
+    pairs = boundary_pairs(len(symbols), symbols)
+    expected = [oracle_edit_counts(r, h) for r, h in pairs]
+    assert [edit_counts(r, h) for r, h in pairs] == expected
+    # all thirty in one chunk, so two- and three-word pairs share words
+    assert per_module._edit_counts_all(pairs) == expected
+
+
+def test_carries_ripple_through_whole_words():
+    # hypothesis c, then a: column 2's addition carries out of the a-run in
+    # word 0, through word 1's mismatches (Pv all ones, Eq zero), into word
+    # 2, where it stops at the row below the c
+    pairs = [(["a"] * k + ["b"] * (128 - k) + ["c"] + ["b"] * tail, list(h))
+             for k in (1, 2, 10, 63) for tail in (1, 2, 40, 140)
+             for h in ("caa", "cab", "cca", "caac")]
+    expected = [oracle_edit_counts(r, h) for r, h in pairs]
+    assert per_module._edit_counts_all(pairs) == expected
+
+
+def test_batches_mix_word_counts_and_empty_sides():
+    rng = random.Random(23)
+    ref_lengths = [0, 0, 1, 5, 63, 64, 65, 100, 128, 129, 150]
+    hyp_lengths = [0, 1, 5, 40, 70]
+    for _ in range(15):
+        pairs = [([rng.choice("ab") for _ in range(rng.choice(ref_lengths))],
+                  [rng.choice("abc") for _ in range(rng.choice(hyp_lengths))])
+                 for _ in range(rng.randint(1, 10))]
+        expected = [oracle_edit_counts(r, h) for r, h in pairs]
+        for budget in (1, 1 << 20):
+            with byte_budget(budget):
+                assert per_module._edit_counts_all(pairs) == expected
+
+
 def test_mixed_lengths_span_several_chunks(monkeypatch):
-    sizes = counting_chunks(monkeypatch)
+    shapes = counting_chunks(monkeypatch)
     pairs = random_pairs(random.Random(11), 400, 40)
-    with cell_budget(4000):
+    with byte_budget(32000):
         got = per_module._edit_counts_all(pairs)
-    assert len(sizes) > 10 and sum(sizes) == len(pairs)
+    assert len(shapes) > 10 and sum(q for q, _, _ in shapes) == len(pairs)
     assert got == [oracle_edit_counts(r, h) for r, h in pairs]
 
 
 def test_pair_longer_than_budget_runs_alone(monkeypatch):
-    sizes = counting_chunks(monkeypatch)
+    shapes = counting_chunks(monkeypatch)
     rng = random.Random(13)
     long_pair = ([rng.choice(SEGMENTS) for _ in range(30)],
                  [rng.choice(SEGMENTS) for _ in range(25)])
     pairs = random_pairs(rng, 20, 4)
     pairs.insert(7, long_pair)
-    with cell_budget(64):
+    assert per_module._chunk_bytes(1, 30, 25) > 1000
+    with byte_budget(1000):
         got = per_module._edit_counts_all(pairs)
-    assert 1 in sizes and sum(sizes) == len(pairs)
+    assert (1, 30, 25) in shapes and sum(q for q, _, _ in shapes) == len(pairs)
     assert got == [oracle_edit_counts(r, h) for r, h in pairs]
+
+
+@pytest.mark.parametrize("budget", [1 << 13, 1 << 16, 1 << 20])
+def test_every_chunk_fits_the_budget(monkeypatch, budget):
+    shapes = counting_chunks(monkeypatch)
+    rng = random.Random(budget)
+    pairs = [([rng.choice("abc") for _ in range(rng.randint(1, 150))],
+              [rng.choice("abc") for _ in range(rng.randint(0, 150))])
+             for _ in range(150)]
+    with byte_budget(budget):
+        per_module._edit_counts_all(pairs)
+    assert sum(q for q, _, _ in shapes) == len(pairs)
+    assert all(per_module._chunk_bytes(q, n, m) <= budget
+               for q, n, m in shapes if q > 1)
+    if budget == 1 << 13:  # the longest pairs need more than 8 KB each
+        assert any(q == 1 for q, _, _ in shapes) and any(q > 1 for q, _, _ in shapes)
+
+
+@pytest.mark.parametrize("n,m", [(5, 5), (44, 50), (63, 130), (65, 1), (129, 64),
+                                 (130, 0), (0, 65)])
+def test_chunk_bytes_bound_the_traced_memory(n, m):
+    # numpy reports its array data to tracemalloc; what a chunk allocates
+    # stays within _chunk_bytes, numpy's own per-call scratch of a few KB
+    # included (a small chunk exceeds it by that much)
+    rng = random.Random(n * 1000 + m)
+    pairs = [([rng.choice(SEGMENTS) for _ in range(rng.randint(n // 2, n))],
+              [rng.choice(SEGMENTS) for _ in range(rng.randint(m // 2, m))])
+             for _ in range(511)] + [(["a"] * n, ["a"] * m)]
+    codes = dict(zip(SEGMENTS, range(len(SEGMENTS))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        per_module._align_chunk(pairs, codes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= per_module._chunk_bytes(len(pairs), n, m)
 
 
 def test_input_order_restored():
@@ -173,7 +261,7 @@ def test_input_order_restored():
     pairs = [(["a"] * n, ["b"] * (n % 3) + ["a"] * (n // 2)) for n in range(30, 0, -1)]
     expected = [oracle_edit_counts(r, h) for r, h in pairs]
     assert len(set(expected)) == len(expected)
-    with cell_budget(200):
+    with byte_budget(3000):
         assert per_module._edit_counts_all(pairs) == expected
 
 
@@ -194,6 +282,6 @@ def test_corpus_counts_match_oracle_per_pair():
 def test_report_golden_bytes(capsysbinary, budget, flags, golden):
     argv = ["per", *flags, "--ref", str(PER_DIR / "ref.txt"),
             "--hyp", str(PER_DIR / "hyp.txt")]
-    with cell_budget(budget or per_module.CELL_BUDGET):
+    with byte_budget(budget or per_module.CHUNK_BYTES):
         assert cli.main(argv) == 0
     assert capsysbinary.readouterr().out == (PER_DIR / golden).read_bytes()
