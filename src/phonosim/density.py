@@ -174,13 +174,18 @@ def _centers(lo, hi, resolution):
     return lo + (np.arange(resolution) + 0.5) * ((hi - lo) / resolution)
 
 
+def check_resolution(resolution):
+    """resolution (cells per grid side); DataError unless 16..MAX_RESOLUTION."""
+    if not 16 <= resolution <= MAX_RESOLUTION:
+        raise DataError(f"resolution must be between 16 and {MAX_RESOLUTION}")
+    return resolution
+
+
 def _grid_and_kernels(coords, params: KDEParams, resolution):
     """The padded extent (x_min, x_max, y_min, y_max) and the per-axis
     kernel factors kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j -
     y_n)/h_y) at the cell centres."""
-    resolution = int(resolution)
-    if not 16 <= resolution <= MAX_RESOLUTION:
-        raise DataError(f"resolution must be between 16 and {MAX_RESOLUTION}")
+    resolution = check_resolution(int(resolution))
     pts = np.asarray(coords, dtype=float)
     x_min = float(pts[:, 0].min()) - PADDING_BANDWIDTHS * params.h_x
     x_max = float(pts[:, 0].max()) + PADDING_BANDWIDTHS * params.h_x

@@ -10,12 +10,13 @@ auditable: a sequence of literal characters and [...] character classes.
 '#' marks the word boundary and may only anchor the outer end (start of a
 left context, end of a right context).
 
-transliterate converts each distinct prepared word once per Ruleset and
-reuses the normalized segments (the memo holds successes only); any error
-reruns the whole text on the uncached path, so error types, messages and
-offsets are exactly those of a single pass. phoneme_counts gives
-Counter(transliterate(text)) from the text's word table: each distinct
-word is looked up once and its segments weighted by its frequency.
+A Ruleset's only mutable state is its word memo: transliterate converts
+each distinct prepared word once per Ruleset, policy and mode and reuses
+its normalized segments (successes only); any error reruns the whole text
+on the uncached path, so error types, messages and offsets are exactly
+those of a single pass. phoneme_counts gives Counter(transliterate(text))
+from the text's word table: each distinct word is looked up once and its
+segments weighted by its frequency.
 
 A word missing from the memo is converted by concatenating its fired
 rules' outputs, each tokenized and normalized once per Ruleset and policy,
@@ -120,12 +121,15 @@ def _describe(rule):
 class _KeepTable(dict):
     """str.translate table for punctuation_strip: a code point maps to itself
     (kept) or to None (dropped: a P*/S*/N* category, which no whitespace
-    character has), decided once per code point."""
+    character has), decided once per code point per process."""
 
     def __missing__(self, cp):
         keep = unicodedata.category(chr(cp))[0] not in "PSN"
         self[cp] = cp if keep else None
         return self[cp]
+
+
+_KEEP = _KeepTable()
 
 
 class _Segmented(dict):
@@ -168,15 +172,42 @@ class _Pieces(dict):
         return piece
 
 
+class _WordMemo(dict):
+    """Prepared word -> tuple of its normalized segments (successes only)
+    for one policy and one mode. The policy is held as the object, not its
+    id(), which Python reuses once an object is freed. pieces is None when
+    a join of the rule outputs changes under NFC. The memo holds nothing
+    of its Ruleset, so no reference cycle keeps a Ruleset alive."""
+
+    def __init__(self, policy, mode, joins_keep_nfc):
+        if mode not in MODES:
+            raise DataError(f"unknown G2P mode {mode!r}; expected one of {MODES}")
+        super().__init__()
+        self.policy = policy
+        self.mode = mode
+        self.pieces = _Pieces(policy) if joins_keep_nfc else None
+
+
+def _joins_keep_nfc(rules):
+    """True when no output's last character followed by an output's first
+    character composes or reorders under NFC, decided by one NFC check
+    over every such pair, space-separated. A first character that is a
+    combining mark is left out: such an output is never self-contained."""
+    outputs = [unicodedata.normalize("NFC", r.phoneme_output) for r in rules]
+    starts = {o[0] for o in outputs if o and unicodedata.category(o[0])[0] != "M"}
+    ends = {o[-1] for o in outputs if o}
+    # e + (" " + e).join(starts) is "es1 es2 ...": one join per end
+    pairs = " ".join([e + (" " + e).join(starts) for e in ends])
+    return unicodedata.is_normalized("NFC", pairs)
+
+
 class Ruleset:
     """Immutable rule collection for one language.
 
     case_fold folds both input text and rule graphemes/contexts;
     punctuation_strip removes punctuation, symbols and digits before
     matching (whitespace stays and separates words). The rules never
-    change; the only mutable state is the word memo with its segmented
-    rule outputs, whether the outputs' joins keep NFC, and the
-    per-character keep/drop table of punctuation_strip.
+    change; the only mutable state is the word memo (_WordMemo).
     """
 
     def __init__(self, language_code, rules, case_fold=True, punctuation_strip=True):
@@ -213,9 +244,8 @@ class Ruleset:
         for entry in self._compiled:
             by_first.setdefault(entry[0][0], []).append(entry)
         self._by_first = {c: tuple(entries) for c, entries in by_first.items()}
-        self._memo = (None, None, {}, None)
-        self._stable_joins = None
-        self._keep = _KeepTable()
+        self._joins_keep_nfc = _joins_keep_nfc(rules)
+        self._memo = None
 
     def _fold(self, text):
         """The one text form that input, rule graphemes and contexts share:
@@ -231,7 +261,7 @@ class Ruleset:
         if self.punctuation_strip:
             # NFC again: a dropped mark may have kept a base and a combining
             # mark apart (e + ! + U+0301)
-            t = unicodedata.normalize("NFC", t.translate(self._keep))
+            t = unicodedata.normalize("NFC", t.translate(_KEEP))
         return t
 
     def match_at(self, word, i):
@@ -246,37 +276,13 @@ class Ruleset:
             return rule, len(g)
         return None, 0
 
-    def _joins_keep_nfc(self):
-        """True when no output's last character followed by an output's first
-        character composes or reorders under NFC, decided by one NFC check
-        over every such pair, space-separated. A first character that is a
-        combining mark is left out: such an output is never self-contained."""
-        if self._stable_joins is None:
-            outputs = [unicodedata.normalize("NFC", r.phoneme_output)
-                       for r in self.rules]
-            starts = {o[0] for o in outputs
-                      if o and unicodedata.category(o[0])[0] != "M"}
-            # e + (" " + e).join(starts) is "es1 es2 ...": one join per end
-            pairs = " ".join([e + (" " + e).join(starts)
-                              for e in {o[-1] for o in outputs if o}])
-            self._stable_joins = unicodedata.is_normalized("NFC", pairs)
-        return self._stable_joins
-
     def _word_memo(self, policy, mode):
-        """(prepared word -> tuple of normalized segments, rule output ->
-        its segments or None) for one policy and mode; the second is None
-        when the outputs' joins do not keep NFC.
-
-        The slot holds the policy object itself rather than its id(), which
-        Python reuses once an object is freed; another policy or mode
-        replaces the memo.
-        """
-        held_policy, held_mode, memo, pieces = self._memo
-        if held_policy is not policy or held_mode != mode:
-            memo = {}
-            pieces = _Pieces(policy) if self._joins_keep_nfc() else None
-            self._memo = (policy, mode, memo, pieces)
-        return memo, pieces
+        """The word memo for policy and mode; another policy or mode
+        replaces it, and an unknown mode is a DataError."""
+        memo = self._memo
+        if memo is None or memo.policy is not policy or memo.mode != mode:
+            memo = self._memo = _WordMemo(policy, mode, self._joins_keep_nfc)
+        return memo
 
 
 def _word_ipa(rs, word, base, mode):
@@ -308,7 +314,7 @@ def _transliterate_prepared(prepared, rs, policy, mode):
     return normalize(tokenize_ipa(" ".join(word_outputs)), policy)
 
 
-def _word_segments(rs, word, policy, mode, pieces):
+def _word_segments(rs, word, memo):
     """Normalized segments of one prepared word, as a tuple.
 
     Exact per word: tokenize_ipa resets at whitespace, NFC never composes
@@ -317,6 +323,7 @@ def _word_segments(rs, word, policy, mode, pieces):
     other output or kept unmatched character sends the word down the
     exact path.
     """
+    pieces, mode = memo.pieces, memo.mode
     if pieces is not None:
         match_at = rs.match_at
         out = []
@@ -335,22 +342,23 @@ def _word_segments(rs, word, policy, mode, pieces):
             i += glen
         else:
             return tuple(out)
-    return tuple(normalize(tokenize_ipa(_word_ipa(rs, word, 0, mode)), policy))
+    return tuple(normalize(tokenize_ipa(_word_ipa(rs, word, 0, mode)), memo.policy))
 
 
-def _check_mode(mode):
-    if mode not in MODES:
-        raise DataError(f"unknown G2P mode {mode!r}; expected one of {MODES}")
-
-
-def _memo_segments(words, rs, policy, mode):
-    """Each word's segments, converted once per Ruleset, policy and mode."""
-    memo, pieces = rs._word_memo(policy, mode)
-    for word in words:
-        segments = memo.get(word)
-        if segments is None:
-            segments = memo[word] = _word_segments(rs, word, policy, mode, pieces)
-        yield segments
+def _memo_segments(prepared, words, rs, memo):
+    """Each of words' segments, converted once per memo (Ruleset, policy
+    and mode). A word that fails is not stored; the error raised is the
+    one the uncached path raises on the whole prepared text."""
+    get = memo.get
+    try:
+        for word in words:
+            segments = get(word)
+            if segments is None:
+                segments = memo[word] = _word_segments(rs, word, memo)
+            yield segments
+    except PhonosimError:
+        _transliterate_prepared(prepared, rs, memo.policy, memo.mode)
+        raise
 
 
 def transliterate(text, rs: Ruleset, policy: NormalizationPolicy,
@@ -361,14 +369,11 @@ def transliterate(text, rs: Ruleset, policy: NormalizationPolicy,
     the prepared text, 'skip' drops the character, 'passthrough' copies it
     into the IPA output.
     """
-    _check_mode(mode)
+    memo = rs._word_memo(policy, mode)
     prepared = rs.prepare(text)
     out = []
-    try:
-        for segments in _memo_segments(prepared.split(), rs, policy, mode):
-            out += segments
-    except PhonosimError:
-        return _transliterate_prepared(prepared, rs, policy, mode)
+    for segments in _memo_segments(prepared, prepared.split(), rs, memo):
+        out += segments
     return out
 
 
@@ -380,16 +385,12 @@ def phoneme_counts(text, rs: Ruleset, policy: NormalizationPolicy,
     are looked up once, the words of one frequency are counted together
     by one Counter, and each such count is multiplied by the frequency.
     """
-    _check_mode(mode)
+    memo = rs._word_memo(policy, mode)
     prepared = rs.prepare(text)
     table = Counter(prepared.split())
     by_frequency = {}
-    try:
-        for n, segments in zip(table.values(),
-                               _memo_segments(table, rs, policy, mode)):
-            by_frequency.setdefault(n, []).extend(segments)
-    except PhonosimError:
-        return Counter(_transliterate_prepared(prepared, rs, policy, mode))
+    for n, segments in zip(table.values(), _memo_segments(prepared, table, rs, memo)):
+        by_frequency.setdefault(n, []).extend(segments)
     counts = Counter()
     for n, segments in by_frequency.items():
         counts.update({p: c * n for p, c in Counter(segments).items()})

@@ -24,11 +24,10 @@ import math
 import os
 import tempfile
 import warnings
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
-from .density import (MAX_RESOLUTION, KDEParams, kde_contours,
+from .density import (KDEParams, check_resolution, kde_contours,
                       silverman_bandwidths, weights_from_hours,
                       write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
@@ -92,8 +91,7 @@ class PipelineConfig:
         if not (math.isfinite(self.level) and self.level > 0):
             raise DataError("setting 'level' must be finite and positive, "
                             f"got {self.level!r}")
-        if not 16 <= self.resolution <= MAX_RESOLUTION:
-            raise DataError(f"resolution must be between 16 and {MAX_RESOLUTION}")
+        check_resolution(self.resolution)
         if self.strategy not in STRATEGIES:
             raise DataError(f"unknown selection strategy {self.strategy!r}")
 
@@ -206,8 +204,8 @@ def count_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
     Each corpus is prepared in one call over its texts joined with LF,
     which equals preparing them one by one: NFC cannot compose across LF,
     and casefold and the punctuation table act per character. On an
-    error the utterances are converted one by one, so that the message
-    names the utterance and counts its offset in that utterance.
+    error the utterances are converted one by one, only so that the error
+    names the first failing utterance and counts its offset in it.
     """
     counts = {}
     for code in codes:
@@ -216,8 +214,8 @@ def count_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
             counts[code] = phoneme_counts(
                 "\n".join(text for _, text in utterances), rs, policy, mode)
         except PhonosimError:
-            counts[code] = Counter(ph for _, seq in _convert(
-                code, rs, utterances, policy, mode) for ph in seq)
+            _convert(code, rs, utterances, policy, mode)  # names the utterance
+            raise
     return counts
 
 

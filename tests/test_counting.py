@@ -4,7 +4,9 @@
 whole corpus. These tests pin what that must not change: the artifact
 bytes under transformations of the corpora that keep every phoneme
 count's ratio, and the G2P error of the first failing utterance, with
-its offset, as the utterance-by-utterance conversion reports it.
+its offset, as the utterance-by-utterance conversion reports it. The
+artifact bytes also hold under changes of the registry that keep every
+family's weights.
 """
 
 import shutil
@@ -12,6 +14,7 @@ import shutil
 import pytest
 
 from phonosim import cli
+from phonosim.formats import fmt_float
 from phonosim.pipeline import ARTIFACT_NAMES
 
 MANIFEST_HEADER_LINES = 6
@@ -24,11 +27,12 @@ def toy_copy(toy_dir, tmp_path):
     return tmp_path / "corpus", tmp_path / "rules"
 
 
-def run_pipeline(toy_dir, corpus, rules, out):
-    """Exit code of the toy `pipeline` over `corpus` and `rules`."""
+def run_pipeline(toy_dir, corpus, rules, out, registry=None):
+    """Exit code of the toy `pipeline` over `corpus`, `rules` and `registry`
+    (default: the toy registry)."""
     return cli.main([
         "pipeline", "--corpus-dir", str(corpus), "--rules-dir", str(rules),
-        "--registry", str(toy_dir / "registry.csv"),
+        "--registry", str(registry or toy_dir / "registry.csv"),
         "--policy", str(toy_dir / "policy.txt"),
         "--target", "aaa", "--out", str(out)])
 
@@ -92,6 +96,47 @@ def test_count_preserving_corpus_changes_keep_artifact_bytes(toy_dir, tmp_path,
             == (out / "similarity.csv").read_bytes())
     assert ((tmp_path / "dists.csv").read_bytes()
             == (out / "distributions.csv").read_bytes())
+    capsys.readouterr()
+
+
+def hours_times_four(rows):
+    """Registry data rows with each hours cell (the last) times 4, exactly."""
+    scaled = []
+    for row in rows:
+        *cells, hours = row.rstrip("\n").split(",")
+        scaled.append(",".join(cells + [repr(4 * float(hours))]) + "\n")
+    return scaled
+
+
+# each transform of the registry's data rows, with the factor it applies
+# to the manifest's total hours; the family weights (hours over their
+# family mean) and every ranking by hours stay the same
+REGISTRY_TRANSFORMS = {
+    "reversed": (lambda rows: rows[::-1], 1),
+    "hours-times-4": (hours_times_four, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_TRANSFORMS))
+def test_weight_preserving_registry_changes_keep_artifact_bytes(toy_dir, tmp_path,
+                                                                capsys, name):
+    transform, hours_factor = REGISTRY_TRANSFORMS[name]
+    header, *rows = (toy_dir / "registry.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    registry = tmp_path / "registry.csv"
+    registry.write_text(header + "".join(transform(rows)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_pipeline(toy_dir, toy_dir / "corpus", toy_dir / "rules", out,
+                        registry) == 0
+    golden = toy_dir / "golden"
+    for artifact in ARTIFACT_NAMES:
+        expected = (golden / artifact).read_bytes()
+        if artifact == "manifest.tsv":
+            total = b"#total_hours\t48.5\n"
+            assert total in expected
+            expected = expected.replace(
+                total, f"#total_hours\t{fmt_float(48.5 * hours_factor)}\n".encode())
+        assert (out / artifact).read_bytes() == expected, artifact
     capsys.readouterr()
 
 

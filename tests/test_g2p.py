@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import io
 import random
 import tempfile
 import unicodedata
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -502,7 +504,7 @@ class TestWordMemo:
             transliterate("a xa", rs, PLAIN)
         # the offset counts in the whole joined IPA text, not in the word
         assert exc.value.offset == 2
-        assert "xa" not in rs._memo[2]  # failures are never stored
+        assert "xa" not in rs._memo  # failures are never stored
 
     def test_later_unmatched_grapheme_beats_earlier_tokenize_error(self):
         rs = make_ruleset(("a", "a"), ("x", COMBINING_TILDE))
@@ -527,6 +529,37 @@ class TestWordMemo:
         assert transliterate("sqa", rs, PLAIN, mode="skip") == ["s", "a"]
         with pytest.raises(UnmatchedGraphemeError):
             transliterate("sqa", rs, PLAIN)
+
+    def test_unknown_mode_is_rejected_whatever_the_memo_holds(self):
+        rs = make_ruleset(("a", "a"))
+        message = "unknown G2P mode 'strict'; expected one of " + repr(MODES)
+        for convert in (transliterate, g2p.phoneme_counts) * 2:
+            with pytest.raises(DataError) as exc:
+                convert("a", rs, PLAIN, mode="strict")
+            assert str(exc.value) == message
+            convert("a", rs, PLAIN)  # a warm memo for another mode
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("outputs", [("a", "pʰ", "t͡ʃ"),
+                                         ("\u1100", "\u1161", "k")])
+    def test_ruleset_is_freed_with_its_last_reference(self, mode, outputs):
+        # the memo holds nothing of its Ruleset, so no reference cycle keeps
+        # a Ruleset (and every word it converted) alive until a collection;
+        # the second outputs have a join that NFC composes (no pieces)
+        rs = make_ruleset(*zip("abc", outputs))
+        ruleset = weakref.ref(rs)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for policy in (PLAIN, default_policy()):
+                assert transliterate("ab ca ab", rs, policy, mode)
+                assert g2p.phoneme_counts("ab ca\nab", rs, policy, mode)
+            assert len(rs._memo) == 2
+            del rs
+            assert ruleset() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_result_is_a_fresh_list(self):
         rs = make_ruleset(("a", "a"))
@@ -571,7 +604,7 @@ class TestSegmentedOutputs:
         with mock.patch.object(g2p, "_word_ipa", side_effect=AssertionError):
             assert transliterate("abcdefg dqa", rs, policy, mode="skip") == [
                 "a", "pʰ", "t͡ʃ", "e", "i", "o", "ʃ", "t͡ʃ", "a"]
-        _, pieces = rs._word_memo(policy, "skip")
+        pieces = rs._word_memo(policy, "skip").pieces
         assert pieces["ˈe"] == ("e",) and pieces["i ˌo"] == ("i", "o")
         assert pieces[""] == ()
 
@@ -579,7 +612,7 @@ class TestSegmentedOutputs:
         COMBINING_TILDE, "ʲa", "\u0361a", "a\u0361", "aˈ", "a .", "", "e\u0301"])
     def test_outputs_that_join_a_neighbour_take_the_exact_path(self, output):
         rs = make_ruleset(("a", "a"), ("x", output))
-        _, pieces = rs._word_memo(PLAIN, "error")
+        pieces = rs._word_memo(PLAIN, "error").pieces
         contained = output in ("", "e\u0301")
         assert (pieces[output] is not None) == contained
         for text in ("xa", "axa", "ax", "x"):
@@ -593,7 +626,7 @@ class TestSegmentedOutputs:
     ])
     def test_joins_that_compose_under_nfc(self, outputs, word, expected):
         rs = make_ruleset(*zip("gak", outputs))
-        assert rs._joins_keep_nfc() is (outputs[1] == "\u0301")
+        assert rs._joins_keep_nfc is (outputs[1] == "\u0301")
         assert transliterate(word, rs, PLAIN) == expected
         assert uncached(word, rs, PLAIN, "error") == expected
 
