@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .density import write_contours_json
+from .density import check_level, check_resolution, write_contours_json
 from .errors import DataError, PhonosimError
 from .formats import fmt_float, stdin_lines, utf8_errors
 from .g2p import MODES, load_ruleset, transliterate
@@ -100,6 +100,8 @@ def _cmd_contours(args):
     out = Path(args.out)
     if out.suffix.lower() not in (".json", ".svg"):
         raise DataError("output must end in .json or .svg")
+    check_level(args.level)
+    check_resolution(args.resolution)
     codes, coords = read_coords_csv(args.coords)
     reg = load_registry(args.registry)
     contour_sets = compute_family_contours(

@@ -181,6 +181,14 @@ def check_resolution(resolution):
     return resolution
 
 
+def check_level(level):
+    """DataError unless level (absolute, or a fraction of the peak) is
+    finite and positive."""
+    if not (math.isfinite(level) and level > 0):
+        raise DataError(
+            f"setting 'level' must be finite and positive, got {level!r}")
+
+
 def _grid_and_kernels(coords, params: KDEParams, resolution):
     """The padded extent (x_min, x_max, y_min, y_max) and the per-axis
     kernel factors kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j -

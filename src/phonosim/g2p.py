@@ -18,14 +18,13 @@ those of a single pass. phoneme_counts gives Counter(transliterate(text))
 from the text's word table: each distinct word is looked up once and its
 segments weighted by its frequency.
 
-A word missing from the memo is converted by concatenating its fired
-rules' outputs, each tokenized and normalized once per Ruleset and policy,
-when every one of them is self-contained: it tokenizes on its own, no
-segment of it attaches to a neighbour (it starts with a base, prefix mark
-or separator and ends with no tie bar or prefix mark), and no join of the
-ruleset's outputs changes under NFC. Unmatched characters that mode
-'skip' drops are transparent. Any other word takes the exact path: the
-IPA string of its outputs, tokenize_ipa, then normalize.
+A word missing from the memo concatenates its fired rules' outputs when
+each is self-contained and no join of the ruleset's outputs changes under
+NFC (checked once per Ruleset: it depends on the rules). Each output's
+normalized segments come from the policy's piece table (ipa), built once
+per distinct output and policy. Unmatched characters that mode 'skip'
+drops are transparent. Any other word takes the exact path: the IPA
+string of its outputs, tokenize_ipa, then normalize.
 """
 
 import re
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (DataError, ParseError, PhonosimError, RuleError,
-                     TokenizeError, UnmatchedGraphemeError)
+                     UnmatchedGraphemeError)
 from .formats import data_lines, parse_bool
 from .ipa import NormalizationPolicy, PhonemeSequence, normalize, tokenize_ipa
 
@@ -132,52 +131,13 @@ class _KeepTable(dict):
 _KEEP = _KeepTable()
 
 
-class _Segmented(dict):
-    """Rule output -> tuple of its segments when it is self-contained, else
-    None; decided once per distinct output per process (a pure function of
-    the output, like ipa's per-code-point kind table).
-
-    Tokenized between two copies of the base letter 'a', an output gives
-    'a', its own segments, 'a' exactly when it tokenizes alone and none
-    of its segments joins a neighbour: a leading mark or tie bar would
-    join (or compose with) the first 'a', a trailing tie bar or prefix
-    mark the last, and 'a' never composes with a character before it.
-    """
-
-    def __missing__(self, output):
-        try:
-            segments = tokenize_ipa("a" + output + "a")
-        except TokenizeError:
-            segments = []
-        contained = len(segments) >= 2 and segments[0] == segments[-1] == "a"
-        self[output] = tuple(segments[1:-1]) if contained else None
-        return self[output]
-
-
-_SEGMENTED = _Segmented()
-
-
-class _Pieces(dict):
-    """Rule output -> its normalized segments under one policy, or None when
-    the output is not self-contained; each output is worked out once."""
-
-    def __init__(self, policy):
-        super().__init__()
-        self.policy = policy
-
-    def __missing__(self, output):
-        segments = _SEGMENTED[output]
-        piece = None if segments is None else tuple(normalize(segments, self.policy))
-        self[output] = piece
-        return piece
-
-
 class _WordMemo(dict):
     """Prepared word -> tuple of its normalized segments (successes only)
     for one policy and one mode. The policy is held as the object, not its
-    id(), which Python reuses once an object is freed. pieces is None when
-    a join of the rule outputs changes under NFC. The memo holds nothing
-    of its Ruleset, so no reference cycle keeps a Ruleset alive."""
+    id(), which Python reuses once an object is freed. pieces is the
+    policy's piece table, or None when a join of the rule outputs changes
+    under NFC. The memo holds nothing of its Ruleset, so no reference
+    cycle keeps a Ruleset alive."""
 
     def __init__(self, policy, mode, joins_keep_nfc):
         if mode not in MODES:
@@ -185,7 +145,7 @@ class _WordMemo(dict):
         super().__init__()
         self.policy = policy
         self.mode = mode
-        self.pieces = _Pieces(policy) if joins_keep_nfc else None
+        self.pieces = policy._pieces if joins_keep_nfc else None
 
 
 def _joins_keep_nfc(rules):

@@ -11,12 +11,12 @@ configurable set of diacritics, then maps whole segments through a merge
 table (e.g. sʲ → ʃ). All strings are kept in Unicode canonical
 composition (NFC) so equal sounds compare equal.
 
-Two caches keep this work proportional to what is distinct. One
+Three caches keep this work proportional to what is distinct. One
 module-level table classifies each code point once per process (separator,
 tie bar, prefix mark, combining mark, modifier letter or base); tokenize_ipa
-and every base-letter test in normalization read it. normalize maps each
-distinct segment once per policy, through a memo that the policy builds at
-construction; a dropped segment is cached as ''.
+and every base-letter test in normalization read it. Each policy builds two
+memos at construction: normalize maps each distinct segment once (a dropped
+one is cached as ''), and the piece table each distinct G2P rule output.
 """
 
 import unicodedata
@@ -185,6 +185,35 @@ class _SegmentMemo(dict):
         return t
 
 
+class _PieceMemo(dict):
+    """IPA string -> tuple of its normalized segments for one policy when
+    it is self-contained, else None; g2p's rule outputs are its keys.
+
+    Tokenized between two copies of the base letter 'a', a string gives
+    'a', its own segments, 'a' exactly when it tokenizes alone and none of
+    its segments joins a neighbour: a leading mark or tie bar would join
+    (or compose with) the first 'a', a trailing tie bar or prefix mark the
+    last, and 'a' never composes with a character before it. It holds the
+    policy's segment memo, not the policy, so it makes no reference cycle.
+    """
+
+    def __init__(self, segments):
+        super().__init__()
+        self.segments = segments
+
+    def __missing__(self, s):
+        try:
+            raw = tokenize_ipa("a" + s + "a")
+        except TokenizeError:
+            raw = []
+        piece = None
+        if len(raw) >= 2 and raw[0] == raw[-1] == "a":
+            # normalize() of the inner segments
+            piece = tuple(t for t in map(self.segments.__getitem__, raw[1:-1]) if t)
+        self[s] = piece
+        return piece
+
+
 @dataclass(frozen=True)
 class NormalizationPolicy:
     """What normalize() strips and merges.
@@ -195,10 +224,10 @@ class NormalizationPolicy:
     construction.
 
     A policy must not be changed after construction: merge_pairs is a plain
-    dict, but normalize() caches each segment's result in a memo the policy
-    builds once, and the Ruleset word memo of g2p.transliterate caches whole
-    words by policy identity. Both would keep serving the old mapping.
-    Build a new policy (dataclasses.replace) instead; it gets its own memo.
+    dict, but normalize()'s segment memo and g2p's piece table are built at
+    construction, and the Ruleset word memo of g2p.transliterate caches
+    whole words by policy identity. All three would keep serving the old
+    mapping. Build a new policy (dataclasses.replace); it gets its own memos.
     """
 
     strip_stress: bool = True
@@ -232,9 +261,10 @@ class NormalizationPolicy:
             if cleaned in merges:
                 raise DataError(
                     f"merge target {tgt!r} reduces to merge source {cleaned!r}")
-        # not a field: equality, fields() and replace() do not see it
-        object.__setattr__(
-            self, "_segments", _SegmentMemo(removal, self.strip_voqs, merges))
+        # not fields: equality, fields() and replace() do not see them
+        segments = _SegmentMemo(removal, self.strip_voqs, merges)
+        object.__setattr__(self, "_segments", segments)
+        object.__setattr__(self, "_pieces", _PieceMemo(segments))
 
 
 def default_policy() -> NormalizationPolicy:

@@ -20,14 +20,13 @@ and its sources, after selection. Distributions and similarity live in
 
 import configparser
 import dataclasses
-import math
 import os
 import tempfile
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
-from .density import (KDEParams, check_resolution, kde_contours,
+from .density import (KDEParams, check_level, check_resolution, kde_contours,
                       silverman_bandwidths, weights_from_hours,
                       write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
@@ -88,9 +87,7 @@ class PipelineConfig:
                                 f"got {self.relative!r}") from None
         if self.k < 1:
             raise DataError("k must be at least 1")
-        if not (math.isfinite(self.level) and self.level > 0):
-            raise DataError("setting 'level' must be finite and positive, "
-                            f"got {self.level!r}")
+        check_level(self.level)
         check_resolution(self.resolution)
         if self.strategy not in STRATEGIES:
             raise DataError(f"unknown selection strategy {self.strategy!r}")

@@ -228,6 +228,18 @@ class TestIpaAndG2p:
         assert code == 0
         assert capsys.readouterr() == ("m a q t i\n", "")
 
+    @pytest.mark.parametrize("mode", ["skip", "passthrough"])
+    def test_g2p_unmatched_characters_match_golden(self, toy_dir, monkeypatch,
+                                                   capsysbinary, mode):
+        # passthrough sends a word with an unmatched character down the exact
+        # path (its IPA string); skip drops the character between pieces
+        text = (toy_dir / "g2p_unmatched_input.txt").read_text(encoding="utf-8")
+        assert run_cli(["g2p", "--rules", str(toy_dir / "rules" / "aaa.rules"),
+                        "--policy", str(toy_dir / "policy.txt"), "--mode", mode],
+                       stdin_text=text, monkeypatch=monkeypatch) == 0
+        assert capsysbinary.readouterr().out == \
+            (toy_dir / "golden" / f"cli_g2p_{mode}.txt").read_bytes()
+
     def test_tokenize_matches_golden(self, toy_dir, monkeypatch, capsysbinary):
         text = (toy_dir / "ipa_input.txt").read_text(encoding="utf-8")
         assert run_cli(["ipa", "tokenize", "--policy", str(toy_dir / "policy.txt")],
@@ -976,6 +988,13 @@ def test_input_that_is_not_utf8_names_its_line(toy_dir, tmp_path, capsys, comman
 TOY_PIPELINE = ["pipeline", "--corpus-dir", "{toy}/corpus", "--rules-dir", "{toy}/rules",
                 "--registry", "{toy}/registry.csv", "--target", "aaa", "--out", "out"]
 
+# each toy language in its own family: no family gets a KDE grid, so only
+# the check where a flag enters can reject it
+LONE_FAMILIES = ("code,name,family,branch,hours\n"
+                 "aaa,A,Fa,,1\naab,B,Fb,,1\naba,C,Fc,,1\nabb,D,Fd,,1\n")
+LONE_CONTOURS = ["contours", "--coords", "{toy}/golden/cli_pca.csv",
+                 "--registry", "reg.csv", "--out", "out.json"]
+
 # bad input on command paths that only library tests used to reach: the
 # files written into the working directory ({toy} is the toy data), the
 # arguments, stdin, and the message of the exit 2
@@ -993,6 +1012,19 @@ COMMAND_PATH_ERRORS = {
         ["contours", "--coords", "coords.csv", "--registry", "{toy}/registry.csv",
          "--resolution", "16385", "--out", "out.json"], "",
         "resolution must be between 16 and 16384"),
+    "contours-lone-families-resolution-5": (
+        {"reg.csv": LONE_FAMILIES}, LONE_CONTOURS + ["--resolution", "5"], "",
+        "resolution must be between 16 and 16384"),
+    "contours-lone-families-level-nan": (
+        {"reg.csv": LONE_FAMILIES}, LONE_CONTOURS + ["--level", "nan"], "",
+        "setting 'level' must be finite and positive, got nan"),
+    "contours-lone-families-level--1": (
+        {"reg.csv": LONE_FAMILIES}, LONE_CONTOURS + ["--level", "-1"], "",
+        "setting 'level' must be finite and positive, got -1.0"),
+    "contours-lone-families-level-inf-relative": (
+        {"reg.csv": LONE_FAMILIES},
+        LONE_CONTOURS + ["--level", "inf", "--relative"], "",
+        "setting 'level' must be finite and positive, got inf"),
     "typology-one-language": (
         {"features.csv": "lang,f1,f2\naaa,1,0\n"},
         ["typology", "--features", "features.csv", "--out", "out.csv"], "",

@@ -6,9 +6,11 @@ bytes under transformations of the corpora that keep every phoneme
 count's ratio, and the G2P error of the first failing utterance, with
 its offset, as the utterance-by-utterance conversion reports it. The
 artifact bytes also hold under changes of the registry that keep every
-family's weights.
+family's weights, and `sim matrix` over a subset of the corpora writes
+the matching cells of the full run's matrix.
 """
 
+import itertools
 import shutil
 
 import pytest
@@ -96,6 +98,27 @@ def test_count_preserving_corpus_changes_keep_artifact_bytes(toy_dir, tmp_path,
             == (out / "similarity.csv").read_bytes())
     assert ((tmp_path / "dists.csv").read_bytes()
             == (out / "distributions.csv").read_bytes())
+    capsys.readouterr()
+
+
+TOY_CODES = ("aaa", "aab", "aba", "abb")
+
+
+@pytest.mark.parametrize("subset", [
+    subset for n in (2, 3) for subset in itertools.combinations(TOY_CODES, n)],
+    ids="-".join)
+def test_sim_matrix_over_a_subset_writes_the_full_runs_cells(toy_dir, tmp_path,
+                                                             capsys, subset):
+    # each cell depends only on its two languages' counts
+    corpus, rules = toy_copy(toy_dir, tmp_path)
+    for code in set(TOY_CODES) - set(subset):
+        (corpus / f"{code}.tsv").unlink()
+    assert run_sim_matrix(toy_dir, corpus, rules, tmp_path) == 0
+    full = [line.split(",") for line in (toy_dir / "golden" / "similarity.csv")
+            .read_text(encoding="utf-8").splitlines()]
+    keep = [0] + [full[0].index(code) for code in subset]
+    expected = "".join(",".join(full[i][j] for j in keep) + "\n" for i in keep)
+    assert (tmp_path / "matrix.csv").read_text(encoding="utf-8") == expected
     capsys.readouterr()
 
 

@@ -19,8 +19,8 @@ from phonosim.errors import (DataError, ParseError, PhonosimError, RuleError,
 from phonosim.g2p import MODES, G2PRule, Ruleset, load_ruleset, transliterate
 from phonosim.ipa import NormalizationPolicy, default_policy
 
-from genutil import (random_output_ruleset, random_policy, random_ruleset,
-                     random_text_for)
+from genutil import (COMPOSING_PAIRS, random_output_ruleset, random_policy,
+                     random_ruleset, random_text_for)
 
 PLAIN = NormalizationPolicy(merge_pairs={})
 
@@ -561,6 +561,29 @@ class TestWordMemo:
             if enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("outputs", [("a", "pʰ", "t͡ʃ"),
+                                         ("\u1100", "\u1161", "k")])
+    def test_policy_is_freed_with_its_last_reference(self, mode, outputs):
+        # the piece table holds the policy's segment memo, not the policy, so
+        # no reference cycle keeps a policy (and its tables) alive until a
+        # collection; the second outputs use no piece table
+        rs = make_ruleset(*zip("abc", outputs))
+        policy = NormalizationPolicy()
+        freed = weakref.ref(policy)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert transliterate("ab ca ab", rs, policy, mode)
+            assert g2p.phoneme_counts("ab ca\nab", rs, policy, mode)
+            del policy
+            assert freed() is not None  # the word memo holds it
+            transliterate("ab", rs, PLAIN, mode)
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_result_is_a_fresh_list(self):
         rs = make_ruleset(("a", "a"))
         for _ in range(3):
@@ -586,16 +609,38 @@ class TestSegmentedOutputs:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_uncached_path_under_every_mode_and_policy(self, seed):
         rng = random.Random(seed)
-        rs = random_output_ruleset(rng)
-        texts = repeating_texts(rs, rng)
+        # two rulesets that share each policy's piece table, converted in
+        # turn; the second has a join that composes under NFC
+        first = random_output_ruleset(rng)
+        second = random_output_ruleset(rng)
+        second = Ruleset("toy", second.rules + tuple(
+            G2PRule(g, out) for g, out in zip("yz", rng.choice(COMPOSING_PAIRS))))
+        texts = {rs: repeating_texts(rs, rng) for rs in (first, second)}
         for policy in (PLAIN, random_policy(rng)):
             for mode in MODES:
-                for text in texts:
-                    assert (outcome(transliterate, text, rs, policy, mode)
-                            == outcome(uncached, text, rs, policy, mode)), (mode, text)
-                joined = "\n".join(texts)
-                assert (outcome(counted, joined, rs, policy, mode)
-                        == outcome(uncached_counts, joined, rs, policy, mode)), mode
+                for row in zip(*texts.values()):
+                    for rs, text in zip(texts, row):
+                        assert (outcome(transliterate, text, rs, policy, mode)
+                                == outcome(uncached, text, rs, policy, mode)), (mode, text)
+                for rs in texts:
+                    joined = "\n".join(texts[rs])
+                    assert (outcome(counted, joined, rs, policy, mode)
+                            == outcome(uncached_counts, joined, rs, policy, mode)), mode
+
+    def test_rulesets_and_modes_share_their_policy_piece_table(self):
+        policy = NormalizationPolicy(merge_pairs={"t͡ʃ": "c"})  # its table starts empty
+        first = make_ruleset(("a", "a"), ("b", "pʰ"))
+        second = make_ruleset(("a", "a"), ("c", "t͡ʃ"))
+        composing = make_ruleset(*zip("gak", ("\u1100", "\u1161", "k")))
+        for mode in MODES:
+            for rs in (first, second):
+                assert rs._word_memo(policy, mode).pieces is policy._pieces
+            # a Ruleset whose joins compose under NFC reads no table
+            assert composing._word_memo(policy, mode).pieces is None
+        assert transliterate("ab", first, policy) == ["a", "pʰ"]
+        assert transliterate("ca", second, policy, "skip") == ["c", "a"]
+        assert transliterate("gak", composing, policy) == ["\uac00", "k"]
+        assert policy._pieces == {"a": ("a",), "pʰ": ("pʰ",), "t͡ʃ": ("c",)}
 
     def test_self_contained_outputs_build_no_ipa_string(self):
         rs = make_ruleset(("a", "a"), ("b", "pʰ"), ("c", ""), ("d", "t͡ʃ"),
