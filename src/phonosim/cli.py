@@ -13,9 +13,9 @@ from pathlib import Path
 
 from . import __version__
 from .density import check_level, check_resolution, write_contours_json
-from .errors import DataError, PhonosimError
+from .errors import DataError, ParseError, PhonosimError
 from .formats import fmt_float, stdin_lines, utf8_errors
-from .g2p import MODES, load_ruleset, transliterate
+from .g2p import MODES, load_ruleset, transliterate_lines
 from .ipa import default_policy, load_policy, normalize, tokenize_ipa
 from .pca import pca_project, read_coords_csv, write_coords_csv
 from .per import corpus_per
@@ -54,22 +54,28 @@ def _cmd_registry_validate(args):
     return 0
 
 
+def _print_lines(sequences):
+    """Print the segments of each stdin line, space-separated; an error
+    while reading or converting a line names that line."""
+    done = 0
+    try:
+        for done, segments in enumerate(sequences, 1):
+            print(" ".join(segments))
+    except PhonosimError as e:
+        raise ParseError(str(e), "<stdin>", done + 1) from e
+
+
 def _cmd_ipa_tokenize(args):
     policy = _policy_from(args)
-    for line in stdin_lines():
-        segments = tokenize_ipa(line)
-        if not args.raw:
-            segments = normalize(segments, policy)
-        print(" ".join(segments))
+    sequences = map(tokenize_ipa, stdin_lines())
+    _print_lines(sequences if args.raw
+                 else (normalize(segments, policy) for segments in sequences))
     return 0
 
 
 def _cmd_g2p(args):
-    rs = load_ruleset(args.rules)
-    policy = _policy_from(args)
-    for line in stdin_lines():
-        seq = transliterate(line, rs, policy, mode=args.mode)
-        print(" ".join(seq))
+    _print_lines(transliterate_lines(stdin_lines(), load_ruleset(args.rules),
+                                     _policy_from(args), args.mode))
     return 0
 
 

@@ -328,6 +328,10 @@ def kde_contours(coords, params: KDEParams, resolution, level,
         near = block >= _band(max(top, float(block.max())), rel, floor)[0]
         top = float(_exact_at(kx, ky, params, nodes[near]).max(initial=top))
     cut = float(level * top if relative else level)
+    if math.isinf(cut) and math.isfinite(level):
+        raise DataError((f"family {family!r}: " if family else "")
+                        + f"contour level {level:g} times the grid maximum "
+                        f"{top:.6g} overflows")
     empty = _below_level(top, cut, family)
     if empty is not None:
         return empty

@@ -32,7 +32,7 @@ import csv
 import sys
 from contextlib import contextmanager
 
-from .errors import ParseError
+from .errors import DataError, ParseError
 
 FLOAT_FMT = ".12g"
 _FLOAT_PCT = "%" + FLOAT_FMT
@@ -90,12 +90,11 @@ def utf8_errors(path):
 
 def stdin_lines():
     """Each stdin line as it arrives, LF removed, decoded strictly as UTF-8."""
-    for line_no, raw in enumerate(sys.stdin.buffer, 1):
+    for raw in sys.stdin.buffer:
         try:
             yield raw.decode("utf-8").rstrip("\n")
         except UnicodeDecodeError as e:
-            raise ParseError(f"invalid UTF-8 byte 0x{raw[e.start]:02x}",
-                             "<stdin>", line_no) from None
+            raise DataError(f"invalid UTF-8 byte 0x{raw[e.start]:02x}") from None
 
 
 def data_lines(path):

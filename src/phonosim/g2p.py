@@ -10,21 +10,22 @@ auditable: a sequence of literal characters and [...] character classes.
 '#' marks the word boundary and may only anchor the outer end (start of a
 left context, end of a right context).
 
-A Ruleset's only mutable state is its word memo: transliterate converts
-each distinct prepared word once per Ruleset, policy and mode and reuses
-its normalized segments (successes only); any error reruns the whole text
-on the uncached path, so error types, messages and offsets are exactly
-those of a single pass. phoneme_counts gives Counter(transliterate(text))
-from the text's word table: each distinct word is looked up once and its
-segments weighted by its frequency.
+A Ruleset holds only its compiled rules. transliterate_lines converts
+each distinct prepared word once per call, keeping its normalized segments
+(successes only) in a table that lives as long as the generator;
+transliterate is that generator over one text. Any error reruns the whole
+text on the uncached path, so error types, messages and offsets are
+exactly those of a single pass. phoneme_counts gives
+Counter(transliterate(text)) from the text's word table, keeping no table
+of its own: each distinct word's segments are weighted by its frequency.
 
-A word missing from the memo concatenates its fired rules' outputs when
-each is self-contained and no join of the ruleset's outputs changes under
-NFC (checked once per Ruleset: it depends on the rules). Each output's
-normalized segments come from the policy's piece table (ipa), built once
-per distinct output and policy. Unmatched characters that mode 'skip'
-drops are transparent. Any other word takes the exact path: the IPA
-string of its outputs, tokenize_ipa, then normalize.
+A word concatenates its fired rules' outputs when each is self-contained
+and no join of the ruleset's outputs changes under NFC (checked once per
+Ruleset: it depends on the rules). Each output's normalized segments come
+from the policy's piece table (ipa), built once per distinct output and
+policy. Unmatched characters that mode 'skip' drops are transparent. Any
+other word takes the exact path: the IPA string of its outputs,
+tokenize_ipa, then normalize.
 """
 
 import re
@@ -131,21 +132,9 @@ class _KeepTable(dict):
 _KEEP = _KeepTable()
 
 
-class _WordMemo(dict):
-    """Prepared word -> tuple of its normalized segments (successes only)
-    for one policy and one mode. The policy is held as the object, not its
-    id(), which Python reuses once an object is freed. pieces is the
-    policy's piece table, or None when a join of the rule outputs changes
-    under NFC. The memo holds nothing of its Ruleset, so no reference
-    cycle keeps a Ruleset alive."""
-
-    def __init__(self, policy, mode, joins_keep_nfc):
-        if mode not in MODES:
-            raise DataError(f"unknown G2P mode {mode!r}; expected one of {MODES}")
-        super().__init__()
-        self.policy = policy
-        self.mode = mode
-        self.pieces = policy._pieces if joins_keep_nfc else None
+def _check_mode(mode):
+    if mode not in MODES:
+        raise DataError(f"unknown G2P mode {mode!r}; expected one of {MODES}")
 
 
 def _joins_keep_nfc(rules):
@@ -166,8 +155,8 @@ class Ruleset:
 
     case_fold folds both input text and rule graphemes/contexts;
     punctuation_strip removes punctuation, symbols and digits before
-    matching (whitespace stays and separates words). The rules never
-    change; the only mutable state is the word memo (_WordMemo).
+    matching (whitespace stays and separates words). A Ruleset holds only
+    its compiled rules and never changes.
     """
 
     def __init__(self, language_code, rules, case_fold=True, punctuation_strip=True):
@@ -205,7 +194,6 @@ class Ruleset:
             by_first.setdefault(entry[0][0], []).append(entry)
         self._by_first = {c: tuple(entries) for c, entries in by_first.items()}
         self._joins_keep_nfc = _joins_keep_nfc(rules)
-        self._memo = None
 
     def _fold(self, text):
         """The one text form that input, rule graphemes and contexts share:
@@ -236,14 +224,6 @@ class Ruleset:
             return rule, len(g)
         return None, 0
 
-    def _word_memo(self, policy, mode):
-        """The word memo for policy and mode; another policy or mode
-        replaces it, and an unknown mode is a DataError."""
-        memo = self._memo
-        if memo is None or memo.policy is not policy or memo.mode != mode:
-            memo = self._memo = _WordMemo(policy, mode, self._joins_keep_nfc)
-        return memo
-
 
 def _word_ipa(rs, word, base, mode):
     """IPA string for one prepared word; unmatched offsets count from base."""
@@ -266,15 +246,17 @@ def _word_ipa(rs, word, base, mode):
 def _transliterate_prepared(prepared, rs, policy, mode):
     """The uncached path: the whole prepared text in one pass.
 
-    Every error transliterate raises comes from here, so an unmatched
-    grapheme in a later word still beats a tokenize error in an earlier one.
+    Every G2P error comes from here: transliterate_lines and
+    phoneme_counts rerun a text here when one of its words fails, so an
+    unmatched grapheme in a later word still beats a tokenize error in an
+    earlier one.
     """
     word_outputs = [_word_ipa(rs, m.group(), m.start(), mode)
                     for m in re.finditer(r"\S+", prepared)]
     return normalize(tokenize_ipa(" ".join(word_outputs)), policy)
 
 
-def _word_segments(rs, word, memo):
+def _word_segments(rs, word, policy, mode):
     """Normalized segments of one prepared word, as a tuple.
 
     Exact per word: tokenize_ipa resets at whitespace, NFC never composes
@@ -283,9 +265,8 @@ def _word_segments(rs, word, memo):
     other output or kept unmatched character sends the word down the
     exact path.
     """
-    pieces, mode = memo.pieces, memo.mode
-    if pieces is not None:
-        match_at = rs.match_at
+    if rs._joins_keep_nfc:
+        pieces, match_at = policy._pieces, rs.match_at
         out = []
         i = 0
         while i < len(word):
@@ -302,55 +283,63 @@ def _word_segments(rs, word, memo):
             i += glen
         else:
             return tuple(out)
-    return tuple(normalize(tokenize_ipa(_word_ipa(rs, word, 0, mode)), memo.policy))
+    return tuple(normalize(tokenize_ipa(_word_ipa(rs, word, 0, mode)), policy))
 
 
-def _memo_segments(prepared, words, rs, memo):
-    """Each of words' segments, converted once per memo (Ruleset, policy
-    and mode). A word that fails is not stored; the error raised is the
-    one the uncached path raises on the whole prepared text."""
-    get = memo.get
-    try:
-        for word in words:
-            segments = get(word)
-            if segments is None:
-                segments = memo[word] = _word_segments(rs, word, memo)
-            yield segments
-    except PhonosimError:
-        _transliterate_prepared(prepared, rs, memo.policy, memo.mode)
-        raise
+def transliterate_lines(texts, rs: Ruleset, policy: NormalizationPolicy,
+                        mode="error"):
+    """Each of texts as a normalized phoneme sequence, yielded as soon as
+    that text has been read.
+
+    mode controls unmatched graphemes: 'error' raises with the offset in
+    the prepared text, 'skip' drops the character, 'passthrough' copies it
+    into the IPA output. A prepared word is converted once per call: the
+    table of converted words lives as long as the generator. A text that
+    fails raises the error of the uncached path on the whole text.
+    """
+    _check_mode(mode)
+    converted = {}
+    for text in texts:
+        prepared = rs.prepare(text)
+        out = []
+        try:
+            for word in prepared.split():
+                segments = converted.get(word)
+                if segments is None:
+                    segments = converted[word] = _word_segments(rs, word, policy, mode)
+                out += segments
+        except PhonosimError:
+            _transliterate_prepared(prepared, rs, policy, mode)
+            raise
+        yield out
 
 
 def transliterate(text, rs: Ruleset, policy: NormalizationPolicy,
                   mode="error") -> PhonemeSequence:
-    """Convert orthographic text to a normalized phoneme sequence.
-
-    mode controls unmatched graphemes: 'error' raises with the offset in
-    the prepared text, 'skip' drops the character, 'passthrough' copies it
-    into the IPA output.
-    """
-    memo = rs._word_memo(policy, mode)
-    prepared = rs.prepare(text)
-    out = []
-    for segments in _memo_segments(prepared, prepared.split(), rs, memo):
-        out += segments
-    return out
+    """Convert orthographic text to a normalized phoneme sequence: the
+    first sequence of transliterate_lines([text], ...)."""
+    return next(transliterate_lines((text,), rs, policy, mode))
 
 
 def phoneme_counts(text, rs: Ruleset, policy: NormalizationPolicy,
                    mode="error") -> Counter:
     """Counter(transliterate(text, rs, policy, mode)), errors included.
 
-    The prepared text becomes a word table; each distinct word's segments
-    are looked up once, the words of one frequency are counted together
-    by one Counter, and each such count is multiplied by the frequency.
+    The prepared text becomes a word table; each distinct word is
+    converted once, the words of one frequency are counted together by
+    one Counter, and each such count is multiplied by the frequency.
+    Nothing is stored: each word is a table key exactly once.
     """
-    memo = rs._word_memo(policy, mode)
+    _check_mode(mode)
     prepared = rs.prepare(text)
     table = Counter(prepared.split())
     by_frequency = {}
-    for n, segments in zip(table.values(), _memo_segments(prepared, table, rs, memo)):
-        by_frequency.setdefault(n, []).extend(segments)
+    try:
+        for word, n in table.items():
+            by_frequency.setdefault(n, []).extend(_word_segments(rs, word, policy, mode))
+    except PhonosimError:
+        _transliterate_prepared(prepared, rs, policy, mode)
+        raise
     counts = Counter()
     for n, segments in by_frequency.items():
         counts.update({p: c * n for p, c in Counter(segments).items()})

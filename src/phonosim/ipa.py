@@ -225,9 +225,8 @@ class NormalizationPolicy:
 
     A policy must not be changed after construction: merge_pairs is a plain
     dict, but normalize()'s segment memo and g2p's piece table are built at
-    construction, and the Ruleset word memo of g2p.transliterate caches
-    whole words by policy identity. All three would keep serving the old
-    mapping. Build a new policy (dataclasses.replace); it gets its own memos.
+    construction, and both would keep serving the old mapping. Build a new
+    policy (dataclasses.replace); it gets its own memos.
     """
 
     strip_stress: bool = True

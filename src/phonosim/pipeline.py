@@ -13,9 +13,10 @@ file, or whose rule file declares another `@language`, aborts the G2P
 stage naming the language. The G2P stage only counts phonemes
 (`count_corpora`, shared with `sim matrix`): each corpus becomes a word
 table, and each distinct word is converted once. Utterance sequences are
-built (`convert_corpora`) only for the manifest's languages, the target
-and its sources, after selection. Distributions and similarity live in
-`stats` (`phoneme_distributions`, `similarity_matrix`).
+built (`convert_corpora`, one `g2p.transliterate_lines` call per corpus)
+only for the manifest's languages, the target and its sources, after
+selection. Distributions and similarity live in `stats`
+(`phoneme_distributions`, `similarity_matrix`).
 """
 
 import configparser
@@ -30,7 +31,7 @@ from .density import (KDEParams, check_level, check_resolution, kde_contours,
                       silverman_bandwidths, weights_from_hours,
                       write_contours_json)
 from .errors import DataError, ParseError, PhonosimError, PipelineError
-from .g2p import load_ruleset, phoneme_counts, transliterate
+from .g2p import load_ruleset, phoneme_counts, transliterate_lines
 from .ipa import default_policy, load_policy
 from .pca import pca_project, write_coords_csv
 from .registry import Registry, code_problem, load_registry
@@ -179,11 +180,12 @@ def _corpus(code, corpus_dir, rules_dir):
 
 def _convert(code, rs, utterances, policy, mode):
     seqs = []
-    for n, (audio, text) in enumerate(utterances, 1):
-        try:
-            seqs.append((audio, transliterate(text, rs, policy, mode=mode)))
-        except PhonosimError as e:
-            raise DataError(f"{code}: utterance {n}: {e}") from e
+    converted = transliterate_lines((t for _, t in utterances), rs, policy, mode)
+    try:
+        for (audio, _), seq in zip(utterances, converted):
+            seqs.append((audio, seq))
+    except PhonosimError as e:
+        raise DataError(f"{code}: utterance {len(seqs) + 1}: {e}") from e
     return seqs
 
 

@@ -212,6 +212,24 @@ class TestIpaAndG2p:
         assert run_cli(argv, stdin_text="ab\n", monkeypatch=monkeypatch) == 2
         assert capsys.readouterr() == ("", f"phonosim: error: {path}:1: {message}\n")
 
+    # line 2 fails beside 'mati', which line 1 already converted: on 'maqti',
+    # or on a tie bar with no base whose offset counts in line 2's whole IPA
+    # text
+    @pytest.mark.parametrize("argv,stdin,out,message", [
+        (["g2p"], "mati shuna\nmaqti mati\n", "m a t i ʃ u n a\n",
+         "no rule matches 'q' at offset 2"),
+        (["g2p", "--mode", "passthrough"], "mati\nmati \u0361\n", "m a t i\n",
+         "tie bar with no preceding base symbol at offset 5"),
+        (["ipa", "tokenize"], "ˈsʲum\n\u0303a\n", "ʃ u m\n",
+         "combining mark COMBINING TILDE with no base symbol at offset 0"),
+    ], ids=["g2p", "g2p-passthrough", "ipa-tokenize"])
+    def test_conversion_error_names_its_stdin_line(self, toy_dir, monkeypatch, capsys,
+                                                   argv, stdin, out, message):
+        if argv[0] == "g2p":
+            argv = [*argv, "--rules", str(toy_dir / "rules" / "aaa.rules")]
+        assert run_cli(argv, stdin_text=stdin, monkeypatch=monkeypatch) == 2
+        assert capsys.readouterr() == (out, f"phonosim: error: <stdin>:2: {message}\n")
+
     def test_g2p_skip_mode(self, toy_dir, monkeypatch, capsys):
         code = run_cli(
             ["g2p", "--rules", str(toy_dir / "rules" / "aaa.rules"),
@@ -696,6 +714,18 @@ class TestAnalysisCommands:
                 for cs in json.loads(out.read_text(encoding="utf-8"))] == [
             ("Alphaic", True, []), ("Gammaic", True, [])]
 
+    def test_contours_relative_level_whose_cut_overflows(self, toy_dir, tmp_path,
+                                                         capsys):
+        # 1e308 passes the level check; its product with a peak does not
+        out = tmp_path / "contours.json"
+        assert cli.main(["contours", "--coords", str(toy_dir / "golden" / "cli_pca.csv"),
+                         "--registry", str(toy_dir / "registry.csv"), "--relative",
+                         "--level", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "phonosim: error: family 'Alphaic': contour level 1e+308 times "
+                "the grid maximum 60.6532 overflows\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_contours_robust_bandwidth(self, toy_dir, tmp_path, capsys):
         # the flags of test_contours_match_golden, whose bytes the robust
         # bandwidths move
@@ -1044,7 +1074,7 @@ COMMAND_PATH_ERRORS = {
         "unknown language code 'zzz'"),
     "tokenize-dangling-tie": (
         {}, ["ipa", "tokenize"], "a\u0361\n",
-        "tie bar not followed by a base symbol at offset 2"),
+        "<stdin>:1: tie bar not followed by a base symbol at offset 2"),
     "tokenize-unknown-policy-key": (
         {"policy.txt": "strip_tone = true\n"},
         ["ipa", "tokenize", "--policy", "policy.txt"], "a\n",

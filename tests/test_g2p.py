@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import gc
 import io
 import random
@@ -425,6 +426,28 @@ def outcome(fn, text, rs, policy, mode):
         return type(e), str(e), getattr(e, "offset", None)
 
 
+def lines_outcomes(texts, rs, policy, mode):
+    """transliterate_lines' sequence for each text, up to and including the
+    outcome of the first error."""
+    outcomes = []
+    try:
+        for seq in g2p.transliterate_lines(texts, rs, policy, mode):
+            outcomes.append(seq)
+    except PhonosimError as e:
+        outcomes.append((type(e), str(e), getattr(e, "offset", None)))
+    return outcomes
+
+
+def uncached_outcomes(texts, rs, policy, mode):
+    """The uncached outcome of each text, up to and including the first error."""
+    outcomes = []
+    for text in texts:
+        outcomes.append(outcome(uncached, text, rs, policy, mode))
+        if isinstance(outcomes[-1], tuple):
+            break
+    return outcomes
+
+
 COMBINING_TILDE = "\u0303"
 
 
@@ -474,6 +497,8 @@ class TestWordMemo:
             for text in texts:
                 assert (outcome(transliterate, text, rs, PLAIN, mode)
                         == outcome(uncached, text, rs, PLAIN, mode)), (mode, text)
+            assert (lines_outcomes(texts, rs, PLAIN, mode)
+                    == uncached_outcomes(texts, rs, PLAIN, mode)), mode
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -504,7 +529,6 @@ class TestWordMemo:
             transliterate("a xa", rs, PLAIN)
         # the offset counts in the whole joined IPA text, not in the word
         assert exc.value.offset == 2
-        assert "xa" not in rs._memo  # failures are never stored
 
     def test_later_unmatched_grapheme_beats_earlier_tokenize_error(self):
         rs = make_ruleset(("a", "a"), ("x", COMBINING_TILDE))
@@ -537,15 +561,15 @@ class TestWordMemo:
             with pytest.raises(DataError) as exc:
                 convert("a", rs, PLAIN, mode="strict")
             assert str(exc.value) == message
-            convert("a", rs, PLAIN)  # a warm memo for another mode
+            convert("a", rs, PLAIN)  # then a call in a known mode
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("outputs", [("a", "pʰ", "t͡ʃ"),
                                          ("\u1100", "\u1161", "k")])
     def test_ruleset_is_freed_with_its_last_reference(self, mode, outputs):
-        # the memo holds nothing of its Ruleset, so no reference cycle keeps
-        # a Ruleset (and every word it converted) alive until a collection;
-        # the second outputs have a join that NFC composes (no pieces)
+        # nothing a conversion keeps holds its Ruleset, so no reference cycle
+        # keeps a Ruleset alive until a collection; the second outputs have a
+        # join that NFC composes (no pieces)
         rs = make_ruleset(*zip("abc", outputs))
         ruleset = weakref.ref(rs)
         enabled = gc.isenabled()
@@ -554,7 +578,6 @@ class TestWordMemo:
             for policy in (PLAIN, default_policy()):
                 assert transliterate("ab ca ab", rs, policy, mode)
                 assert g2p.phoneme_counts("ab ca\nab", rs, policy, mode)
-            assert len(rs._memo) == 2
             del rs
             assert ruleset() is None
         finally:
@@ -577,12 +600,45 @@ class TestWordMemo:
             assert transliterate("ab ca ab", rs, policy, mode)
             assert g2p.phoneme_counts("ab ca\nab", rs, policy, mode)
             del policy
-            assert freed() is not None  # the word memo holds it
-            transliterate("ab", rs, PLAIN, mode)
-            assert freed() is None
+            assert freed() is None  # no Ruleset holds it
         finally:
             if enabled:
                 gc.enable()
+
+    def test_next_pulls_no_second_text(self):
+        rs = make_ruleset(("a", "a"), ("b", "b"))
+        pulled = []
+
+        def texts():
+            for text in ("ab", "ba", "bqa"):
+                pulled.append(text)
+                yield text
+
+        lines = g2p.transliterate_lines(texts(), rs, PLAIN)
+        assert pulled == []
+        assert next(lines) == ["a", "b"]
+        assert pulled == ["ab"]
+        assert next(lines) == ["b", "a"]
+        assert pulled == ["ab", "ba"]
+        with pytest.raises(UnmatchedGraphemeError):
+            next(lines)
+
+    def test_ruleset_attributes_never_change(self):
+        # a Ruleset holds only its compiled rules: converting in every mode
+        # under two policies, failures included, assigns and mutates nothing
+        rs = make_ruleset(("a", "a"), ("b", "pʰ"), ("x", COMBINING_TILDE))
+        before = {name: (value, copy.deepcopy(value)) for name, value in vars(rs).items()}
+        texts = ["ab ba", "ab\tb", "xa", "aqb", "bb ab"]
+        for policy in (PLAIN, default_policy()):
+            for mode in MODES:
+                for text in texts:
+                    outcome(transliterate, text, rs, policy, mode)
+                    outcome(counted, text, rs, policy, mode)
+                lines_outcomes(texts, rs, policy, mode)
+                lines_outcomes(texts[::-1], rs, policy, mode)
+        assert vars(rs).keys() == before.keys()
+        for name, (value, copied) in before.items():
+            assert vars(rs)[name] is value and value == copied, name
 
     def test_result_is_a_fresh_list(self):
         rs = make_ruleset(("a", "a"))
@@ -601,9 +657,9 @@ def uncached_counts(text, rs, policy, mode):
 
 
 class TestSegmentedOutputs:
-    """A word missing from the memo concatenates its rules' pre-segmented
-    outputs when each is self-contained; the uncached whole-text path stays
-    the oracle for values and errors."""
+    """A word concatenates its rules' pre-segmented outputs when each is
+    self-contained; the uncached whole-text path stays the oracle for
+    values and errors."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -623,6 +679,8 @@ class TestSegmentedOutputs:
                         assert (outcome(transliterate, text, rs, policy, mode)
                                 == outcome(uncached, text, rs, policy, mode)), (mode, text)
                 for rs in texts:
+                    assert (lines_outcomes(texts[rs], rs, policy, mode)
+                            == uncached_outcomes(texts[rs], rs, policy, mode)), mode
                     joined = "\n".join(texts[rs])
                     assert (outcome(counted, joined, rs, policy, mode)
                             == outcome(uncached_counts, joined, rs, policy, mode)), mode
@@ -632,14 +690,13 @@ class TestSegmentedOutputs:
         first = make_ruleset(("a", "a"), ("b", "pʰ"))
         second = make_ruleset(("a", "a"), ("c", "t͡ʃ"))
         composing = make_ruleset(*zip("gak", ("\u1100", "\u1161", "k")))
+        assert first._joins_keep_nfc and second._joins_keep_nfc
+        # a Ruleset whose joins compose under NFC reads no table
+        assert not composing._joins_keep_nfc
         for mode in MODES:
-            for rs in (first, second):
-                assert rs._word_memo(policy, mode).pieces is policy._pieces
-            # a Ruleset whose joins compose under NFC reads no table
-            assert composing._word_memo(policy, mode).pieces is None
-        assert transliterate("ab", first, policy) == ["a", "pʰ"]
-        assert transliterate("ca", second, policy, "skip") == ["c", "a"]
-        assert transliterate("gak", composing, policy) == ["\uac00", "k"]
+            assert transliterate("ab", first, policy, mode) == ["a", "pʰ"]
+            assert transliterate("ca", second, policy, mode) == ["c", "a"]
+            assert transliterate("gak", composing, policy, mode) == ["\uac00", "k"]
         assert policy._pieces == {"a": ("a",), "pʰ": ("pʰ",), "t͡ʃ": ("c",)}
 
     def test_self_contained_outputs_build_no_ipa_string(self):
@@ -649,7 +706,8 @@ class TestSegmentedOutputs:
         with mock.patch.object(g2p, "_word_ipa", side_effect=AssertionError):
             assert transliterate("abcdefg dqa", rs, policy, mode="skip") == [
                 "a", "pʰ", "t͡ʃ", "e", "i", "o", "ʃ", "t͡ʃ", "a"]
-        pieces = rs._word_memo(policy, "skip").pieces
+        assert rs._joins_keep_nfc
+        pieces = policy._pieces
         assert pieces["ˈe"] == ("e",) and pieces["i ˌo"] == ("i", "o")
         assert pieces[""] == ()
 
@@ -657,7 +715,8 @@ class TestSegmentedOutputs:
         COMBINING_TILDE, "ʲa", "\u0361a", "a\u0361", "aˈ", "a .", "", "e\u0301"])
     def test_outputs_that_join_a_neighbour_take_the_exact_path(self, output):
         rs = make_ruleset(("a", "a"), ("x", output))
-        pieces = rs._word_memo(PLAIN, "error").pieces
+        assert rs._joins_keep_nfc
+        pieces = PLAIN._pieces
         contained = output in ("", "e\u0301")
         assert (pieces[output] is not None) == contained
         for text in ("xa", "axa", "ax", "x"):
