@@ -80,6 +80,8 @@ def _cmd_g2p(args):
 
 
 def _cmd_sim_matrix(args):
+    if args.distributions and Path(args.distributions).resolve() == Path(args.out).resolve():
+        raise DataError(f"--out and --distributions both name {args.out}")
     policy = _policy_from(args)
     codes = corpus_languages(args.corpus_dir)
     counts = count_corpora(codes, args.corpus_dir, args.rules_dir, policy,
@@ -112,7 +114,7 @@ def _cmd_contours(args):
     reg = load_registry(args.registry)
     contour_sets = compute_family_contours(
         codes, coords, reg, level=args.level, relative=args.relative,
-        resolution=args.resolution, robust=args.robust_bandwidth)
+        resolution=args.resolution)
     if out.suffix.lower() == ".svg":
         render_svg(codes, coords, reg, contour_sets, out)
     else:
@@ -234,8 +236,6 @@ def build_parser() -> _Parser:
     p.add_argument("--relative", action="store_true",
                    help="treat level as a fraction of each family's peak")
     p.add_argument("--resolution", type=int, default=PipelineConfig.resolution)
-    p.add_argument("--robust-bandwidth", action="store_true",
-                   help="use the min(sigma, IQR/1.34) bandwidth variant")
     p.add_argument("--out", required=True, help=".json or .svg")
     p.set_defaults(func=_cmd_contours)
 

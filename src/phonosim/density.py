@@ -6,11 +6,10 @@ The density estimate is the separable product-kernel form
 
 with standard-normal K. Weights are expected to average one so that the
 1/N prefactor still yields a unit-mass density; build them from recording
-hours with weights_from_hours(). Bandwidths come from the per-axis
-Gaussian-reference rule 1.06 * sigma_w * N^(-1/5), with a robust
-min(sigma, IQR/1.34) variant behind a flag. KDEParams holds the
-estimate's numeric invariants; the helpers trust their caller for the
-rest (at least 2 finite points, one weight each).
+hours with weights_from_hours(). Bandwidths come from one rule, the
+per-axis Gaussian reference 1.06 * sigma_w * N^(-1/5). KDEParams holds
+the estimate's numeric invariants; the helpers trust their caller for
+the rest (at least 2 finite points, one weight each).
 
 Contours are extracted by marching squares, with linear interpolation
 along cell edges and saddle cells disambiguated by the cell-center sample
@@ -40,7 +39,6 @@ from .formats import json_floats, round_float, write_lines
 
 TWO_PI = 2.0 * math.pi
 GAUSSIAN_REFERENCE_FACTOR = 1.06
-ROBUST_FACTOR = 0.9
 # kept/used when an axis has zero spread: max(1e-6, 1e-3 * other axis range)
 _FALLBACK_MIN = 1e-6
 _FALLBACK_SCALE = 1e-3
@@ -120,21 +118,11 @@ def _weighted_std(x, w):
     return sigma
 
 
-def _weighted_quantile(x, w, q):
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ws = w[order]
-    cum = np.cumsum(ws) - 0.5 * ws
-    return float(np.interp(q * ws.sum(), cum, xs))
-
-
 @np.errstate(all="ignore")
-def silverman_bandwidths(coords, weights, robust=False):
-    """Per-axis bandwidths (h_x, h_y) for N >= 2 points and N weights > 0.
-
-    Default: 1.06 * sigma_w * N^(-1/5) with the weighted (population-style)
-    standard deviation. robust=True uses 0.9 * min(sigma_w, IQR_w/1.34) *
-    N^(-1/5) instead. A zero-spread axis falls back to
+def silverman_bandwidths(coords, weights):
+    """Per-axis bandwidths (h_x, h_y) for N >= 2 points and N weights > 0:
+    1.06 * sigma_w * N^(-1/5) with the weighted (population-style)
+    standard deviation. A zero-spread axis falls back to
     max(1e-6, 1e-3 * range of the other axis). A spread too large for a
     float gives a bandwidth that is not finite, without a numpy warning.
     """
@@ -145,14 +133,7 @@ def silverman_bandwidths(coords, weights, robust=False):
     spans = [float(pts[:, a].max() - pts[:, a].min()) for a in (0, 1)]
     bandwidths = []
     for axis in (0, 1):
-        sigma = _weighted_std(pts[:, axis], w)
-        if robust:
-            iqr = (_weighted_quantile(pts[:, axis], w, 0.75)
-                   - _weighted_quantile(pts[:, axis], w, 0.25))
-            scale = min(sigma, iqr / 1.34)
-            h = ROBUST_FACTOR * scale * n_factor
-        else:
-            h = GAUSSIAN_REFERENCE_FACTOR * sigma * n_factor
+        h = GAUSSIAN_REFERENCE_FACTOR * _weighted_std(pts[:, axis], w) * n_factor
         if h <= 0:
             h = max(_FALLBACK_MIN, _FALLBACK_SCALE * spans[1 - axis])
         bandwidths.append(h)
@@ -328,10 +309,10 @@ def kde_contours(coords, params: KDEParams, resolution, level,
         near = block >= _band(max(top, float(block.max())), rel, floor)[0]
         top = float(_exact_at(kx, ky, params, nodes[near]).max(initial=top))
     cut = float(level * top if relative else level)
-    if math.isinf(cut) and math.isfinite(level):
+    if not 0 < cut < math.inf and 0 < level < math.inf:
         raise DataError((f"family {family!r}: " if family else "")
                         + f"contour level {level:g} times the grid maximum "
-                        f"{top:.6g} overflows")
+                        f"{top:.6g} {'overflows' if cut else 'underflows'}")
     empty = _below_level(top, cut, family)
     if empty is not None:
         return empty

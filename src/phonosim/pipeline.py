@@ -36,7 +36,7 @@ from .ipa import default_policy, load_policy
 from .pca import pca_project, write_coords_csv
 from .registry import Registry, code_problem, load_registry
 from .render import render_svg
-from .selection import (STRATEGIES, emit_manifest, select_strategy,
+from .selection import (check_selection, emit_manifest, select_strategy,
                         write_manifest_tsv, write_selection_report)
 from .stats import (family_mean_similarities, phoneme_distributions,
                     similarity_matrix, write_distributions_csv, write_matrix_csv)
@@ -86,12 +86,9 @@ class PipelineConfig:
             except ParseError:
                 raise DataError("setting 'relative' must be a boolean, "
                                 f"got {self.relative!r}") from None
-        if self.k < 1:
-            raise DataError("k must be at least 1")
+        check_selection(self.strategy, self.k)
         check_level(self.level)
         check_resolution(self.resolution)
-        if self.strategy not in STRATEGIES:
-            raise DataError(f"unknown selection strategy {self.strategy!r}")
 
 
 def load_config(path=None, overrides=None) -> PipelineConfig:
@@ -232,6 +229,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     Any stage failure raises PipelineError naming the stage; partial
     outputs are discarded with the temporary directory.
     """
+    with _stage("output"):
+        # a file at or above the output directory fails before any work
+        found = next(p for p in (cfg.out, *cfg.out.parents) if p.exists())
+        if not found.is_dir():
+            raise DataError(f"{found} exists and is not a directory")
+
     with _stage("registry"):
         if not cfg.registry.exists():
             raise DataError(f"registry file {cfg.registry} does not exist")
@@ -285,10 +288,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                        tmp_dir / "contours.svg")
 
         with _stage("selection"):
-            # selection operates over the analyzed languages only: the
-            # manifest needs a corpus for every chosen source
-            sub_registry = Registry([reg.get(c) for c in matrix.codes])
-            sel = select_strategy(cfg.target, cfg.strategy, sub_registry,
+            sel = select_strategy(cfg.target, cfg.strategy, reg,
                                   matrix=matrix, k=cfg.k)
             write_selection_report(sel, tmp_dir / "selection.tsv")
 
@@ -311,7 +311,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def compute_family_contours(codes, coords, reg: Registry, level, resolution,
-                            relative=False, robust=False):
+                            relative=False):
     """Per-family KDE contour sets over projected coordinates.
 
     Weights follow recording hours (mean-one within the family); families
@@ -341,7 +341,7 @@ def compute_family_contours(codes, coords, reg: Registry, level, resolution,
             hours = [1.0] * len(members)
         try:
             weights = weights_from_hours(hours)
-            h_x, h_y = silverman_bandwidths(pts, weights, robust=robust)
+            h_x, h_y = silverman_bandwidths(pts, weights)
             params = KDEParams(h_x, h_y, weights)
         except DataError as exc:
             raise DataError(f"family {family!r}: {exc}") from None

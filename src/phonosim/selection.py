@@ -3,9 +3,11 @@
 STRATEGIES: monolingual (no sources), family (same-family languages),
 all (every other language), corpus_sim (the k languages with the highest
 cosine similarity to the target; k defaults to 3). k must be at least 1
-under every strategy. The manifest always trains on the target alongside
-its sources, and its phoneme inventory is the union over target plus
-sources so every target utterance stays representable.
+under every strategy. Given a matrix, family and all take only the
+languages it holds, so `select --matrix` picks the pipeline's sources.
+The manifest always trains on the target alongside its sources, and its
+phoneme inventory is the union over target plus sources so every target
+utterance stays representable.
 """
 
 import warnings
@@ -46,24 +48,32 @@ class TrainingManifest:
     total_hours: float
 
 
-def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> SelectionResult:
-    """The target's sources under one of STRATEGIES; k must be at least 1.
-
-    corpus_sim ranks the other matrix codes by similarity, ties broken by
-    greater recording hours (0 for a code the registry lacks), then code;
-    k beyond the candidates truncates with a warning.
-    """
+def check_selection(strategy, k):
+    """DataError unless strategy is one of STRATEGIES and k is at least 1."""
     if strategy not in STRATEGIES:
         raise DataError(f"unknown selection strategy {strategy!r}")
     if k < 1:
         raise DataError("k must be at least 1")
+
+
+def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> SelectionResult:
+    """The target's sources under one of STRATEGIES; k must be at least 1.
+
+    family and all list the other registry languages (of the target's
+    family) in code order; given a matrix, only those it holds.
+    corpus_sim ranks the other matrix codes by similarity, ties broken by
+    greater recording hours (0 for a code the registry lacks), then code;
+    k beyond the candidates truncates with a warning.
+    """
+    check_selection(strategy, k)
     family = reg.get(target).family
     if strategy == "monolingual":
         return SelectionResult(target, strategy, ())
     if strategy != "corpus_sim":
         return SelectionResult(target, strategy, tuple(
             (r.code, None) for r in reg
-            if r.code != target and (strategy == "all" or r.family == family)))
+            if r.code != target and (matrix is None or r.code in matrix.codes)
+            and (strategy == "all" or r.family == family)))
     if matrix is None:
         raise DataError("strategy corpus_sim requires a similarity matrix")
     hours = {r.code: r.recording_hours for r in reg}

@@ -17,6 +17,7 @@ from phonosim.ipa import default_policy
 from phonosim.pca import read_coords_csv
 from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig, corpus_languages,
                                count_corpora, phoneme_distributions)
+from phonosim.selection import STRATEGIES
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
@@ -336,6 +337,18 @@ class TestAnalysisCommands:
         golden = toy_dir / "golden"
         assert matrix_csv.read_bytes() == (golden / "similarity.csv").read_bytes()
         assert dists_csv.read_bytes() == (golden / "distributions.csv").read_bytes()
+
+    @pytest.mark.parametrize("distributions", ["m.csv", "./m.csv", "sub/../m.csv"])
+    def test_sim_matrix_out_and_distributions_one_file_exit_2(
+            self, tmp_path, monkeypatch, capsys, distributions):
+        # checked before any corpus is read: the corpus directory is missing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert cli.main(["sim", "matrix", "--corpus-dir", "nope", "--rules-dir", "nope",
+                         "--out", "m.csv", "--distributions", distributions]) == 2
+        assert capsys.readouterr() == (
+            "", "phonosim: error: --out and --distributions both name m.csv\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
     def test_pca_matches_golden(self, toy_dir, tmp_path, capsys):
         # the matrix is read back from its CSV, so the coordinates differ
@@ -726,20 +739,22 @@ class TestAnalysisCommands:
                 "the grid maximum 60.6532 overflows\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_contours_robust_bandwidth(self, toy_dir, tmp_path, capsys):
-        # the flags of test_contours_match_golden, whose bytes the robust
-        # bandwidths move
-        golden = toy_dir / "golden"
+    def test_contours_relative_level_whose_cut_underflows(self, toy_dir, tmp_path,
+                                                          capsys):
+        # 1e-30 passes the level check; Alphaic's peak is near 3e-300, and
+        # their product rounds to zero
+        coords = tmp_path / "coords.csv"
+        coords.write_text("id,x,y\naaa,1e150,0\naab,-1e150,3e149\naba,0,0\n"
+                          "abb,1,1\n", encoding="utf-8")
         out = tmp_path / "contours.json"
-        assert cli.main(["contours", "--coords", str(golden / "cli_pca.csv"),
-                         "--registry", str(toy_dir / "registry.csv"),
-                         "--relative", "--level", "0.3", "--resolution", "300",
-                         "--robust-bandwidth", "--out", str(out)]) == 0
-        assert capsys.readouterr() == (f"wrote 2 family contour set(s) to {out}\n", "")
-        contours = json.loads(out.read_text(encoding="utf-8"))
-        assert [cs["family"] for cs in contours] == ["Alphaic", "Gammaic"]
-        assert all(cs["polylines"] for cs in contours)
-        assert out.read_bytes() != (golden / "cli_contours.json").read_bytes()
+        assert cli.main(["contours", "--coords", str(coords),
+                         "--registry", str(toy_dir / "registry.csv"), "--relative",
+                         "--level", "1e-30", "--resolution", "16",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "phonosim: error: family 'Alphaic': contour level 1e-30 times "
+                "the grid maximum 3.21525e-300 underflows\n")
+        assert list(tmp_path.iterdir()) == [coords]
 
     def test_contours_resolution_below_16_exit_2(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "contours.json"
@@ -1398,6 +1413,51 @@ class TestPipelineCommand:
         assert cli.main(["pipeline", *argv]) == 2
         assert capsys.readouterr() == ("", f"phonosim: error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/out"])
+    def test_out_under_a_file_fails_before_any_stage(self, toy_dir, tmp_path,
+                                                     capsys, out):
+        # the rules directory holds no rule file, so the g2p stage would fail
+        file = tmp_path / "file"
+        file.write_text("kept\n", encoding="utf-8")
+        assert cli.main([
+            "pipeline",
+            "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(tmp_path),
+            "--registry", str(toy_dir / "registry.csv"),
+            "--target", "aaa",
+            "--out", str(tmp_path / out),
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", f"phonosim: error: [output] {file} exists and is not a directory\n")
+        assert list(tmp_path.iterdir()) == [file]
+        assert file.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("extra", ["", "aac,Extran,Alphaic,West,5\n"],
+                             ids=["toy", "no-corpus-row"])
+    def test_select_over_the_pipeline_matrix_writes_its_selection(
+            self, toy_dir, tmp_path, capsys, strategy, extra):
+        # a registry row without a corpus is in no matrix, so neither the
+        # pipeline nor select may pick it
+        registry = tmp_path / "registry.csv"
+        registry.write_text((toy_dir / "registry.csv").read_text(encoding="utf-8")
+                            + extra, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([
+            "pipeline", "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(toy_dir / "rules"), "--registry", str(registry),
+            "--policy", str(toy_dir / "policy.txt"), "--target", "aaa",
+            "--strategy", strategy, "--resolution", "16", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "select", "--target", "aaa", "--strategy", strategy,
+            "--registry", str(registry), "--matrix", str(out / "similarity.csv"),
+        ]) == 0
+        printed = capsys.readouterr()
+        assert printed.out.encode("utf-8") == (out / "selection.tsv").read_bytes()
+        assert "aac" not in printed.out
 
     def test_stage_error_reported(self, toy_dir, tmp_path, capsys):
         assert cli.main([

@@ -58,14 +58,6 @@ class TestSilverman:
 
         assert abs(sigma_w - sigma_oracle([0.0, 3.0], [2.0, 1.0])) <= 1e-12
 
-    def test_robust_variant_positive(self):
-        rng = random.Random(3)
-        pts = [(rng.random(), rng.random()) for _ in range(8)]
-        h_x, h_y = silverman_bandwidths(pts, np.ones(8), robust=True)
-        default = silverman_bandwidths(pts, np.ones(8))
-        assert h_x > 0 and h_y > 0
-        assert h_x <= default[0] * (0.9 / 1.06) + 1e-12
-
 
 class TestWeights:
     def test_mean_one(self):

@@ -537,6 +537,23 @@ class TestContourGridExact:
                 kde_contours(coords, params, 64, level, relative)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("family, prefix", [("Alphaic", "family 'Alphaic': "),
+                                                ("", "")])
+    def test_relative_level_whose_cut_underflows(self, family, prefix):
+        # a spread of 2e150 with weights 2/11 and 20/11: the peak is near
+        # 3e-300, and a finite positive level of 1e-30 of it is no float
+        coords = np.array([[1e150, 0.0], [-1e150, 3e149]])
+        weights = density.weights_from_hours([2.0, 20.0])
+        params = KDEParams(*density.silverman_bandwidths(coords, weights), weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(DataError) as exc:
+                kde_contours(coords, params, 16, 1e-30, True, family=family)
+        assert str(exc.value) == (f"{prefix}contour level 1e-30 times the grid "
+                                  "maximum 3.21525e-300 underflows")
+        # a relative level whose cut is a float is traced
+        assert kde_contours(coords, params, 16, 0.5, True, family=family).polylines
+
     def test_scale_outside_the_bound_is_rejected(self):
         # a subnormal normalizing constant, and a normal one under which
         # an estimate could overflow

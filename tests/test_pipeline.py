@@ -7,6 +7,8 @@ import pytest
 from phonosim.errors import DataError, PipelineError
 from phonosim.pipeline import (ARTIFACT_NAMES, PipelineConfig, load_config,
                                read_corpus_tsv, run_pipeline)
+from phonosim.registry import load_registry
+from phonosim.selection import select_strategy
 
 
 def toy_config(toy_dir, out_dir, **overrides):
@@ -240,6 +242,17 @@ class TestConfig:
             toy_config(toy_dir, tmp_path, resolution=4)
         with pytest.raises(DataError):
             toy_config(toy_dir, tmp_path, strategy="bogus")
+
+    @pytest.mark.parametrize("strategy, k", [("bogus", 3), ("all", 0), ("bogus", 0)])
+    def test_selection_settings_fail_as_select_strategy_does(self, toy_dir, tmp_path,
+                                                             cv_registry_path,
+                                                             strategy, k):
+        # one check, so one message, whichever of the two is wrong
+        with pytest.raises(DataError) as select_error:
+            select_strategy("hi", strategy, load_registry(cv_registry_path), k=k)
+        with pytest.raises(DataError) as config_error:
+            toy_config(toy_dir, tmp_path, strategy=strategy, k=k)
+        assert str(config_error.value) == str(select_error.value)
 
     def test_relative_strings_parsed(self, toy_dir, tmp_path):
         # like k, level and resolution, a string is converted, not kept

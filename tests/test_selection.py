@@ -160,6 +160,21 @@ class TestStrategies:
                         LanguageRecord("u", "U", "F2", None, 1.0)])
         assert select_strategy("t", "family", reg).sources == ()
 
+    def test_family_and_all_take_the_matrix_languages_in_code_order(self):
+        # the registry is given z, b, t, a, c; the matrix holds z, t, b, a,
+        # not c
+        reg = Registry([LanguageRecord(code, code, family, None, 1.0)
+                        for code, family in (("z", "F"), ("b", "G"), ("t", "F"),
+                                             ("a", "F"), ("c", "F"))])
+        matrix = SimilarityMatrix(("z", "t", "b", "a"), np.eye(4))
+        assert select_strategy("t", "family", reg, matrix=matrix).sources == (
+            ("a", None), ("z", None))
+        assert select_strategy("t", "all", reg, matrix=matrix).source_codes() == (
+            "a", "b", "z")
+        # without a matrix, every registry language
+        assert select_strategy("t", "family", reg).source_codes() == ("a", "c", "z")
+        assert select_strategy("t", "all", reg).source_codes() == ("a", "b", "c", "z")
+
     def test_all_hindi(self, cv_registry_path):
         reg = load_registry(cv_registry_path)
         sel = select_strategy("hi", "all", reg)
