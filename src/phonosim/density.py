@@ -156,10 +156,9 @@ def _centers(lo, hi, resolution):
 
 
 def check_resolution(resolution):
-    """resolution (cells per grid side); DataError unless 16..MAX_RESOLUTION."""
+    """DataError unless resolution (cells per grid side) is 16..MAX_RESOLUTION."""
     if not 16 <= resolution <= MAX_RESOLUTION:
         raise DataError(f"resolution must be between 16 and {MAX_RESOLUTION}")
-    return resolution
 
 
 def check_level(level):
@@ -174,7 +173,6 @@ def _grid_and_kernels(coords, params: KDEParams, resolution):
     """The padded extent (x_min, x_max, y_min, y_max) and the per-axis
     kernel factors kx[i, n] = K((x_i - x_n)/h_x), ky[j, n] = K((y_j -
     y_n)/h_y) at the cell centres."""
-    resolution = check_resolution(int(resolution))
     pts = np.asarray(coords, dtype=float)
     x_min = float(pts[:, 0].min()) - PADDING_BANDWIDTHS * params.h_x
     x_max = float(pts[:, 0].max()) + PADDING_BANDWIDTHS * params.h_x
@@ -276,6 +274,8 @@ def kde_contours(coords, params: KDEParams, resolution, level,
     every node in the band, and summing them costs up to about twice the
     reference's R * R sums.
     """
+    check_level(level)
+    check_resolution(resolution)
     extent, kx, ky = _grid_and_kernels(coords, params, resolution)
     size = len(kx)
     norm = _norm(params)
@@ -309,7 +309,7 @@ def kde_contours(coords, params: KDEParams, resolution, level,
         near = block >= _band(max(top, float(block.max())), rel, floor)[0]
         top = float(_exact_at(kx, ky, params, nodes[near]).max(initial=top))
     cut = float(level * top if relative else level)
-    if not 0 < cut < math.inf and 0 < level < math.inf:
+    if not 0 < cut < math.inf:
         raise DataError((f"family {family!r}: " if family else "")
                         + f"contour level {level:g} times the grid maximum "
                         f"{top:.6g} {'overflows' if cut else 'underflows'}")
@@ -341,11 +341,8 @@ def kde_contours(coords, params: KDEParams, resolution, level,
 
 
 def _below_level(top, level, family):
-    """Reject a level that is not finite and positive. When it exceeds the
-    grid maximum `top`, warn and return the flagged empty ContourSet;
-    otherwise None."""
-    if not (math.isfinite(level) and level > 0):
-        raise DataError("contour level must be finite and positive")
+    """When level exceeds the grid maximum `top`, warn and return the
+    flagged empty ContourSet; otherwise None."""
     if top >= level:
         return None
     warnings.warn(f"maximum density {top:.6g} is below contour level {level:g}"

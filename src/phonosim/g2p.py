@@ -19,12 +19,13 @@ exactly those of a single pass. phoneme_counts gives
 Counter(transliterate(text)) from the text's word table, keeping no table
 of its own: each distinct word's segments are weighted by its frequency.
 
-A word concatenates its fired rules' outputs when each is self-contained
-and no join of the ruleset's outputs changes under NFC (checked once per
-Ruleset: it depends on the rules). Each output's normalized segments come
-from the policy's piece table (ipa), built once per distinct output and
-policy. Unmatched characters that mode 'skip' drops are transparent. Any
-other word takes the exact path: the IPA string of its outputs,
+A word is walked once, one Ruleset.match_at per position. It concatenates
+its fired rules' outputs when each is self-contained and no join of the
+ruleset's outputs changes under NFC (checked once per Ruleset: it depends
+on the rules). Each output's normalized segments come from the policy's
+piece table (ipa), built once per distinct output and policy. Unmatched
+characters that mode 'skip' drops are transparent. Any other word takes
+the exact path over the same walk's parts: their IPA string,
 tokenize_ipa, then normalize.
 """
 
@@ -225,22 +226,35 @@ class Ruleset:
         return None, 0
 
 
-def _word_ipa(rs, word, base, mode):
-    """IPA string for one prepared word; unmatched offsets count from base."""
+def _walk(rs, word, base, mode, pieces):
+    """(parts, segments) of one prepared word, walked once. The parts are
+    the fired rules' outputs and the characters that mode 'passthrough'
+    keeps; segments concatenates their pieces, or is None when pieces is
+    None or a part is not self-contained. Unmatched offsets count from base."""
+    match_at = rs.match_at
     parts = []
-    i = 0
-    while i < len(word):
-        rule, glen = rs.match_at(word, i)
+    out = None if pieces is None else []
+    i, n = 0, len(word)
+    while i < n:
+        rule, glen = match_at(word, i)
         if rule is None:
             if mode == "error":
                 raise UnmatchedGraphemeError(word[i], base + i)
             if mode == "passthrough":
                 parts.append(word[i])
+                out = None
             i += 1
         else:
-            parts.append(rule.phoneme_output)
+            output = rule.phoneme_output
+            parts.append(output)
+            if out is not None:
+                piece = pieces[output]
+                if piece is None:
+                    out = None
+                else:
+                    out += piece
             i += glen
-    return "".join(parts)
+    return parts, None if out is None else tuple(out)
 
 
 def _transliterate_prepared(prepared, rs, policy, mode):
@@ -251,7 +265,7 @@ def _transliterate_prepared(prepared, rs, policy, mode):
     unmatched grapheme in a later word still beats a tokenize error in an
     earlier one.
     """
-    word_outputs = [_word_ipa(rs, m.group(), m.start(), mode)
+    word_outputs = ["".join(_walk(rs, m.group(), m.start(), mode, None)[0])
                     for m in re.finditer(r"\S+", prepared)]
     return normalize(tokenize_ipa(" ".join(word_outputs)), policy)
 
@@ -261,29 +275,14 @@ def _word_segments(rs, word, policy, mode):
 
     Exact per word: tokenize_ipa resets at whitespace, NFC never composes
     across U+0020, normalize maps one segment at a time. Self-contained
-    outputs are concatenated without building the IPA string; the first
-    other output or kept unmatched character sends the word down the
-    exact path.
+    parts are concatenated without building the IPA string; a word with
+    any other part takes the exact path from the same walk's parts.
     """
-    if rs._joins_keep_nfc:
-        pieces, match_at = policy._pieces, rs.match_at
-        out = []
-        i = 0
-        while i < len(word):
-            rule, glen = match_at(word, i)
-            if rule is None:
-                if mode != "skip":
-                    break
-                i += 1
-                continue
-            piece = pieces[rule.phoneme_output]
-            if piece is None:
-                break
-            out += piece
-            i += glen
-        else:
-            return tuple(out)
-    return tuple(normalize(tokenize_ipa(_word_ipa(rs, word, 0, mode)), policy))
+    parts, segments = _walk(rs, word, 0, mode,
+                            policy._pieces if rs._joins_keep_nfc else None)
+    if segments is not None:
+        return segments
+    return tuple(normalize(tokenize_ipa("".join(parts)), policy))
 
 
 def transliterate_lines(texts, rs: Ruleset, policy: NormalizationPolicy,

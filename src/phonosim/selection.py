@@ -57,7 +57,8 @@ def check_selection(strategy, k):
 
 
 def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> SelectionResult:
-    """The target's sources under one of STRATEGIES; k must be at least 1.
+    """The target's sources under one of STRATEGIES; k must be at least 1,
+    and a given matrix must hold the target.
 
     family and all list the other registry languages (of the target's
     family) in code order; given a matrix, only those it holds.
@@ -67,6 +68,7 @@ def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> Select
     """
     check_selection(strategy, k)
     family = reg.get(target).family
+    row = None if matrix is None else matrix.values[matrix.index(target)]
     if strategy == "monolingual":
         return SelectionResult(target, strategy, ())
     if strategy != "corpus_sim":
@@ -77,7 +79,6 @@ def select_strategy(target, strategy, reg: Registry, matrix=None, k=3) -> Select
     if matrix is None:
         raise DataError("strategy corpus_sim requires a similarity matrix")
     hours = {r.code: r.recording_hours for r in reg}
-    row = matrix.values[matrix.index(target)]
     candidates = sorted(
         ((code, float(row[j])) for j, code in enumerate(matrix.codes) if code != target),
         key=lambda cs: (-cs[1], -hours.get(cs[0], 0.0), cs[0]))

@@ -259,6 +259,24 @@ class TestIpaAndG2p:
         assert capsysbinary.readouterr().out == \
             (toy_dir / "golden" / f"cli_g2p_{mode}.txt").read_bytes()
 
+    @pytest.mark.parametrize("mode, status, err", [
+        ("error", 2, "phonosim: error: <stdin>:5: no rule matches 'q' at offset 1\n"),
+        ("passthrough", 0, ""),
+    ])
+    def test_g2p_exact_path_matches_golden(self, toy_dir, monkeypatch, capsysbinary,
+                                           mode, status, err):
+        # exact.rules has outputs that join a neighbour (a leading modifier
+        # letter or combining mark, a trailing tie bar, Hangul jamo), so
+        # their words take the exact path; the last line's 'q' stops mode
+        # error after four lines and joins its neighbours under passthrough
+        exact = toy_dir / "g2p_exact"
+        text = (exact / "input.txt").read_text(encoding="utf-8")
+        assert run_cli(["g2p", "--rules", str(exact / "exact.rules"),
+                        "--policy", str(toy_dir / "policy.txt"), "--mode", mode],
+                       stdin_text=text, monkeypatch=monkeypatch) == status
+        assert capsysbinary.readouterr() == (
+            (exact / f"{mode}.txt").read_bytes(), err.encode("utf-8"))
+
     def test_tokenize_matches_golden(self, toy_dir, monkeypatch, capsysbinary):
         text = (toy_dir / "ipa_input.txt").read_text(encoding="utf-8")
         assert run_cli(["ipa", "tokenize", "--policy", str(toy_dir / "policy.txt")],
@@ -870,6 +888,23 @@ class TestAnalysisCommands:
             "--registry", str(toy_dir / "registry.csv"),
         ]) == 2
         assert capsys.readouterr() == ("", "phonosim: error: k must be at least 1\n")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_select_target_missing_from_the_matrix_exit_2(self, toy_dir, tmp_path,
+                                                          capsys, strategy):
+        # aac is a registry language with no row in the matrix
+        registry = tmp_path / "registry.csv"
+        registry.write_text((toy_dir / "registry.csv").read_text(encoding="utf-8")
+                            + "aac,Extran,Alphaic,West,5\n", encoding="utf-8")
+        out = tmp_path / "sel.tsv"
+        assert cli.main([
+            "select", "--target", "aac", "--strategy", strategy,
+            "--registry", str(registry),
+            "--matrix", str(toy_dir / "golden" / "similarity.csv"), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", "phonosim: error: unknown language code 'aac'\n")
+        assert not out.exists()
 
     def test_select_corpus_sim_without_matrix(self, toy_dir, capsys):
         assert cli.main([

@@ -527,7 +527,7 @@ class TestContourGridExact:
                            np.ones(4))
         if level == 1e300 and not relative:
             level = math.inf
-        message = "contour level must be finite and positive"
+        message = f"setting 'level' must be finite and positive, got {level!r}"
         if level == 1e300:
             # a finite level whose product with the peak is no float
             message = "contour level 1e+300 times the grid maximum 1.58806e+11 overflows"

@@ -703,13 +703,36 @@ class TestSegmentedOutputs:
         rs = make_ruleset(("a", "a"), ("b", "pʰ"), ("c", ""), ("d", "t͡ʃ"),
                           ("e", "ˈe"), ("f", "i ˌo"), ("g", "sʲ"))
         policy = default_policy()
-        with mock.patch.object(g2p, "_word_ipa", side_effect=AssertionError):
+        with mock.patch.object(g2p, "tokenize_ipa", side_effect=AssertionError):
             assert transliterate("abcdefg dqa", rs, policy, mode="skip") == [
                 "a", "pʰ", "t͡ʃ", "e", "i", "o", "ʃ", "t͡ʃ", "a"]
         assert rs._joins_keep_nfc
         pieces = policy._pieces
         assert pieces["ˈe"] == ("e",) and pieces["i ˌo"] == ("i", "o")
         assert pieces[""] == ()
+
+    @pytest.mark.parametrize("convert", [transliterate, g2p.phoneme_counts])
+    @pytest.mark.parametrize("word, mode, positions", [
+        ("thax", "error", [0, 2, 3]),       # 'ʲ' joins the 'a' before it
+        ("acah", "skip", [0, 1, 2, 3]),     # a trailing tie bar; 'h' is dropped
+        ("aqth", "passthrough", [0, 1, 2]),  # the kept 'q'
+    ])
+    def test_a_word_off_the_piece_path_is_walked_once(self, convert, word, mode,
+                                                      positions):
+        rs = make_ruleset(("th", "tʰ"), ("a", "a"), ("x", "ʲ"), ("c", "t\u0361"))
+        assert rs._joins_keep_nfc
+        walked = []
+        match_at = Ruleset.match_at
+
+        def counting_match_at(self, word, i):
+            walked.append(i)
+            return match_at(self, word, i)
+
+        with mock.patch.object(Ruleset, "match_at", counting_match_at):
+            got = convert(word, rs, PLAIN, mode)
+        assert walked == positions
+        expected = uncached(word, rs, PLAIN, mode)
+        assert got == (expected if convert is transliterate else Counter(expected))
 
     @pytest.mark.parametrize("output", [
         COMBINING_TILDE, "ʲa", "\u0361a", "a\u0361", "aˈ", "a .", "", "e\u0301"])
