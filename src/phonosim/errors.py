@@ -21,6 +21,7 @@ class TokenizeError(PhonosimError):
     """An IPA string could not be segmented."""
 
     def __init__(self, message, offset):
+        self.message = message
         self.offset = offset
         super().__init__(f"{message} at offset {offset}")
 

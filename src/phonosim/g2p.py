@@ -13,11 +13,13 @@ left context, end of a right context).
 A Ruleset holds only its compiled rules. transliterate_lines converts
 each distinct prepared word once per call, keeping its normalized segments
 (successes only) in a table that lives as long as the generator;
-transliterate is that generator over one text. Any error reruns the whole
-text on the uncached path, so error types, messages and offsets are
-exactly those of a single pass. phoneme_counts gives
+transliterate is that generator over one text. phoneme_counts gives
 Counter(transliterate(text)) from the text's word table, keeping no table
 of its own: each distinct word's segments are weighted by its frequency.
+Both walk words in text order and store no failure, so the first failing
+word in text order raises, at its first occurrence: an unmatched
+grapheme's offset counts in the prepared text, a tokenize error names the
+word and counts its offset in that word's IPA.
 
 A word is walked once, one Ruleset.match_at per position. It concatenates
 its fired rules' outputs when each is self-contained and no join of the
@@ -35,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (DataError, ParseError, PhonosimError, RuleError,
+from .errors import (DataError, ParseError, RuleError, TokenizeError,
                      UnmatchedGraphemeError)
 from .formats import data_lines, parse_bool
 from .ipa import NormalizationPolicy, PhonemeSequence, normalize, tokenize_ipa
@@ -226,11 +228,13 @@ class Ruleset:
         return None, 0
 
 
-def _walk(rs, word, base, mode, pieces):
-    """(parts, segments) of one prepared word, walked once. The parts are
-    the fired rules' outputs and the characters that mode 'passthrough'
-    keeps; segments concatenates their pieces, or is None when pieces is
-    None or a part is not self-contained. Unmatched offsets count from base."""
+def _walk(rs, word, text, mode, pieces):
+    """(parts, segments) of one word of the prepared text, walked once. The
+    parts are the fired rules' outputs and the characters that mode
+    'passthrough' keeps; segments concatenates their pieces, or is None
+    when pieces is None or a part is not self-contained. An unmatched
+    grapheme's offset counts in text, from the word's first
+    whitespace-delimited occurrence: that is where the word fails."""
     match_at = rs.match_at
     parts = []
     out = None if pieces is None else []
@@ -239,7 +243,8 @@ def _walk(rs, word, base, mode, pieces):
         rule, glen = match_at(word, i)
         if rule is None:
             if mode == "error":
-                raise UnmatchedGraphemeError(word[i], base + i)
+                start = re.search(rf"(?<!\S){re.escape(word)}(?!\S)", text).start()
+                raise UnmatchedGraphemeError(word[i], start + i)
             if mode == "passthrough":
                 parts.append(word[i])
                 out = None
@@ -257,32 +262,24 @@ def _walk(rs, word, base, mode, pieces):
     return parts, None if out is None else tuple(out)
 
 
-def _transliterate_prepared(prepared, rs, policy, mode):
-    """The uncached path: the whole prepared text in one pass.
-
-    Every G2P error comes from here: transliterate_lines and
-    phoneme_counts rerun a text here when one of its words fails, so an
-    unmatched grapheme in a later word still beats a tokenize error in an
-    earlier one.
-    """
-    word_outputs = ["".join(_walk(rs, m.group(), m.start(), mode, None)[0])
-                    for m in re.finditer(r"\S+", prepared)]
-    return normalize(tokenize_ipa(" ".join(word_outputs)), policy)
-
-
-def _word_segments(rs, word, policy, mode):
-    """Normalized segments of one prepared word, as a tuple.
+def _word_segments(rs, word, text, policy, mode):
+    """Normalized segments of one word of the prepared text, as a tuple.
 
     Exact per word: tokenize_ipa resets at whitespace, NFC never composes
     across U+0020, normalize maps one segment at a time. Self-contained
     parts are concatenated without building the IPA string; a word with
-    any other part takes the exact path from the same walk's parts.
+    any other part takes the exact path from the same walk's parts, where
+    a tokenize error names the word.
     """
-    parts, segments = _walk(rs, word, 0, mode,
+    parts, segments = _walk(rs, word, text, mode,
                             policy._pieces if rs._joins_keep_nfc else None)
     if segments is not None:
         return segments
-    return tuple(normalize(tokenize_ipa("".join(parts)), policy))
+    try:
+        raw = tokenize_ipa("".join(parts))
+    except TokenizeError as e:
+        raise TokenizeError(f"word {word!r}: {e.message}", e.offset) from None
+    return tuple(normalize(raw, policy))
 
 
 def transliterate_lines(texts, rs: Ruleset, policy: NormalizationPolicy,
@@ -293,23 +290,20 @@ def transliterate_lines(texts, rs: Ruleset, policy: NormalizationPolicy,
     mode controls unmatched graphemes: 'error' raises with the offset in
     the prepared text, 'skip' drops the character, 'passthrough' copies it
     into the IPA output. A prepared word is converted once per call: the
-    table of converted words lives as long as the generator. A text that
-    fails raises the error of the uncached path on the whole text.
+    table of converted words lives as long as the generator and holds
+    successes only, so the first failing word of a text raises.
     """
     _check_mode(mode)
     converted = {}
     for text in texts:
         prepared = rs.prepare(text)
         out = []
-        try:
-            for word in prepared.split():
-                segments = converted.get(word)
-                if segments is None:
-                    segments = converted[word] = _word_segments(rs, word, policy, mode)
-                out += segments
-        except PhonosimError:
-            _transliterate_prepared(prepared, rs, policy, mode)
-            raise
+        for word in prepared.split():
+            segments = converted.get(word)
+            if segments is None:
+                segments = converted[word] = _word_segments(rs, word, prepared,
+                                                            policy, mode)
+            out += segments
         yield out
 
 
@@ -327,18 +321,16 @@ def phoneme_counts(text, rs: Ruleset, policy: NormalizationPolicy,
     The prepared text becomes a word table; each distinct word is
     converted once, the words of one frequency are counted together by
     one Counter, and each such count is multiplied by the frequency.
-    Nothing is stored: each word is a table key exactly once.
+    Nothing is stored: each word is a table key exactly once, in
+    first-occurrence order, so the first failing word in text order raises.
     """
     _check_mode(mode)
     prepared = rs.prepare(text)
     table = Counter(prepared.split())
     by_frequency = {}
-    try:
-        for word, n in table.items():
-            by_frequency.setdefault(n, []).extend(_word_segments(rs, word, policy, mode))
-    except PhonosimError:
-        _transliterate_prepared(prepared, rs, policy, mode)
-        raise
+    for word, n in table.items():
+        by_frequency.setdefault(n, []).extend(
+            _word_segments(rs, word, prepared, policy, mode))
     counts = Counter()
     for n, segments in by_frequency.items():
         counts.update({p: c * n for p, c in Counter(segments).items()})

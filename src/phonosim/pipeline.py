@@ -50,8 +50,11 @@ ARTIFACT_NAMES = (
 
 def _number(kind, name, value):
     try:
-        return kind(value)
-    except ValueError:
+        number = kind(value)
+        if kind is int and not isinstance(value, str) and number != value:
+            raise ValueError  # int() would truncate 2.5 to 2
+        return number
+    except (ValueError, OverflowError):
         raise DataError(f"setting {name!r} must be "
                         f"{'an integer' if kind is int else 'a number'}, "
                         f"got {value!r}") from None

@@ -214,13 +214,13 @@ class TestIpaAndG2p:
         assert capsys.readouterr() == ("", f"phonosim: error: {path}:1: {message}\n")
 
     # line 2 fails beside 'mati', which line 1 already converted: on 'maqti',
-    # or on a tie bar with no base whose offset counts in line 2's whole IPA
-    # text
+    # or on a word that is a tie bar with no base, named with the offset in
+    # its own IPA
     @pytest.mark.parametrize("argv,stdin,out,message", [
         (["g2p"], "mati shuna\nmaqti mati\n", "m a t i ʃ u n a\n",
          "no rule matches 'q' at offset 2"),
         (["g2p", "--mode", "passthrough"], "mati\nmati \u0361\n", "m a t i\n",
-         "tie bar with no preceding base symbol at offset 5"),
+         "word '\u0361': tie bar with no preceding base symbol at offset 0"),
         (["ipa", "tokenize"], "ˈsʲum\n\u0303a\n", "ʃ u m\n",
          "combining mark COMBINING TILDE with no base symbol at offset 0"),
     ], ids=["g2p", "g2p-passthrough", "ipa-tokenize"])

@@ -165,18 +165,21 @@ def test_weight_preserving_registry_changes_keep_artifact_bytes(toy_dir, tmp_pat
 
 # (rule added to aab.rules or None, {utterance number: new text}, message);
 # the failing word sits in several utterances and the first one is named,
-# with the offset the utterance's own conversion reports
+# with the offset the utterance's own conversion reports; the first failing
+# word in text order wins, so a tokenize error before an unmatched grapheme
+# is the one reported
 FAILURES = {
     "unmatched": (None, {3: "chik squt mabe", 5: "shemi tus squt",
                          7: "squt mek bitu shan"},
                   "aab: utterance 3: no rule matches 'q' at offset 6"),
     "tokenize": ("x\t\u0303", {2: "bis axa tukan mesh", 4: "nesta xa betu kim",
                                6: "xa sube china task"},
-                 "aab: utterance 4: combining mark COMBINING TILDE with no base "
-                 "symbol at offset 6"),
+                 "aab: utterance 4: word 'xa': combining mark COMBINING TILDE "
+                 "with no base symbol at offset 0"),
     "unmatched-after-tokenize": (
         "x\t\u0303", {4: "nesta xa betu kiqm", 6: "xa sube china task"},
-        "aab: utterance 4: no rule matches 'q' at offset 16"),
+        "aab: utterance 4: word 'xa': combining mark COMBINING TILDE with no base "
+        "symbol at offset 0"),
 }
 
 

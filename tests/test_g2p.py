@@ -3,6 +3,7 @@ import copy
 import gc
 import io
 import random
+import re
 import tempfile
 import unicodedata
 import weakref
@@ -18,7 +19,7 @@ from phonosim import cli, g2p
 from phonosim.errors import (DataError, ParseError, PhonosimError, RuleError,
                              TokenizeError, UnmatchedGraphemeError)
 from phonosim.g2p import MODES, G2PRule, Ruleset, load_ruleset, transliterate
-from phonosim.ipa import NormalizationPolicy, default_policy
+from phonosim.ipa import NormalizationPolicy, default_policy, normalize, tokenize_ipa
 
 from genutil import (COMPOSING_PAIRS, random_output_ruleset, random_policy,
                      random_ruleset, random_text_for)
@@ -414,9 +415,33 @@ class TestProperties:
                 assert set(seq) <= known
 
 
-def uncached(text, rs, policy, mode):
-    """The whole-text path transliterate falls back to; the test oracle."""
-    return g2p._transliterate_prepared(rs.prepare(text), rs, policy, mode)
+def text_order(text, rs, policy, mode):
+    """The test oracle: each whitespace-delimited word of the prepared text
+    in turn, scanned with Ruleset.match_at, its IPA string tokenized and
+    normalized. The first failing word raises: an unmatched grapheme with
+    its offset in the prepared text, a tokenize error naming the word with
+    its offset in the word's IPA."""
+    prepared = rs.prepare(text)
+    out = []
+    for m in re.finditer(r"\S+", prepared):
+        word, ipa, i = m.group(), [], 0
+        while i < len(word):
+            rule, length = rs.match_at(word, i)
+            if rule is not None:
+                ipa.append(rule.phoneme_output)
+                i += length
+                continue
+            if mode == "error":
+                raise UnmatchedGraphemeError(word[i], m.start() + i)
+            if mode == "passthrough":
+                ipa.append(word[i])
+            i += 1
+        try:
+            segments = tokenize_ipa("".join(ipa))
+        except TokenizeError as e:
+            raise TokenizeError(f"word {word!r}: {e.message}", e.offset) from None
+        out += normalize(segments, policy)
+    return out
 
 
 def outcome(fn, text, rs, policy, mode):
@@ -438,11 +463,11 @@ def lines_outcomes(texts, rs, policy, mode):
     return outcomes
 
 
-def uncached_outcomes(texts, rs, policy, mode):
-    """The uncached outcome of each text, up to and including the first error."""
+def text_order_outcomes(texts, rs, policy, mode):
+    """The oracle's outcome of each text, up to and including the first error."""
     outcomes = []
     for text in texts:
-        outcomes.append(outcome(uncached, text, rs, policy, mode))
+        outcomes.append(outcome(text_order, text, rs, policy, mode))
         if isinstance(outcomes[-1], tuple):
             break
     return outcomes
@@ -489,16 +514,16 @@ def linear_match_at(rs, word, i):
 class TestWordMemo:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_matches_uncached_path_text_by_text(self, seed):
+    def test_matches_text_order_oracle_text_by_text(self, seed):
         rng = random.Random(seed)
         rs = ruleset_with_traps(rng)
         texts = repeating_texts(rs, rng)
         for mode in MODES:
             for text in texts:
                 assert (outcome(transliterate, text, rs, PLAIN, mode)
-                        == outcome(uncached, text, rs, PLAIN, mode)), (mode, text)
+                        == outcome(text_order, text, rs, PLAIN, mode)), (mode, text)
             assert (lines_outcomes(texts, rs, PLAIN, mode)
-                    == uncached_outcomes(texts, rs, PLAIN, mode)), mode
+                    == text_order_outcomes(texts, rs, PLAIN, mode)), mode
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -511,7 +536,7 @@ class TestWordMemo:
             policy = rng.choice(policies)
             mode = rng.choice(MODES)
             assert (outcome(transliterate, text, rs, policy, mode)
-                    == outcome(uncached, text, rs, policy, mode)), (mode, text)
+                    == outcome(text_order, text, rs, policy, mode)), (mode, text)
 
     def test_unmatched_grapheme_error_is_unchanged(self):
         rs = make_ruleset(("a", "a"), ("b", "b"))
@@ -519,7 +544,7 @@ class TestWordMemo:
         with pytest.raises(UnmatchedGraphemeError) as exc:
             transliterate("ab  ab bqa", rs, PLAIN)
         assert (exc.value.grapheme, exc.value.offset) == ("q", 8)
-        assert str(exc.value) == str(outcome(uncached, "ab  ab bqa", rs, PLAIN,
+        assert str(exc.value) == str(outcome(text_order, "ab  ab bqa", rs, PLAIN,
                                              "error")[1])
 
     def test_tokenize_error_is_unchanged(self):
@@ -527,16 +552,20 @@ class TestWordMemo:
         assert transliterate("ax a", rs, PLAIN) == ["ã", "a"]
         with pytest.raises(TokenizeError) as exc:
             transliterate("a xa", rs, PLAIN)
-        # the offset counts in the whole joined IPA text, not in the word
-        assert exc.value.offset == 2
+        # the message names the word; the offset counts in the word's IPA
+        assert exc.value.offset == 0
+        assert str(exc.value) == ("word 'xa': combining mark COMBINING TILDE "
+                                  "with no base symbol at offset 0")
 
-    def test_later_unmatched_grapheme_beats_earlier_tokenize_error(self):
+    def test_first_failing_word_wins(self):
         rs = make_ruleset(("a", "a"), ("x", COMBINING_TILDE))
+        for mode in ("error", "skip"):
+            with pytest.raises(TokenizeError) as exc:
+                transliterate("xa a aqa", rs, PLAIN, mode)
+            assert exc.value.offset == 0
         with pytest.raises(UnmatchedGraphemeError) as exc:
-            transliterate("xa a aqa", rs, PLAIN)
-        assert exc.value.offset == 6
-        with pytest.raises(TokenizeError):
-            transliterate("xa a aqa", rs, PLAIN, mode="skip")
+            transliterate("a aqa xa", rs, PLAIN)
+        assert exc.value.offset == 3
 
     def test_policy_and_mode_switches_on_one_ruleset(self):
         rs = make_ruleset(("s", "s"), ("a", "a"))
@@ -648,22 +677,57 @@ class TestWordMemo:
             result.append("mutated")
 
 
+class TestFirstFailingWord:
+    """The first failing word in text order raises, whichever way a text
+    is converted; rules a, b, xq, and x with a bare combining mark."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        # 'qb' first fails as a word of its own at 5, not inside 'axqb' at 2
+        ("axqb qb", UnmatchedGraphemeError, "no rule matches 'q' at offset 5"),
+        ("xa aqa", TokenizeError,
+         "word 'xa': combining mark COMBINING TILDE with no base symbol at offset 0"),
+        ("aqa xa", UnmatchedGraphemeError, "no rule matches 'q' at offset 1"),
+    ], ids=["substring-trap", "tokenize-first", "unmatched-first"])
+    @pytest.mark.parametrize("via", ["transliterate", "transliterate_lines",
+                                     "phoneme_counts", "cli"])
+    def test_first_failing_word_in_text_order_raises(self, tmp_path, monkeypatch,
+                                                     capsys, text, error, message,
+                                                     via):
+        path = tmp_path / "x.rules"
+        path.write_text(f"a\ta\nb\tb\nxq\txq\nx\t{COMBINING_TILDE}\n",
+                        encoding="utf-8")
+        rs = load_ruleset(path)
+        assert outcome(text_order, text, rs, PLAIN, "error")[:2] == (error, message)
+        if via == "cli":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(f"ab\n{text}\n".encode("utf-8")), encoding="utf-8"))
+            assert cli.main(["g2p", "--rules", str(path)]) == 2
+            assert capsys.readouterr() == (
+                "a b\n", f"phonosim: error: <stdin>:2: {message}\n")
+            return
+        with pytest.raises(error) as exc:
+            if via == "transliterate_lines":
+                list(g2p.transliterate_lines(["ab", text], rs, PLAIN))
+            else:
+                getattr(g2p, via)(text, rs, PLAIN)
+        assert str(exc.value) == message
+
+
 def counted(text, rs, policy, mode):
     return g2p.phoneme_counts(text, rs, policy, mode)
 
 
-def uncached_counts(text, rs, policy, mode):
-    return Counter(uncached(text, rs, policy, mode))
+def text_order_counts(text, rs, policy, mode):
+    return Counter(text_order(text, rs, policy, mode))
 
 
 class TestSegmentedOutputs:
     """A word concatenates its rules' pre-segmented outputs when each is
-    self-contained; the uncached whole-text path stays the oracle for
-    values and errors."""
+    self-contained; the text-order oracle checks values and errors."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_matches_uncached_path_under_every_mode_and_policy(self, seed):
+    def test_matches_text_order_oracle_under_every_mode_and_policy(self, seed):
         rng = random.Random(seed)
         # two rulesets that share each policy's piece table, converted in
         # turn; the second has a join that composes under NFC
@@ -677,13 +741,13 @@ class TestSegmentedOutputs:
                 for row in zip(*texts.values()):
                     for rs, text in zip(texts, row):
                         assert (outcome(transliterate, text, rs, policy, mode)
-                                == outcome(uncached, text, rs, policy, mode)), (mode, text)
+                                == outcome(text_order, text, rs, policy, mode)), (mode, text)
                 for rs in texts:
                     assert (lines_outcomes(texts[rs], rs, policy, mode)
-                            == uncached_outcomes(texts[rs], rs, policy, mode)), mode
+                            == text_order_outcomes(texts[rs], rs, policy, mode)), mode
                     joined = "\n".join(texts[rs])
                     assert (outcome(counted, joined, rs, policy, mode)
-                            == outcome(uncached_counts, joined, rs, policy, mode)), mode
+                            == outcome(text_order_counts, joined, rs, policy, mode)), mode
 
     def test_rulesets_and_modes_share_their_policy_piece_table(self):
         policy = NormalizationPolicy(merge_pairs={"t͡ʃ": "c"})  # its table starts empty
@@ -731,7 +795,7 @@ class TestSegmentedOutputs:
         with mock.patch.object(Ruleset, "match_at", counting_match_at):
             got = convert(word, rs, PLAIN, mode)
         assert walked == positions
-        expected = uncached(word, rs, PLAIN, mode)
+        expected = text_order(word, rs, PLAIN, mode)
         assert got == (expected if convert is transliterate else Counter(expected))
 
     @pytest.mark.parametrize("output", [
@@ -744,7 +808,7 @@ class TestSegmentedOutputs:
         assert (pieces[output] is not None) == contained
         for text in ("xa", "axa", "ax", "x"):
             assert (outcome(transliterate, text, rs, PLAIN, "error")
-                    == outcome(uncached, text, rs, PLAIN, "error")), text
+                    == outcome(text_order, text, rs, PLAIN, "error")), text
 
     @pytest.mark.parametrize("outputs, word, expected", [
         (("\u1100", "\u1161", "\u11a8"), "gak", ["\uac01"]),
@@ -755,7 +819,7 @@ class TestSegmentedOutputs:
         rs = make_ruleset(*zip("gak", outputs))
         assert rs._joins_keep_nfc is (outputs[1] == "\u0301")
         assert transliterate(word, rs, PLAIN) == expected
-        assert uncached(word, rs, PLAIN, "error") == expected
+        assert text_order(word, rs, PLAIN, "error") == expected
 
     def test_counts_weigh_each_distinct_word_by_its_frequency(self):
         rs = make_ruleset(("a", "a"), ("b", "b"), ("c", "t͡ʃ"))

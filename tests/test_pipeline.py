@@ -254,6 +254,18 @@ class TestConfig:
             toy_config(toy_dir, tmp_path, strategy=strategy, k=k)
         assert str(config_error.value) == str(select_error.value)
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("k", 2.5, "an integer"), ("resolution", 512.9, "an integer"),
+        ("k", float("inf"), "an integer"), ("k", "2.5", "an integer"),
+        ("level", 10**400, "a number")])
+    def test_settings_are_not_truncated(self, toy_dir, tmp_path, name, value, kind):
+        with pytest.raises(DataError) as exc:
+            toy_config(toy_dir, tmp_path, **{name: value})
+        assert str(exc.value) == f"setting '{name}' must be {kind}, got {value!r}"
+        # a value that converts exactly is taken as it is
+        config = toy_config(toy_dir, tmp_path, k=2.0, resolution="300", level=1)
+        assert (config.k, config.resolution, config.level) == (2, 300, 1.0)
+
     def test_relative_strings_parsed(self, toy_dir, tmp_path):
         # like k, level and resolution, a string is converted, not kept
         for value, want in (("false", False), ("Off", False), ("0", False),
