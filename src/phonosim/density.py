@@ -45,8 +45,9 @@ _FALLBACK_SCALE = 1e-3
 # grid margin beyond the data extent, in bandwidths per axis
 PADDING_BANDWIDTHS = 3.0
 # size of the product buffer of an exact sum, and of the batch of tiles
-# that kde_contours estimates at a time
-_BLOCK_BYTES = 1 << 20
+# that kde_contours estimates at a time; small enough to stay in L2 and
+# to keep the stage's memory peak low
+_BLOCK_BYTES = 1 << 18
 # cells per side of the square tiles that kde_contours bounds and estimates
 _TILE = 16
 # most grid cells per side; the two tile bound matrices then hold 16 MB
@@ -486,21 +487,31 @@ def write_contours_json(contour_sets, path):
     whose indented form runs Python's pure-Python encoder; numbers are
     repr(round_float(v)), as json.dumps writes those floats. A polyline's
     numbers come from one json_floats call and fill one vertex template
-    per vertex through a single % call.
+    per vertex through a single % call. The text is streamed to
+    write_lines polyline by polyline, so no more than one polyline's text
+    is held at a time.
     """
-    families = []
-    for cs in contour_sets:
-        polylines = []
-        for polyline in cs.polylines:
-            points = json_floats(np.asarray(polyline, dtype=float).reshape(-1, 2),
-                                 _JSON_VERTEX, ",\n")
-            polylines.append(f"      [\n{points}\n      ]" if points else "      []")
-        body = "[\n" + ",\n".join(polylines) + "\n    ]" if polylines else "[]"
-        families.append(
-            "  {\n"
-            f'    "below_level": {"true" if cs.below_level else "false"},\n'
-            f'    "family": {json.dumps(cs.family, ensure_ascii=False)},\n'
-            f'    "level": {repr(round_float(cs.level))},\n'
-            f'    "polylines": {body}\n'
-            "  }")
-    write_lines(path, ["[\n" + ",\n".join(families) + "\n]" if families else "[]"])
+    def lines():
+        yield "[" if contour_sets else "[]"
+        for i, cs in enumerate(contour_sets, 1):
+            yield ("  {\n"
+                   f'    "below_level": {"true" if cs.below_level else "false"},\n'
+                   f'    "family": {json.dumps(cs.family, ensure_ascii=False)},\n'
+                   f'    "level": {repr(round_float(cs.level))},\n'
+                   f'    "polylines": {"[" if cs.polylines else "[]"}')
+            for j, polyline in enumerate(cs.polylines, 1):
+                comma = "," if j < len(cs.polylines) else ""
+                xy = np.asarray(polyline, dtype=float).reshape(-1, 2)
+                if xy.size:  # a polyline's text is held only while written
+                    yield "      ["
+                    yield json_floats(xy, _JSON_VERTEX, ",\n")
+                    yield "      ]" + comma
+                else:
+                    yield "      []" + comma
+            if cs.polylines:
+                yield "    ]"
+            yield "  }," if i < len(contour_sets) else "  }"
+        if contour_sets:
+            yield "]"
+
+    write_lines(path, lines())

@@ -5,7 +5,10 @@ CR inside a line stays in it. File readers skip blank lines (line files also
 full-line `#` comments), name 1-based lines in errors (for CSV the line a
 row starts on) and return lists, so each file is closed before a caller
 raises; stdin_lines yields every stdin line as it arrives. Artifacts are
-UTF-8 with every line LF-terminated.
+UTF-8 with every line LF-terminated. write_lines streams them: it writes
+each line as it is produced, so a writer that yields its lines one by one
+never holds its artifact whole, and a write that fails part way, in the
+writer or on disk, leaves no file.
 
 Floats render through fmt_float: 12 significant digits, shortest form.
 fmt_floats gives the same text for a whole numpy array with one C-level
@@ -29,6 +32,7 @@ order are, so a different BLAS/LAPACK build can still change them.
 """
 
 import csv
+import os
 import sys
 from contextlib import contextmanager
 
@@ -131,6 +135,15 @@ def csv_cell(text):
 
 
 def write_lines(path, lines):
-    """Write each line plus one LF, as UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join(f"{line}\n" for line in lines))
+    """Write each line plus one LF, as UTF-8, as `lines` yields it. If
+    iterating `lines` or writing raises, the file is removed and the
+    error re-raised; a symlink or a device (`/dev/stdout`) is not."""
+    f = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with f:
+            for line in lines:
+                f.write(f"{line}\n")
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise

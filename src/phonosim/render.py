@@ -33,7 +33,10 @@ def family_colors(families):
 def render_svg(codes, coords, reg, contour_sets, path):
     """Write an SVG overlay of labeled points and contour polylines.
 
-    One point per code at its coords, colored by its registry family.
+    One point per code at its coords, colored by its registry family. The
+    plot extent and scale are checked before anything is written (a
+    DataError when they are not finite and positive); the lines are then
+    streamed to write_lines, one polyline at a time.
     """
     points = [(code, float(x), float(y), reg.get(code).family)
               for code, (x, y) in zip(codes, coords)]
@@ -72,35 +75,31 @@ def render_svg(codes, coords, reg, contour_sets, path):
     colors = family_colors(
         [p[3] for p in points] + [cs.family for cs in contour_sets])
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
-    for cs, cs_lines in zip(contour_sets, lines):
-        color = colors[cs.family]
-        for line in cs_lines:
-            screen = np.empty_like(line)
-            screen[:, 0] = sx(line[:, 0])
-            screen[:, 1] = sy(line[:, 1])
-            vertices = fmt_floats(screen, "%s,%s")
-            out.append(
-                f'<polyline points="{vertices}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5" opacity="0.8"/>')
-    for code, x, y, family in points:
-        color = colors[family]
-        cx, cy = fmt_float(sx(x)), fmt_float(sy(y))
-        out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
-        out.append(
-            f'<text x="{fmt_float(float(cx) + 6)}" y="{cy}" '
-            f'font-size="11" font-family="sans-serif">{escape(code, quote=False)}</text>')
-    for i, family in enumerate(sorted(colors)):
-        y = MARGIN + 16 * i
-        out.append(
-            f'<rect x="{MARGIN}" y="{y - 9}" width="10" height="10" '
-            f'fill="{colors[family]}"/>')
-        out.append(
-            f'<text x="{MARGIN + 14}" y="{y}" font-size="12" '
-            f'font-family="sans-serif">{escape(family, quote=False)}</text>')
-    out.append("</svg>")
-    write_lines(path, out)
+    def svg():
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+               f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
+        yield f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
+        for cs, cs_lines in zip(contour_sets, lines):
+            color = colors[cs.family]
+            for line in cs_lines:
+                screen = np.empty_like(line)
+                screen[:, 0] = sx(line[:, 0])
+                screen[:, 1] = sy(line[:, 1])
+                vertices = fmt_floats(screen, "%s,%s")
+                yield (f'<polyline points="{vertices}" fill="none" stroke="{color}" '
+                       f'stroke-width="1.5" opacity="0.8"/>')
+        for code, x, y, family in points:
+            color = colors[family]
+            cx, cy = fmt_float(sx(x)), fmt_float(sy(y))
+            yield f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>'
+            yield (f'<text x="{fmt_float(float(cx) + 6)}" y="{cy}" '
+                   f'font-size="11" font-family="sans-serif">{escape(code, quote=False)}</text>')
+        for i, family in enumerate(sorted(colors)):
+            y = MARGIN + 16 * i
+            yield (f'<rect x="{MARGIN}" y="{y - 9}" width="10" height="10" '
+                   f'fill="{colors[family]}"/>')
+            yield (f'<text x="{MARGIN + 14}" y="{y}" font-size="12" '
+                   f'font-family="sans-serif">{escape(family, quote=False)}</text>')
+        yield "</svg>"
+
+    write_lines(path, svg())

@@ -12,6 +12,7 @@ utterance stays representable.
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DataError
 from .formats import fmt_float, write_lines
@@ -95,9 +96,11 @@ def emit_manifest(selection: SelectionResult, corpora, reg: Registry) -> Trainin
     Utterances are grouped by language, target first then sources in
     selection order. The inventory is the union of the utterances'
     phonemes, so every transcription is written in it by construction.
+    The utterances hold the corpora's phoneme lists themselves, not
+    copies.
     """
     languages = selection.languages
-    utterances = [(code, audio_path, list(seq))
+    utterances = [(code, audio_path, seq)
                   for code in languages for audio_path, seq in corpora[code]]
     phonemes = tuple(sorted({ph for _, _, seq in utterances for ph in seq}))
     total_hours = sum(reg.get(code).recording_hours for code in languages)
@@ -127,7 +130,7 @@ def write_manifest_tsv(manifest: TrainingManifest, path):
     sources = " ".join(
         code if score is None else f"{code}:{fmt_float(score)}"
         for code, score in manifest.selection.sources)
-    lines = [
+    header = [
         f"#target\t{manifest.selection.target}",
         f"#strategy\t{manifest.selection.strategy}",
         f"#sources\t{sources}",
@@ -135,6 +138,6 @@ def write_manifest_tsv(manifest: TrainingManifest, path):
         f"#total_hours\t{fmt_float(manifest.total_hours)}",
         "lang\taudio_path\tipa",
     ]
-    for code, audio_path, seq in manifest.utterances:
-        lines.append(f"{code}\t{audio_path}\t{' '.join(seq)}")
-    write_lines(path, lines)
+    rows = (f"{code}\t{audio_path}\t{' '.join(seq)}"
+            for code, audio_path, seq in manifest.utterances)
+    write_lines(path, chain(header, rows))

@@ -175,6 +175,39 @@ class TestWriteLines:
         write_lines(p, [])
         assert p.read_bytes() == b""
 
+    def test_list_and_generator_give_the_joined_bytes(self, tmp_path):
+        lines = ["a,b", "ʃ", "", "two\nlines", "cr\r", "x" * 100_000]
+        joined = "".join(f"{line}\n" for line in lines).encode("utf-8")
+        for i, given_lines in enumerate((lines, (line for line in lines))):
+            p = tmp_path / f"out{i}.txt"
+            write_lines(p, given_lines)
+            assert p.read_bytes() == joined
+
+    def test_failure_part_way_leaves_no_file(self, tmp_path):
+        def fails_after_two_lines():
+            yield "one"
+            yield "two"
+            raise ValueError("no third line")
+
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="no third line"):
+            write_lines(p, fails_after_two_lines())
+        assert not p.exists()
+        # a line that cannot be encoded fails in the write itself
+        with pytest.raises(UnicodeEncodeError):
+            write_lines(p, ["one", "lone surrogate \udc80"])
+        assert not p.exists()
+
+    def test_failure_keeps_a_symlink(self, tmp_path):
+        # as /dev/stdout is one: removing it would remove the link itself
+        target = tmp_path / "target.txt"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        with pytest.raises(UnicodeEncodeError):
+            write_lines(link, ["one", "\udc80"])
+        assert link.is_symlink() and target.is_file()
+
 
 class TestParseBool:
     @pytest.mark.parametrize("value,expected", [
