@@ -6,9 +6,11 @@ greedy longest-match, left to right; ties go to higher priority, then to
 earlier rule order.
 
 Context pattern syntax, kept deliberately small so rule files stay
-auditable: a sequence of literal characters and [...] character classes.
-'#' marks the word boundary and may only anchor the outer end (start of a
-left context, end of a right context).
+auditable: a sequence of literal characters and [...] character classes,
+whose members are literal too. '#' marks the word boundary and may only
+anchor the outer end (start of a left context, end of a right context).
+Each rule with a context is one compiled re pattern: a lookbehind for the
+left context, the escaped grapheme, a lookahead for the right context.
 
 A Ruleset holds only its compiled rules. transliterate_lines converts
 each distinct prepared word once per call, keeping its normalized segments
@@ -54,64 +56,32 @@ class G2PRule:
     priority: int = 0
 
 
-@dataclass(frozen=True)
-class _Pattern:
-    units: tuple          # one frozenset per position; a literal c is frozenset(c)
-    anchored: bool        # '#' present at the outer end
+# one unit of a context pattern: a [...] class up to the first ']', or one
+# character; a '[' that no ']' follows is a unit of its own
+_UNIT = re.compile(r"\[[^\]]*\]|.", re.S)
 
 
-def _parse_pattern(text, side, index):
-    chars = list(text)
-    anchored = False
-    if side == "left" and chars and chars[0] == "#":
-        anchored = True
-        chars = chars[1:]
-    elif side == "right" and chars and chars[-1] == "#":
-        anchored = True
-        chars = chars[:-1]
-    units = []
-    i = 0
-    while i < len(chars):
-        c = chars[i]
-        if c == "#":
-            raise RuleError(
-                f"'#' may only anchor the outer end of a {side} context", index)
-        if c == "[":
-            j = i + 1
-            members = []
-            while j < len(chars) and chars[j] != "]":
-                members.append(chars[j])
-                j += 1
-            if j >= len(chars):
-                raise RuleError("unterminated character class", index)
-            if not members:
-                raise RuleError("empty character class", index)
-            units.append(frozenset(members))
-            i = j + 1
-        elif c == "]":
-            raise RuleError("stray ']' in context pattern", index)
-        else:
-            units.append(frozenset(c))
-            i += 1
-    return _Pattern(tuple(units), anchored)
-
-
-def _match_left(pat, word, pos):
-    j = pos
-    for unit in reversed(pat.units):
-        j -= 1
-        if j < 0 or word[j] not in unit:
-            return False
-    return not pat.anchored or j == 0
-
-
-def _match_right(pat, word, pos):
-    j = pos
-    for unit in pat.units:
-        if j >= len(word) or word[j] not in unit:
-            return False
-        j += 1
-    return not pat.anchored or j == len(word)
+def _lookaround(text, side, index):
+    """A folded context pattern as re syntax: a lookbehind for a left
+    context, a lookahead for a right one, with '#' at the outer end as '^'
+    or '\\Z'. A unit is an escaped character or a class of its sorted
+    escaped members, and a one-member class is written as its member, so
+    patterns equal as character sets are equal as text."""
+    anchored = text[0 if side == "left" else -1] == "#"
+    units = text[anchored:] if side == "left" else text[:len(text) - anchored]
+    problems = {"#": f"'#' may only anchor the outer end of a {side} context",
+                "[": "unterminated character class", "[]": "empty character class",
+                "]": "stray ']' in context pattern"}
+    regex = ""
+    for unit in _UNIT.findall(units):
+        if unit in problems:
+            raise RuleError(problems[unit], index)
+        members = sorted(set(unit[1:-1] or unit))  # a class, or one character
+        regex += (re.escape(members[0]) if len(members) == 1
+                  else "[" + "".join(map(re.escape, members)) + "]")
+    if side == "left":
+        return "(?<=" + "^" * anchored + regex + ")"
+    return "(?=" + regex + r"\Z" * anchored + ")"
 
 
 def _describe(rule):
@@ -172,28 +142,29 @@ class Ruleset:
         self.punctuation_strip = bool(punctuation_strip)
 
         fold = self._fold
-        compiled = []
+        ranked = []
         seen = {}
         for idx, rule in enumerate(rules):
             if not rule.grapheme:
                 raise RuleError("rule grapheme must be nonempty", idx)
             g = fold(rule.grapheme)
-            left = (_parse_pattern(fold(rule.left_context), "left", idx)
-                    if rule.left_context else None)
-            right = (_parse_pattern(fold(rule.right_context), "right", idx)
-                     if rule.right_context else None)
+            left = (_lookaround(fold(rule.left_context), "left", idx)
+                    if rule.left_context else "")
+            right = (_lookaround(fold(rule.right_context), "right", idx)
+                     if rule.right_context else "")
             # match_at sees only the folded grapheme and contexts, so a
             # later rule equal to an earlier one in these could never fire
             first = seen.setdefault((g, left, right), idx)
             if first != idx:
                 raise RuleError(f"rule {_describe(rule)} matches the same text as "
                                 f"rule {_describe(rules[first])}", idx, first)
-            compiled.append((g, left, right, rule, idx))
-        # longest grapheme first, then higher priority, then file order
-        compiled.sort(key=lambda item: (-len(item[0]), -item[3].priority, item[4]))
-        self._compiled = tuple(compiled)
+            # match(word, i) sees the word before i, and '^' only at its start
+            context = (re.compile(left + re.escape(g) + right).match
+                       if left or right else None)
+            # longest grapheme first, then higher priority, then file order
+            ranked.append(((-len(g), -rule.priority, idx), (g, context, rule)))
         by_first = {}
-        for entry in self._compiled:
+        for _, entry in sorted(ranked):
             by_first.setdefault(entry[0][0], []).append(entry)
         self._by_first = {c: tuple(entries) for c, entries in by_first.items()}
         self._joins_keep_nfc = _joins_keep_nfc(rules)
@@ -217,14 +188,9 @@ class Ruleset:
 
     def match_at(self, word, i):
         # a rule whose grapheme does not start with word[i] cannot match at i
-        for g, left, right, rule, _ in self._by_first.get(word[i:i + 1], ()):
-            if not word.startswith(g, i):
-                continue
-            if left is not None and not _match_left(left, word, i):
-                continue
-            if right is not None and not _match_right(right, word, i + len(g)):
-                continue
-            return rule, len(g)
+        for g, context, rule in self._by_first.get(word[i:i + 1], ()):
+            if word.startswith(g, i) and (context is None or context(word, i)):
+                return rule, len(g)
         return None, 0
 
 

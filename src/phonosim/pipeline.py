@@ -222,7 +222,7 @@ def count_corpora(codes, corpus_dir, rules_dir, policy, mode="error"):
 def _stage(name):
     try:
         yield
-    except PhonosimError as e:
+    except (PhonosimError, OSError) as e:
         raise PipelineError(name, str(e)) from e
 
 
@@ -233,8 +233,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     outputs are discarded with the temporary directory.
     """
     with _stage("output"):
-        # a file at or above the output directory fails before any work
-        found = next(p for p in (cfg.out, *cfg.out.parents) if p.exists())
+        # a file (or a dangling link) at or above the output directory
+        # fails before any work
+        found = next(p for p in (cfg.out, *cfg.out.parents)
+                     if p.exists() or p.is_symlink())
         if not found.is_dir():
             raise DataError(f"{found} exists and is not a directory")
 
@@ -255,9 +257,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     with _stage("g2p"):
         counts = count_corpora(langs, cfg.corpus_dir, cfg.rules_dir, policy)
 
-    # temp dir next to the output so os.replace stays on one filesystem
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = tempfile.TemporaryDirectory(prefix=".phonosim-", dir=cfg.out.parent)
+    with _stage("output"):
+        # temp dir next to the output so os.replace stays on one filesystem
+        cfg.out.parent.mkdir(parents=True, exist_ok=True)
+        tmp = tempfile.TemporaryDirectory(prefix=".phonosim-", dir=cfg.out.parent)
     try:
         tmp_dir = Path(tmp.name)
 
@@ -302,12 +305,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             manifest = emit_manifest(sel, corpora, reg)
             write_manifest_tsv(manifest, tmp_dir / "manifest.tsv")
 
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        artifacts = {}
-        for name in ARTIFACT_NAMES:
-            final = cfg.out / name
-            os.replace(tmp_dir / name, final)
-            artifacts[name] = final
+        with _stage("output"):
+            cfg.out.mkdir(parents=True, exist_ok=True)
+            artifacts = {}
+            for name in ARTIFACT_NAMES:
+                final = cfg.out / name
+                os.replace(tmp_dir / name, final)
+                artifacts[name] = final
         return artifacts
     finally:
         tmp.cleanup()

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -276,6 +277,17 @@ class TestIpaAndG2p:
                        stdin_text=text, monkeypatch=monkeypatch) == status
         assert capsysbinary.readouterr() == (
             (exact / f"{mode}.txt").read_bytes(), err.encode("utf-8"))
+
+    def test_g2p_context_forms_match_golden(self, toy_dir, monkeypatch, capsysbinary):
+        # context.rules uses every context form: classes with regex
+        # metacharacter members, both anchors, multi-unit contexts, priorities
+        context = toy_dir / "g2p_context"
+        text = (context / "input.txt").read_text(encoding="utf-8")
+        assert run_cli(["g2p", "--rules", str(context / "context.rules"),
+                        "--policy", str(toy_dir / "policy.txt")],
+                       stdin_text=text, monkeypatch=monkeypatch) == 0
+        assert capsysbinary.readouterr() == (
+            (context / "output.txt").read_bytes(), b"")
 
     def test_tokenize_matches_golden(self, toy_dir, monkeypatch, capsysbinary):
         text = (toy_dir / "ipa_input.txt").read_text(encoding="utf-8")
@@ -1467,6 +1479,71 @@ class TestPipelineCommand:
             "", f"phonosim: error: [output] {file} exists and is not a directory\n")
         assert list(tmp_path.iterdir()) == [file]
         assert file.read_text(encoding="utf-8") == "kept\n"
+
+    def test_dangling_out_symlink_fails_before_any_stage(self, toy_dir, tmp_path,
+                                                          capsys):
+        # the registry does not exist, so the registry stage would fail
+        link = tmp_path / "out"
+        link.symlink_to(tmp_path / "nowhere")
+        assert cli.main([
+            "pipeline",
+            "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--registry", str(tmp_path / "nowhere.csv"),
+            "--target", "aaa",
+            "--out", str(link),
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", f"phonosim: error: [output] {link} exists and is not a directory\n")
+        assert list(tmp_path.iterdir()) == [link]  # no .phonosim-* left behind
+
+    @pytest.mark.parametrize("case", ["corpus-file", "registry"])
+    def test_os_error_names_its_stage(self, toy_dir, tmp_path, capsys, case):
+        # a directory where a file is read fails in the stage that reads it
+        corpus = tmp_path / "corpus"
+        shutil.copytree(toy_dir / "corpus", corpus)
+        registry = toy_dir / "registry.csv"
+        if case == "corpus-file":
+            directory = corpus / "aab.tsv"
+            directory.unlink()
+            directory.mkdir()
+            stage = "g2p"
+        else:
+            directory = registry = tmp_path / "registry"
+            registry.mkdir()
+            stage = "registry"
+        assert cli.main([
+            "pipeline",
+            "--corpus-dir", str(corpus),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--registry", str(registry),
+            "--target", "aaa",
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(directory))
+        assert capsys.readouterr() == ("", f"phonosim: error: [{stage}] {error}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_publish_os_error_names_the_output_stage(self, toy_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        out = tmp_path / "out"
+
+        def failing_replace(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+
+        monkeypatch.setattr("phonosim.pipeline.os.replace", failing_replace)
+        assert cli.main([
+            "pipeline",
+            "--corpus-dir", str(toy_dir / "corpus"),
+            "--rules-dir", str(toy_dir / "rules"),
+            "--registry", str(toy_dir / "registry.csv"),
+            "--target", "aaa", "--resolution", "16",
+            "--out", str(out),
+        ]) == 2
+        error = PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                str(out / "distributions.csv"))
+        assert capsys.readouterr() == ("", f"phonosim: error: [output] {error}\n")
+        assert list(tmp_path.iterdir()) == [out]  # the temporary directory is gone
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("extra", ["", "aac,Extran,Alphaic,West,5\n"],

@@ -282,17 +282,46 @@ class TestRuleFile:
             load_ruleset(p)
         assert exc.value.line == 1
 
-    def test_unterminated_class_errors(self, tmp_path):
+    @pytest.mark.parametrize("lines, line, message", [
+        (["b\tB", "a\tA\t[bc"], 2, "unterminated character class"),
+        (["a\tA\t\t["], 1, "unterminated character class"),
+        (["a\tA\t\t[b#"], 1, "unterminated character class"),
+        (["a\tA\t[]"], 1, "empty character class"),
+        (["a\tA\tb#"], 1, "'#' may only anchor the outer end of a left context"),
+        (["a\tA\t\t#b"], 1, "'#' may only anchor the outer end of a right context"),
+        (["a\tA\tb#["], 1, "'#' may only anchor the outer end of a left context"),
+        (["a\tA\t]x"], 1, "stray ']' in context pattern"),
+        (["a\tA\t[b]]"], 1, "stray ']' in context pattern"),
+        (["a\tA\t[ab]", "# c", "a\tB\t[ba]"], 3,
+         "rule 'a' left '[ba]' matches the same text as rule 'a' left '[ab]' "
+         "(first on line 1)"),
+        (["a\tA\t\t[a]", "b\tB", "a\tB\t\ta"], 3,
+         "rule 'a' right 'a' matches the same text as rule 'a' right '[a]' "
+         "(first on line 1)"),
+        (["a\tA\t#[aa]\t[b]", "a\tB\t#a\tb"], 2,
+         "rule 'a' left '#a' right 'b' matches the same text as rule 'a' "
+         "left '#[aa]' right '[b]' (first on line 1)"),
+    ], ids=["unterminated", "lone-bracket", "unterminated-right-anchor",
+            "empty-class", "anchor-left", "anchor-right", "first-error-wins",
+            "stray", "stray-after-class", "repeat-sorted-class",
+            "repeat-one-member", "repeat-repeated-member"])
+    def test_context_pattern_errors(self, tmp_path, lines, line, message):
         p = tmp_path / "x.rules"
-        p.write_text("a\tA\t[bc\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
             load_ruleset(p)
+        assert (str(exc.value), exc.value.line) == (f"{p}:{line}: {message}", line)
 
-    def test_misplaced_anchor_errors(self, tmp_path):
+    def test_hash_and_bracket_in_a_class_are_members(self, tmp_path):
         p = tmp_path / "x.rules"
-        p.write_text("a\tA\tb#\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_ruleset(p)
+        p.write_text("@punctuation_strip off\na\tA\nb\tB\na\tX\t[#]\t\t1\nb\tY\t\t[[]\t1\n",
+                     encoding="utf-8")
+        rs = load_ruleset(p)
+        plain_a, plain_b, after_hash, before_bracket = rs.rules
+        assert rs.match_at("#a", 1) == (after_hash, 1)
+        assert rs.match_at("ba", 1) == (plain_a, 1)
+        assert rs.match_at("b[", 0) == (before_bracket, 1)
+        assert rs.match_at("b#", 0) == (plain_b, 1)
 
     def test_directives(self, tmp_path):
         p = tmp_path / "x.rules"
@@ -499,15 +528,47 @@ def repeating_texts(rs, rng, n_texts=8):
             for _ in range(n_texts)]
 
 
+def oracle_units(pattern):
+    """A valid context pattern's units, one set of characters per position:
+    '[' opens a class that runs to the next ']'."""
+    units, i = [], 0
+    while i < len(pattern):
+        if pattern[i] == "[":
+            j = pattern.index("]", i)
+            units.append(set(pattern[i + 1:j]))
+            i = j + 1
+        else:
+            units.append({pattern[i]})
+            i += 1
+    return units
+
+
+def oracle_context_holds(rule, word, i):
+    """The rule's contexts around its grapheme at word[i], tested one
+    character at a time; '#' at the outer end pins the unit run to the
+    word's edge."""
+    left, right = rule.left_context or "", rule.right_context or ""
+    anchored = left.startswith("#")
+    units = oracle_units(left[anchored:])
+    start = i - len(units)
+    if start < 0 or (anchored and start != 0) or any(
+            word[start + k] not in unit for k, unit in enumerate(units)):
+        return False
+    anchored = right.endswith("#")
+    units = oracle_units(right[:len(right) - anchored])
+    start = i + len(rule.grapheme)
+    return (start + len(units) <= len(word)
+            and (not anchored or start + len(units) == len(word))
+            and all(word[start + k] in unit for k, unit in enumerate(units)))
+
+
 def linear_match_at(rs, word, i):
-    for g, left, right, rule, _ in rs._compiled:
-        if not word.startswith(g, i):
-            continue
-        if left is not None and not g2p._match_left(left, word, i):
-            continue
-        if right is not None and not g2p._match_right(right, word, i + len(g)):
-            continue
-        return rule, len(g)
+    """Ruleset.match_at by a linear scan over rs.rules in the documented
+    order: longest grapheme, then higher priority, then file order. Rule
+    text must be its own case fold and NFC form."""
+    for rule in sorted(rs.rules, key=lambda r: (-len(r.grapheme), -r.priority)):
+        if word.startswith(rule.grapheme, i) and oracle_context_holds(rule, word, i):
+            return rule, len(rule.grapheme)
     return None, 0
 
 
@@ -832,19 +893,54 @@ class TestSegmentedOutputs:
             g2p.phoneme_counts("", rs, PLAIN, mode="strict")
 
 
+# context units: letters, regex metacharacters as literals, and classes
+# holding metacharacters; '#' and '[' are class members
+CONTEXT_UNITS = ("a", "b", "c", "^", "-", "\\", ".", "*", "(", "[ab]", "[^.]",
+                 "[-a]", "[\\*]", "[(b]", "[#[]", "[a]", "[ba]")
+CONTEXT_CHARACTERS = "abc^-\\.*(#["
+
+
+def random_context(rng, side):
+    if rng.random() < 0.3:
+        return None
+    units = "".join(rng.choice(CONTEXT_UNITS) for _ in range(rng.randrange(3)))
+    if not units or rng.random() < 0.3:
+        units = "#" + units if side == "left" else units + "#"
+    return units
+
+
+def context_instance(rng, rule):
+    """The rule's grapheme with one character of each context unit around
+    it, anchors left out."""
+    def sample(pattern):
+        return "".join(rng.choice(sorted(unit))
+                       for unit in oracle_units(pattern.strip("#")))
+    return (sample(rule.left_context or "") + rule.grapheme
+            + sample(rule.right_context or ""))
+
+
 class TestRuleIndex:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_match_at_agrees_with_linear_scan(self, seed):
         rng = random.Random(seed)
-        rs = random_ruleset(rng)
-        contexts = [G2PRule(r.grapheme, "c" + r.phoneme_output,
-                            rng.choice((None, "#", "[ab]", "c")),
-                            rng.choice((None, "#", "[de]", "f")), rng.randrange(3))
-                    for r in rng.sample(rs.rules, rng.randint(1, len(rs.rules)))]
-        contexts = [r for r in contexts if r.left_context or r.right_context]
-        rs = Ruleset("toy", rs.rules + tuple(contexts))
+        rules = list(random_ruleset(rng).rules)
+        rules += [G2PRule(rng.choice(("^", "a.", "(", "\\")), "m")]
+        for rule in rng.sample(rules, rng.randint(1, len(rules))):
+            rules.append(G2PRule(rule.grapheme, "c" + rule.phoneme_output,
+                                 random_context(rng, "left"),
+                                 random_context(rng, "right"), rng.randrange(1, 5)))
+        while True:
+            try:
+                rs = Ruleset("toy", rules, punctuation_strip=False)
+                break
+            except RuleError as e:  # a context rule repeating an earlier rule
+                assert e.first is not None
+                del rules[e.index]
+        assert all(rs.prepare(text) == text for r in rs.rules
+                   for text in (r.grapheme, r.left_context or "", r.right_context or ""))
+        pieces = [context_instance(rng, r) for r in rs.rules] + list(CONTEXT_CHARACTERS)
         for _ in range(5):
-            word = rs.prepare(random_text_for(rs, rng) + rng.choice(("", "q", "A")))
+            word = "".join(rng.choice(pieces) for _ in range(rng.randrange(8)))
             for i in range(len(word) + 1):
                 assert rs.match_at(word, i) == linear_match_at(rs, word, i), (word, i)
